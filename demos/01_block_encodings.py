@@ -1,9 +1,11 @@
 """Block-encodings from scratch: dilation, calculus, query accounting.
 
 A block-encoding hides a (generally non-unitary) matrix A inside the top-left
-block of a larger unitary, scaled by a normalization alpha.  This walkthrough
-builds one explicitly, verifies its error claim, and composes encodings with
-the four calculus rules while watching the query ledger grow.
+block of a larger unitary, scaled by a normalization alpha.  The library
+stores only that block; ``.unitary`` builds one valid dilation on demand.
+This walkthrough builds one explicitly, verifies its error claim, and
+composes encodings with the four calculus rules while watching the query
+ledger grow.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ a = (g + g.conj().T) / 2
 a = 0.7 * a / spectral_norm(a)
 be = exact_dilation(a, 1.0)
 print("target A =\n", np.round(a, 4))
-print("dilation unitary (4x4):\n", np.round(be.unitary, 3))
+print("dilation unitary (4x4), built on demand:\n", np.round(be.unitary, 3))
 print("encoded block == A?  error:", verify_block_encoding(be, a))
 print("ledger:", be.ledger.counts)
 

@@ -1,19 +1,23 @@
-"""Block-encodings as explicit unitaries with compositional query accounting.
+"""Block-encodings held as their encoded block, with query accounting.
 
-A block-encoding here is a concrete unitary matrix whose top-left
-``system_dim`` × ``system_dim`` block, scaled by the normalization ``alpha``,
-approximates a target matrix to within ``epsilon_claim``.  The calculus
-(linear combination, product, inverse, bounded polynomial) builds new
-encodings out of old ones while a :class:`QueryLedger` tracks how many times
-each underlying oracle would be queried by the corresponding circuit.
+A block-encoding is a unitary whose top-left ``system_dim`` × ``system_dim``
+block, scaled by the normalization ``alpha``, approximates a target matrix to
+within ``epsilon_claim``.  Every lemma of the calculus (linear combination,
+product, inverse, bounded polynomial) is a statement about that block, so the
+block is all that is stored: the calculus maps blocks to blocks while a
+:class:`QueryLedger` tracks how many times each underlying oracle would be
+queried by the corresponding circuit.
 
 Conventions
 -----------
-* Ancilla registers are prepended (most significant), so the encoded block
-  is always the leading block of the unitary.
-* The physical unitary always has dimension ``2**ancilla_qubits * system_dim``;
-  constructors that claim more ancillas than the simulation needs pad with
-  identity factors, which leaves the encoded block untouched.
+* The stored block is a contraction, which always has a unitary dilation
+  with one ancilla qubit.  ``ancilla_qubits`` is accounting: the ancilla
+  count of the circuit the lemma describes.  With zero ancillas the block is
+  the whole circuit and must itself be unitary.
+* :attr:`BlockEncoding.unitary` materializes one valid dilation on demand,
+  of dimension ``2**ancilla_qubits * system_dim``: the one-ancilla dilation
+  of the block with identity on the other ancillas.  Ancilla registers are
+  prepended (most significant), so the block is its leading block.
 * Polynomial eigenvalue transforms are simulated by exact spectral calculus
   while the ledger charges the query cost of the corresponding circuit.
 """
@@ -25,10 +29,9 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import INVERSE_QUERY_CONSTANT, TOL
-from .linalg import as_square, spectral_norm
+from .linalg import as_square, spectral_norm, unitary_with_first_column
 
 # Canonical ledger keys.
 U_A = "U_A"
@@ -116,12 +119,15 @@ class QueryLedger:
 class BlockEncoding:
     """An (alpha, ancilla_qubits, epsilon_claim)-block-encoding.
 
-    ``target`` is the analytic matrix the encoding claims to represent; when
-    present it is re-verified at construction time.
+    ``block`` is the leading ``system_dim`` × ``system_dim`` block of the
+    circuit's unitary, so ``alpha * block`` approximates ``target`` to within
+    ``epsilon_claim``.  Construction checks that a unitary with this block and
+    ancilla count exists: the block must be a contraction, or unitary when
+    there are no ancillas.  ``target`` is the analytic matrix the encoding
+    claims to represent; when present it is re-verified at construction time.
     """
 
-    unitary: np.ndarray
-    system_dim: int
+    block: np.ndarray
     alpha: float
     epsilon_claim: float
     ancilla_qubits: int
@@ -129,34 +135,58 @@ class BlockEncoding:
     target: np.ndarray | None = None
 
     def __post_init__(self):
-        self.unitary = as_square(self.unitary)
-        dim = self.unitary.shape[0]
-        expected = (2 ** self.ancilla_qubits) * self.system_dim
-        if dim != expected:
-            raise ValueError(
-                f"unitary dim {dim} != 2^{self.ancilla_qubits} * {self.system_dim}")
+        self.block = as_square(self.block)
+        if self.ancilla_qubits < 0:
+            raise ValueError("ancilla count must be nonnegative")
         if self.alpha <= 0:
             raise ValueError("normalization alpha must be positive")
         if self.epsilon_claim < 0:
             raise ValueError("claimed error must be nonnegative")
-        gram = self.unitary.conj().T @ self.unitary - np.eye(dim)
-        err = spectral_norm(gram)
-        if err > TOL.unitarity:
-            raise ValueError(f"encoding matrix is not unitary: ‖U†U-I‖ = {err:.3e}")
+        if self.ancilla_qubits == 0:
+            gram = self.block.conj().T @ self.block - np.eye(self.system_dim)
+            err = spectral_norm(gram)
+            if err > TOL.unitarity:
+                raise ValueError(
+                    f"encoding matrix is not unitary: ‖U†U-I‖ = {err:.3e}")
+        else:
+            norm = spectral_norm(self.block)
+            if norm > 1.0 + 1e-12:
+                raise ValueError(
+                    f"block is not a contraction: ‖block‖ = {norm:.6g}")
         if self.target is not None:
             self.target = as_square(self.target)
             verify_block_encoding(self, self.target)
 
     @property
-    def block(self) -> np.ndarray:
-        """The raw top-left block (target/alpha up to the claimed error)."""
-        n = self.system_dim
-        return self.unitary[:n, :n]
+    def system_dim(self) -> int:
+        return self.block.shape[0]
 
     @property
     def encoded(self) -> np.ndarray:
-        """alpha times the top-left block."""
+        """alpha times the block."""
         return self.alpha * self.block
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """One unitary of dimension 2^ancilla_qubits · system_dim with this block.
+
+        The standard dilation [[M, sqrt(I-MM†)], [sqrt(I-M†M), -M†]] of the
+        block M on the least significant ancilla, identity on the others.
+        Built on demand; nothing in the calculus reads it.
+        """
+        if self.ancilla_qubits == 0:
+            return self.block.copy()
+        m = self.block
+        w, s, vh = np.linalg.svd(m)
+        # sqrt(1-s²) amplifies rounding near s = 1 (unitary blocks); snap it
+        # to 0 there so the complement blocks vanish exactly
+        comp = np.clip(1.0 - s ** 2, 0.0, None)
+        comp[comp < 1e-12] = 0.0
+        sc = np.sqrt(comp)
+        top_right = (w * sc) @ w.conj().T
+        bottom_left = (vh.conj().T * sc) @ vh
+        dil = np.block([[m, top_right], [bottom_left, -m.conj().T]])
+        return np.kron(np.eye(2 ** (self.ancilla_qubits - 1)), dil)
 
     def reattached(self, target, epsilon_claim: float,
                    alpha: float | None = None) -> "BlockEncoding":
@@ -166,14 +196,12 @@ class BlockEncoding:
                        alpha=self.alpha if alpha is None else float(alpha))
 
     def padded(self, extra_ancillas: int) -> "BlockEncoding":
-        """Prepend identity ancillas; the encoded block is unchanged."""
+        """Add identity ancillas; the block is unchanged."""
         if extra_ancillas < 0:
             raise ValueError("cannot remove ancillas")
         if extra_ancillas == 0:
             return self
-        u = np.kron(np.eye(2 ** extra_ancillas), self.unitary)
-        return replace(self, unitary=u,
-                       ancilla_qubits=self.ancilla_qubits + extra_ancillas)
+        return replace(self, ancilla_qubits=self.ancilla_qubits + extra_ancillas)
 
 
 def verify_block_encoding(be: BlockEncoding, target) -> float:
@@ -195,21 +223,6 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
     return float(err)
 
 
-def _unitary_completion(first_column: np.ndarray) -> np.ndarray:
-    """Deterministic unitary whose first column is the given unit vector."""
-    psi = np.asarray(first_column, dtype=complex).ravel()
-    d = psi.size
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError("completion needs a unit-norm first column")
-    psi = psi / nrm
-    ph = psi[0] / abs(psi[0]) if abs(psi[0]) > 1e-14 else 1.0
-    v = psi.copy()
-    v[0] += ph
-    h = np.eye(d) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
-    return -ph * h
-
-
 def ry(theta: float) -> np.ndarray:
     """Single-qubit y-rotation, R_y(θ)|0> = (cos(θ/2), sin(θ/2))."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
@@ -218,40 +231,25 @@ def ry(theta: float) -> np.ndarray:
 
 def identity_encoding(system_dim: int, ancilla_qubits: int = 0) -> BlockEncoding:
     """A (1, ancilla_qubits, 0)-encoding of the identity with an empty ledger."""
-    dim = (2 ** ancilla_qubits) * system_dim
-    return BlockEncoding(np.eye(dim, dtype=complex), system_dim, 1.0, 0.0,
-                         ancilla_qubits, QueryLedger(),
-                         np.eye(system_dim, dtype=complex))
+    eye = np.eye(system_dim, dtype=complex)
+    return BlockEncoding(eye, 1.0, 0.0, ancilla_qubits, QueryLedger(), eye)
 
 
-def exact_dilation(a, alpha: float, *, oracle: str = U_A,
+def exact_dilation(a, alpha: float, *,
                    ledger: QueryLedger | None = None) -> BlockEncoding:
-    """One-ancilla (alpha, 1, 0)-block-encoding of ``a`` by unitary completion.
+    """One-ancilla (alpha, 1, 0)-block-encoding of ``a``: the block a/alpha.
 
-    Uses the standard dilation [[M, sqrt(I-MM†)], [sqrt(I-M†M), -M†]] with
-    M = a/alpha, so it requires ‖a‖ ≤ alpha.  By default the ledger charges a
-    single use of ``oracle`` (the dilation *is* the primitive oracle); pass an
-    explicit ledger when re-dilating a derived matrix.
+    Requires ‖a‖ ≤ alpha, so that a/alpha is a contraction and has the
+    one-ancilla dilation of :attr:`BlockEncoding.unitary`.  By default the
+    ledger charges a single use of U_A (the dilation *is* the primitive
+    oracle); pass an explicit ledger when dilating a derived matrix.
     """
     m = as_square(a)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    norm = spectral_norm(m)
-    if norm > alpha * (1.0 + 1e-12):
-        raise ValueError(f"cannot dilate: ‖a‖ = {norm:.6g} exceeds alpha = {alpha}")
-    scaled = m / alpha
-    w, s, vh = np.linalg.svd(scaled)
-    # sqrt(1-s²) amplifies rounding near s = 1 (unitary inputs); snap it to 0
-    # there so the complement blocks vanish exactly
-    comp = np.clip(1.0 - s ** 2, 0.0, None)
-    comp[comp < 1e-12] = 0.0
-    sc = np.sqrt(comp)
-    top_right = (w * sc) @ w.conj().T
-    bottom_left = (vh.conj().T * sc) @ vh
-    u = np.block([[scaled, top_right], [bottom_left, -scaled.conj().T]])
     if ledger is None:
-        ledger = QueryLedger({oracle: 1})
-    return BlockEncoding(u, m.shape[0], float(alpha), 0.0, 1, ledger, m)
+        ledger = QueryLedger({U_A: 1})
+    return BlockEncoding(m / alpha, float(alpha), 0.0, 1, ledger, m)
 
 
 @dataclass
@@ -305,7 +303,8 @@ class StatePreparationPair:
         d = np.zeros_like(yv)
         nz = np.abs(yv) > 0
         d[nz] = yv[nz] / (beta * c[nz])
-        return cls(_unitary_completion(c), _unitary_completion(d), beta)
+        return cls(unitary_with_first_column(c), unitary_with_first_column(d),
+                   beta)
 
 
 def lcu_combine(prep: StatePreparationPair,
@@ -313,9 +312,11 @@ def lcu_combine(prep: StatePreparationPair,
     """Linear combination Σ y_j A_j of identically-shaped block-encodings.
 
     All blocks must share system dimension, ancilla layout and normalization
-    alpha; the result is an (alpha*beta, n_a+k, alpha*beta*max_eps)-encoding
-    built as (P_L† ⊗ I) (Σ_j |j><j| ⊗ U_j) (P_R ⊗ I).  The ledger adds one
-    use of every block and one of the preparation pair.
+    alpha; the result is an (alpha*beta, n_a+k, alpha*beta*max_eps)-encoding.
+    The circuit (P_L† ⊗ I) (Σ_j |j><j| ⊗ U_j) (P_R ⊗ I) has the leading block
+    Σ_j conj(c_j) d_j · block_j, with c and d the first columns of P_L and
+    P_R.  The ledger adds one use of every block and one of the preparation
+    pair.
     """
     if len(blocks) != prep.size:
         raise ValueError(f"need {prep.size} blocks, got {len(blocks)}")
@@ -328,10 +329,8 @@ def lcu_combine(prep: StatePreparationPair,
         if abs(b.alpha - first.alpha) > 1e-12 * max(1.0, first.alpha):
             raise ValueError("LCU requires a common normalization alpha")
     k = prep.size.bit_length() - 1
-    inner = first.unitary.shape[0]
-    selector = sla.block_diag(*[b.unitary for b in blocks])
-    u = (np.kron(prep.left.conj().T, np.eye(inner)) @ selector
-         @ np.kron(prep.right, np.eye(inner)))
+    weights = prep.left[:, 0].conj() * prep.right[:, 0]
+    block = sum(w * b.block for w, b in zip(weights, blocks))
     y = prep.target_vector
     target = None
     if all(b.target is not None for b in blocks):
@@ -339,33 +338,25 @@ def lcu_combine(prep: StatePreparationPair,
     alpha = first.alpha * prep.beta
     eps = alpha * max(b.epsilon_claim for b in blocks)
     ledger = QueryLedger().merged(*[b.ledger for b in blocks]).charge(PREP_PAIR, 1)
-    return BlockEncoding(u, first.system_dim, alpha, eps,
-                         first.ancilla_qubits + k, ledger, target)
+    return BlockEncoding(block, alpha, eps, first.ancilla_qubits + k, ledger,
+                         target)
 
 
 def multiply(u_a: BlockEncoding, u_b: BlockEncoding) -> BlockEncoding:
     """(alpha*beta, n_a+n_b, alpha*eps_b + beta*eps_a)-encoding of A·B.
 
-    Realized as the explicit matrix product of the two dilations with the
-    ancilla registers of ``u_a`` kept most significant.
+    The circuit applies U_B, then U_A on separate ancilla registers; with
+    both registers post-selected on zero its leading block is the product of
+    the two blocks.
     """
     if u_a.system_dim != u_b.system_dim:
         raise ValueError("system dimensions do not match")
-    n = u_a.system_dim
-    da = 2 ** u_a.ancilla_qubits
-    db = 2 ** u_b.ancilla_qubits
-    # embed U_A on [anc_a, system] with identity on anc_b (middle register)
-    ua4 = u_a.unitary.reshape(da, n, da, n)
-    ua_emb = np.einsum("asbt,ef->aesbft", ua4, np.eye(db)).reshape(
-        da * db * n, da * db * n)
-    ub_emb = np.kron(np.eye(da), u_b.unitary)
-    u = ua_emb @ ub_emb
     alpha = u_a.alpha * u_b.alpha
     eps = u_a.alpha * u_b.epsilon_claim + u_b.alpha * u_a.epsilon_claim
     target = None
     if u_a.target is not None and u_b.target is not None:
         target = u_a.target @ u_b.target
-    return BlockEncoding(u, n, alpha, eps,
+    return BlockEncoding(u_a.block @ u_b.block, alpha, eps,
                          u_a.ancilla_qubits + u_b.ancilla_qubits,
                          u_a.ledger + u_b.ledger, target)
 
@@ -373,9 +364,9 @@ def multiply(u_a: BlockEncoding, u_b: BlockEncoding) -> BlockEncoding:
 def invert(u_a: BlockEncoding, delta: float, epsilon: float) -> BlockEncoding:
     """(4/(3δ), n_A+1, ε)-encoding of A⁻¹ for a gapped Hermitian target.
 
-    The inverse itself is computed by exact eigendecomposition and re-dilated;
-    the ledger charges ceil(c·(1/δ)·ln(1/(δε))) uses of the input encoding
-    with c = INVERSE_QUERY_CONSTANT.
+    The inverse itself is computed by exact eigendecomposition; the ledger
+    charges ceil(c·(1/δ)·ln(1/(δε))) uses of the input encoding with
+    c = INVERSE_QUERY_CONSTANT.
     """
     if u_a.target is None:
         raise ValueError("inversion needs an attached Hermitian target")
@@ -392,8 +383,8 @@ def invert(u_a: BlockEncoding, delta: float, epsilon: float) -> BlockEncoding:
     alpha = 4.0 / (3.0 * delta)
     queries = max(1, math.ceil(
         INVERSE_QUERY_CONSTANT * (1.0 / delta) * math.log(1.0 / (delta * epsilon))))
-    be = exact_dilation(inv, alpha, ledger=u_a.ledger.scaled(queries))
-    return be.padded(u_a.ancilla_qubits).reattached(inv, float(epsilon))
+    return BlockEncoding(inv / alpha, alpha, float(epsilon),
+                         u_a.ancilla_qubits + 1, u_a.ledger.scaled(queries), inv)
 
 
 def _poly_degree(p) -> int:
@@ -443,5 +434,5 @@ def polynomial_transform(u_a: BlockEncoding, p) -> BlockEncoding:
     claim = 4.0 * d * math.sqrt(u_a.epsilon_claim / u_a.alpha)
     gates = (u_a.ancilla_qubits + 1) * d
     ledger = u_a.ledger.scaled(d + 1).charge(GATES, gates)
-    be = exact_dilation(block_poly, 1.0, ledger=ledger)
-    return be.padded(u_a.ancilla_qubits + 1).reattached(target_poly, claim)
+    return BlockEncoding(block_poly, 1.0, claim, u_a.ancilla_qubits + 2, ledger,
+                         target_poly)

@@ -23,7 +23,7 @@ import numpy as np
 from .config import MAX_RIEMANN_NODES, TOL
 from .block_encoding import (
     GATES, O_BNORM, O_BT, O_EXP, O_F, O_G, O_LAMBDA, O_LAMBDA_I, O_LAMBDA_R,
-    O_PROD, O_T, O_U, U_EIG, BlockEncoding, QueryLedger, exact_dilation,
+    O_PROD, O_T, O_U, U_EIG, BlockEncoding, QueryLedger,
 )
 from .linalg import EigenSystem, as_vector, global_phase_distance
 from .qsvt_solvers import SolveReport, lcs_combine_and_measure, repeat_estimates
@@ -130,8 +130,8 @@ def _dilate_diagonal(o: EigenOracleSet, factors: np.ndarray, alpha: float,
     factors = factors / np.where(mags > 1.0, mags, 1.0)
     u = o.eigen.basis
     m = (u * factors) @ u.conj().T
-    be = exact_dilation(m, 1.0, ledger=ledger)
-    return be.reattached(target, TOL.verify_slack * max(1.0, alpha), alpha=alpha)
+    return BlockEncoding(m, float(alpha), TOL.verify_slack * max(1.0, alpha), 1,
+                         ledger, target)
 
 
 def be_exp_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
@@ -278,24 +278,32 @@ def _alpha_tilde(o: EigenOracleSet) -> float:
     return max(0.0, float(np.max(o.eigenvalues.real)))
 
 
-def quadrature_error_bound(p: OdeProblem, o: EigenOracleSet, M: int) -> float:
-    """Riemann-sum error bound T²e^{α̃T}/(2M) · sup(‖A‖‖b‖ + ‖db/dt‖)."""
+def _bound_from_sup(p: OdeProblem, o: EigenOracleSet, M: int,
+                    sup: float) -> float:
     if M < 1:
         raise ValueError("need at least one node")
     T = p.horizon
-    sup = _sup_drive_term(p, o)
     return (T ** 2) * math.exp(_alpha_tilde(o) * T) / (2.0 * M) * sup
+
+
+def _nodes_from_sup(p: OdeProblem, o: EigenOracleSet, eps_prime: float,
+                    sup: float) -> int:
+    if eps_prime <= 0:
+        raise ValueError("eps_prime must be positive")
+    T = p.horizon
+    return max(1, math.ceil(
+        (T ** 2) * math.exp(_alpha_tilde(o) * T) * sup / (2.0 * eps_prime)))
+
+
+def quadrature_error_bound(p: OdeProblem, o: EigenOracleSet, M: int) -> float:
+    """Riemann-sum error bound T²e^{α̃T}/(2M) · sup(‖A‖‖b‖ + ‖db/dt‖)."""
+    return _bound_from_sup(p, o, M, _sup_drive_term(p, o))
 
 
 def quadrature_nodes_for(p: OdeProblem, o: EigenOracleSet,
                          eps_prime: float) -> int:
     """Node count M making the Riemann error bound at most eps_prime."""
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
-    T = p.horizon
-    sup = _sup_drive_term(p, o)
-    return max(1, math.ceil(
-        (T ** 2) * math.exp(_alpha_tilde(o) * T) * sup / (2.0 * eps_prime)))
+    return _nodes_from_sup(p, o, eps_prime, _sup_drive_term(p, o))
 
 
 def _timedep_ledger(M: int) -> QueryLedger:
@@ -342,18 +350,20 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
     if norm_uT <= TOL.zero:
         raise ValueError("u(T) vanishes; nothing to post-select")
 
-    bound = None
+    # one sweep of the drive term serves both the node count and the bound
+    try:
+        sup = _sup_drive_term(p, o)
+    except ValueError:
+        if M is None:
+            raise
+        sup = None  # no derivative data when M was supplied explicitly
     if M is None:
-        eps_prime = eps * norm_uT / 2.0
-        M = quadrature_nodes_for(p, o, eps_prime)
+        M = _nodes_from_sup(p, o, eps * norm_uT / 2.0, sup)
         if M > MAX_RIEMANN_NODES:
             raise ValueError(
                 f"required Riemann node count M = {M} exceeds the configured "
                 f"cap {MAX_RIEMANN_NODES}")
-    try:
-        bound = quadrature_error_bound(p, o, M)
-    except ValueError:
-        pass  # no derivative data when M was supplied explicitly
+    bound = None if sup is None else _bound_from_sup(p, o, M, sup)
 
     plan = riemann_plan(p.inhomogeneous, T, M)
     src = p.inhomogeneous

@@ -47,6 +47,17 @@ def as_state(v, tol: float = 1e-9) -> np.ndarray:
     return w
 
 
+def unitary_with_first_column(psi) -> np.ndarray:
+    """Deterministic Householder completion: U|0> = psi for a unit vector."""
+    psi = as_state(psi)
+    d = psi.size
+    ph = psi[0] / abs(psi[0]) if abs(psi[0]) > 1e-14 else 1.0
+    v = psi.copy()
+    v[0] += ph
+    h = np.eye(d) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    return -ph * h
+
+
 def spectral_norm(m) -> float:
     """Largest singular value (the matrix 2-norm)."""
     return float(np.linalg.norm(as_matrix(m), 2))

@@ -21,7 +21,7 @@ import numpy as np
 from .config import TOL
 from .linalg import (
     as_square, as_state, as_vector, global_phase_distance, logarithmic_norm,
-    matrix_exponential, non_normality, spectral_norm,
+    matrix_exponential, non_normality, spectral_norm, unitary_with_first_column,
 )
 from .reference import OdeProblem, solve_reference
 
@@ -369,17 +369,6 @@ def equilibrium_reduction_check(a: np.ndarray, b, u0, T_grid) -> list[dict]:
         rows.append({"T": float(T), "distance": dist, "bound": bound,
                      "passed": True})
     return rows
-
-
-def unitary_with_first_column(psi) -> np.ndarray:
-    """Deterministic Householder completion: U|0> = psi."""
-    psi = as_state(psi)
-    d = psi.size
-    ph = psi[0] / abs(psi[0]) if abs(psi[0]) > 1e-14 else 1.0
-    v = psi.copy()
-    v[0] += ph
-    h = np.eye(d) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
-    return -ph * h
 
 
 def worst_case_oracle_pair(psi, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -79,6 +79,17 @@ def duhamel_integral_negdef(a: np.ndarray, T: float) -> np.ndarray:
     return (v * kern) @ v.conj().T
 
 
+def _half_shift(u_a: BlockEncoding) -> BlockEncoding:
+    """(1, n_A+1, 0)-encoding of (I+A)/2 from the (1, n_A, 0)-encoding of A.
+
+    The circuit (H ⊗ I) c-U_A (H ⊗ I) has the leading block (I + block)/2.
+    """
+    n = u_a.system_dim
+    return BlockEncoding((np.eye(n) + u_a.block) / 2.0, 1.0, 0.0,
+                         u_a.ancilla_qubits + 1, u_a.ledger.charge(GATES, 2),
+                         (np.eye(n) + u_a.target) / 2.0)
+
+
 def be_exp_negdef(u_a: BlockEncoding, T: float, delta: float,
                   eps: float) -> BlockEncoding:
     """(3, n_A+4, ε)-block-encoding of e^{AT} for negative-definite A.
@@ -99,19 +110,7 @@ def be_exp_negdef(u_a: BlockEncoding, T: float, delta: float,
         raise ValueError("eps must lie in (0, 1)")
     a = u_a.target
     _check_negdef(a, delta)
-    n = u_a.system_dim
-    n_a = u_a.ancilla_qubits
-
-    # (1, n_A+1, 0)-encoding of (I+A)/2 from (H ⊗ I) c-U (H ⊗ I)
-    dim = u_a.unitary.shape[0]
-    c_u = np.block([
-        [np.eye(dim), np.zeros((dim, dim))],
-        [np.zeros((dim, dim)), u_a.unitary],
-    ])
-    had = np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), np.eye(dim))
-    v2 = BlockEncoding(had @ c_u @ had, n, 1.0, 0.0, n_a + 1,
-                       u_a.ledger.charge(GATES, 2),
-                       (np.eye(n) + a) / 2.0)
+    v2 = _half_shift(u_a)
 
     # uniform amplification to (1, n_A+2, ε₁)-encoding of I+A; the block is
     # amplified exactly, the ledger charges the advertised query cost
@@ -119,9 +118,9 @@ def be_exp_negdef(u_a: BlockEncoding, T: float, delta: float,
     d = poly.degree()
     eps1 = (eps / (24.0 * max(d, 1))) ** 2
     q_amp = max(1, math.ceil((1.0 / delta) * math.log(1.0 / eps1)))
-    amplified = exact_dilation(2.0 * v2.encoded, 1.0,
-                               ledger=v2.ledger.scaled(q_amp))
-    amplified = amplified.padded(n_a + 1).reattached(np.eye(n) + a, eps1)
+    amplified = BlockEncoding(2.0 * v2.encoded, 1.0, eps1,
+                              v2.ancilla_qubits + 1, v2.ledger.scaled(q_amp),
+                              np.eye(u_a.system_dim) + a)
 
     out = polynomial_transform(amplified, poly.scaled(1.0 / 3.0))
     return out.reattached(matrix_exponential(a, T), eps, alpha=3.0)
@@ -155,11 +154,6 @@ def be_duhamel_negdef(u_a: BlockEncoding, T: float, delta: float,
     return prod.reattached(duhamel_integral_negdef(a, T), eps)
 
 
-def _pad_to_common(be0: BlockEncoding, be1: BlockEncoding):
-    anc = max(be0.ancilla_qubits, be1.ancilla_qubits)
-    return be0.padded(anc - be0.ancilla_qubits), be1.padded(anc - be1.ancilla_qubits)
-
-
 def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
                             be1: BlockEncoding | None,
                             reference: np.ndarray, eps: float) -> SolveReport:
@@ -180,17 +174,12 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
     if nu <= 0:
         raise ValueError("u0 must be nonzero")
     nb = 0.0 if b is None else float(np.linalg.norm(as_vector(b)))
-    n = be0.system_dim
 
-    def zero_anc_state(be, vec):
-        full = np.zeros(be.unitary.shape[0], dtype=complex)
-        full[:n] = vec / np.linalg.norm(vec)
-        return be.unitary @ full
-
+    # U·|0>|v̂> post-selected on the all-zero ancillas leaves block·v̂
     if nb == 0.0:
         # degenerate θ = 0 branch: the control stays |0> and only U₀ acts
-        out_full = zero_anc_state(be0, u0)
-        success = out_full[:n]
+        success = be0.block @ (u0 / nu)
+        ancillas = be0.ancilla_qubits
         prob = float(np.linalg.norm(success) ** 2)
         ledger = be0.ledger.charge(O_U, 1)
         alpha1 = 0.0
@@ -199,13 +188,14 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
     else:
         if be1 is None:
             raise ValueError("an inhomogeneous run needs the integral encoding")
-        be0, be1 = _pad_to_common(be0, be1)
+        # both encodings act on one ancilla register, plus the control qubit
+        ancillas = max(be0.ancilla_qubits, be1.ancilla_qubits) + 1
         w0 = be0.alpha * nu
         w1 = be1.alpha * nb
         weight = math.hypot(w0, w1)
         theta = -2.0 * math.asin(w1 / weight)
-        v0 = zero_anc_state(be0, u0)[:n]
-        v1 = zero_anc_state(be1, as_vector(b))[:n]
+        v0 = be0.block @ (u0 / nu)
+        v1 = be1.block @ (as_vector(b) / nb)
         success = (w0 * v0 + w1 * v1) / (math.sqrt(2.0) * weight)
         prob = float(np.linalg.norm(success) ** 2)
         ledger = (be0.ledger + be1.ledger).charge(O_U, 1).charge(O_B, 1) \
@@ -218,7 +208,6 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
     out = success / np.linalg.norm(success)
     err = global_phase_distance(out, reference / np.linalg.norm(reference))
     rep_no, rep_aa = repeat_estimates(prob)
-    ancillas = be0.ancilla_qubits + (0 if nb == 0.0 else 1)  # + control qubit
     return SolveReport(out, prob, rep_no, rep_aa, ledger, err, eps, extras={
         "alpha0": be0.alpha, "alpha1": alpha1, "theta": theta,
         "branch_weight": weight, "ancilla_qubits": ancillas,

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.polynomial import Polynomial
 
 from ffode import (
-    QueryLedger, StatePreparationPair, exact_dilation,
+    BlockEncoding, QueryLedger, StatePreparationPair, exact_dilation,
     identity_encoding, invert, lcu_combine, matrix_exponential, multiply,
     polynomial_transform, spectral_norm, verify_block_encoding,
 )
 from ffode.block_encoding import GATES, PREP_PAIR, U_A, ry
 from ffode.poly_approx import approx_exp_shifted
+from ffode.qsvt_solvers import _half_shift
 
 
 def random_unitary(rng, n):
@@ -248,3 +250,87 @@ def test_padding_preserves_block():
     be = exact_dilation(a, 1.0).padded(2)
     assert be.ancilla_qubits == 3
     assert verify_block_encoding(be, a) < 1e-12
+
+
+# --- the block calculus against the explicit circuits --------------------
+
+def random_contraction(rng, n, scale=0.9):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * g / spectral_norm(g)
+
+
+def random_encoding(rng, n, ancillas):
+    a = random_contraction(rng, n)
+    return exact_dilation(a, 1.0).padded(ancillas - 1)
+
+
+def test_lcu_block_matches_selector_circuit():
+    rng = np.random.default_rng(10)
+    for n, anc, k in [(1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 3, 1)]:
+        blocks = [random_encoding(rng, n, anc) for _ in range(2 ** k)]
+        # complex first columns on both sides, so conj(c_j) matters
+        prep = StatePreparationPair(random_unitary(rng, 2 ** k),
+                                    random_unitary(rng, 2 ** k), 1.5)
+        inner = blocks[0].unitary.shape[0]
+        selector = sla.block_diag(*[b.unitary for b in blocks])
+        circuit = (np.kron(prep.left.conj().T, np.eye(inner)) @ selector
+                   @ np.kron(prep.right, np.eye(inner)))
+        lcu = lcu_combine(prep, blocks)
+        assert lcu.ancilla_qubits == anc + k
+        assert circuit.shape[0] == 2 ** lcu.ancilla_qubits * n
+        assert np.max(np.abs(circuit[:n, :n] - lcu.block)) < 1e-14
+
+
+def test_multiply_block_matches_embedded_product():
+    rng = np.random.default_rng(11)
+    for n, anc_a, anc_b in [(1, 1, 1), (2, 1, 2), (3, 2, 1), (4, 1, 1)]:
+        u_a = random_encoding(rng, n, anc_a)
+        u_b = random_encoding(rng, n, anc_b)
+        da, db = 2 ** anc_a, 2 ** anc_b
+        # U_A on [anc_a, system] with identity on anc_b (middle register)
+        ua4 = u_a.unitary.reshape(da, n, da, n)
+        ua_emb = np.einsum("asbt,ef->aesbft", ua4, np.eye(db)).reshape(
+            da * db * n, da * db * n)
+        circuit = ua_emb @ np.kron(np.eye(da), u_b.unitary)
+        prod = multiply(u_a, u_b)
+        assert prod.ancilla_qubits == anc_a + anc_b
+        assert np.max(np.abs(circuit[:n, :n] - prod.block)) < 1e-14
+
+
+def test_half_shift_matches_hadamard_controlled_circuit():
+    rng = np.random.default_rng(12)
+    for n, anc in [(1, 1), (2, 2), (3, 1), (4, 3)]:
+        a = random_hermitian_contraction(rng, n)
+        u_a = exact_dilation(a, 1.0).padded(anc - 1)
+        dim = u_a.unitary.shape[0]
+        c_u = np.block([[np.eye(dim), np.zeros((dim, dim))],
+                        [np.zeros((dim, dim)), u_a.unitary]])
+        had = np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), np.eye(dim))
+        circuit = had @ c_u @ had
+        half = _half_shift(u_a)
+        assert half.ancilla_qubits == anc + 1
+        assert np.max(np.abs(circuit[:n, :n] - half.block)) < 1e-14
+        assert verify_block_encoding(half, (np.eye(n) + a) / 2.0) < 1e-14
+
+
+def test_construction_rejects_non_contraction_and_non_unitary():
+    with pytest.raises(ValueError, match="contraction"):
+        BlockEncoding(1.01 * np.eye(2), 1.0, 0.0, 1)
+    with pytest.raises(ValueError, match="contraction"):
+        BlockEncoding(np.diag([0.5, 1.0 + 1e-9]), 1.0, 0.0, 3)
+    with pytest.raises(ValueError, match="not unitary"):
+        BlockEncoding(0.5 * np.eye(2), 1.0, 0.0, 0)
+    rng = np.random.default_rng(13)
+    u = random_unitary(rng, 3)
+    assert np.allclose(BlockEncoding(u, 1.0, 0.0, 0).unitary, u)
+
+
+def test_unitary_of_padded_encoding_is_a_dilation():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 4):
+        be = random_encoding(rng, n, 1).padded(2)
+        assert be.ancilla_qubits == 3
+        u = be.unitary
+        assert u.shape == (2 ** 3 * n, 2 ** 3 * n)
+        assert spectral_norm(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
+        assert np.array_equal(u[:n, :n], be.block)

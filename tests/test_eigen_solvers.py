@@ -343,3 +343,23 @@ def test_eigen_oracle_validation():
     # a zero eigenvalue forces the conservative floor
     es_mixed = EigenSystem(np.eye(2), [0.0, 2j])
     assert EigenOracleSet.from_eigensystem(es_mixed).beta_floor == 0.0
+
+
+def test_timedep_sweeps_the_drive_term_once():
+    es = EigenSystem(np.eye(2), [0.0, -1.0])
+    o = EigenOracleSet.from_eigensystem(es, variant="nonneg")
+    calls = []
+
+    def b_dt(t):
+        calls.append(t)
+        return np.array([-math.sin(t), 0.0])
+
+    src = SampledSource(lambda t: np.array([math.cos(t), 0.0]), derivative=b_dt)
+    p = OdeProblem(es, np.array([1.0, 1.0]) / math.sqrt(2), math.pi / 2.0, src)
+    rep = solve_eigen_timedep(p, o, 1e-4)
+    assert len(calls) == 4097
+    # the shared sweep reproduces the public node count and bound exactly
+    eps_prime = 1e-4 * np.linalg.norm(solve_reference(p)) / 2.0
+    assert rep.extras["nodes"] == quadrature_nodes_for(p, o, eps_prime)
+    assert rep.extras["quadrature_bound"] == quadrature_error_bound(
+        p, o, rep.extras["nodes"])

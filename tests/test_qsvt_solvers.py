@@ -250,3 +250,16 @@ def test_repeat_estimates_formulas():
     assert rep_aa == math.ceil(2.0 / 0.5)
     rep_no, _ = repeat_estimates(0.3)
     assert rep_no == math.ceil(1 / 0.3)
+
+
+def test_solve_negdef_scales_to_n16_with_source():
+    # the calculus holds N×N blocks, so 9 ancillas cost no 2^9·N matrices
+    rng = np.random.default_rng(16)
+    n = 16
+    a = random_negdef(rng, n, delta=0.25)
+    a = (a + a.conj().T) / 2
+    u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rep = solve_negdef(OdeProblem(a, u0, 10.0, b), 0.25, 1e-6)
+    assert rep.error_vs_reference <= 1e-6
+    assert rep.extras["ancilla_qubits"] == 9
