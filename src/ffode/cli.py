@@ -30,12 +30,9 @@ import numpy as np
 
 from .block_encoding import LEDGER_KEYS, QueryLedger
 from .linalg import EigenSystem
-from .eigen_solvers import (
-    EigenOracleSet, solve_eigen_homogeneous, solve_eigen_inhomogeneous,
-    solve_eigen_timedep,
-)
+from .eigen_solvers import EigenOracleSet, solve_eigen
 from .lower_bounds import (
-    AmplifierCircuit, amplifier_bound_check,
+    AmplifierCircuit, amplifier_bound_check, inequality_holds,
     shifting_equivalence_check, witness_imaginary_time, witness_linear_system,
     witness_nonnormal_homogeneous, witness_nonnormal_inhomogeneous,
     witness_realpart_gap, witness_realpart_gap_inhomogeneous,
@@ -46,8 +43,6 @@ from .poly_approx import TARGETS, certified_degree_scan
 from .qsvt_solvers import solve_negdef, solve_sqrt_access
 from .reference import OdeProblem, SampledSource
 from .block_encoding import exact_dilation
-
-log = logging.getLogger("ffode")
 
 CSV_VERSION = 1
 CSV_COLUMNS = (
@@ -240,11 +235,26 @@ def _build_ode_problem(prob: dict, T: float, rng: np.random.Generator):
     raise SchemaError(f"unknown ode family {family!r}")
 
 
+def _unread_axes(solver: str, prob: dict) -> tuple[str, ...]:
+    """Sweep axes a problem never reads: n/d size PDE grids; M is read only
+    by eigen-td on an ODE with a source."""
+    if prob["type"] == "pde":
+        return ("M",)
+    if solver == "eigen-td" and prob.get("b", "random") is not None:
+        return ("n", "d")
+    return ("n", "d", "M")
+
+
 def _validate_compat(cfg: dict) -> None:
     """Solver/problem structural compatibility, before any execution."""
     solver = cfg["solver"]
     for prob in cfg["problems"]:
         pid = prob["id"]
+        for axis in _unread_axes(solver, prob):
+            if axis in cfg["sweep"]:
+                raise MismatchError(
+                    f"{pid}: the {solver} solver never reads the sweep axis "
+                    f"{axis!r} for this problem")
         if prob["type"] == "pde":
             if solver in ("negdef", "sqrt"):
                 raise MismatchError(
@@ -272,7 +282,6 @@ def _run_point(cfg: dict, prob: dict, T: float, eps: float,
         spec = _build_pde_spec(prob, n, d, T)
         if solver == "reference-only":
             report = None
-            ref_dim = spec.N
         else:
             report = solve_pde(spec, eps)
         n_out, d_out = spec.n, spec.d
@@ -293,18 +302,15 @@ def _run_point(cfg: dict, prob: dict, T: float, eps: float,
             variant = "nonneg" if solver == "eigen-td" else "plain"
             oracle = EigenOracleSet.from_eigensystem(eigen, variant=variant)
             if solver == "eigen-td":
+                # the Riemann-sum path, also for a constant b
                 src = problem.inhomogeneous
-                if src is not None and not isinstance(src, SampledSource):
+                if src is not None:
                     const = np.asarray(src)
                     src = SampledSource(lambda t: const,
                                         derivative=lambda t: 0.0 * const)
                 problem = OdeProblem(eigen, problem.u0, T, src)
-                report = solve_eigen_timedep(problem, oracle, eps,
-                                             M=int(M) if M else None)
-            elif problem.is_homogeneous:
-                report = solve_eigen_homogeneous(problem, oracle)
-            else:
-                report = solve_eigen_inhomogeneous(problem, oracle)
+            report = solve_eigen(problem, oracle, eps,
+                                 M=int(M) if M else None)
         else:  # pragma: no cover
             raise MismatchError(f"unhandled solver {solver}")
 
@@ -386,8 +392,7 @@ LB_FAMILIES = ("realpart-gap", "nonnormal-homo", "realpart-gap-inhomo",
 def _print_certified(pair) -> int:
     failures = 0
     for name, (measured, bound, direction) in sorted(pair.certified.items()):
-        ok = measured <= bound + 1e-10 if direction == "<=" \
-            else measured >= bound - 1e-10
+        ok = inequality_holds(measured, bound, direction)
         word = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
         print(f"{word} {pair.family}.{name}: measured {measured:.8g} "

@@ -5,7 +5,8 @@ eigenvalues, e^{AT} and the Duhamel integral are zero-error block-encodings
 built from constant numbers of oracle queries (6 in the real nonpositive
 case, 10 in the general complex case, plus 2 uses of U), independent of T,
 ‖A‖ and the dimension.  A Riemann-sum linear combination of states extends
-this to time-dependent inhomogeneous terms.
+this to time-dependent inhomogeneous terms.  ``solve_eigen`` is the one
+place that picks among the three solvers from the source term.
 
 Register-level binary encodings of eigenvalue data are simulated as exact
 real-valued tags attached to each eigenindex: the compute / controlled
@@ -51,7 +52,6 @@ class EigenOracleSet:
     alpha_shift: float
     beta_floor: float = 0.0
     nonneg_shift: bool = False
-    exact: bool = True
 
     def __post_init__(self):
         lam = self.eigen.eigenvalues
@@ -235,22 +235,21 @@ class RiemannPlan:
 
     nodes: int
     times: np.ndarray
+    samples: np.ndarray  # b at each node, one column per node
     norms: np.ndarray
     avg_square_norm: float
 
-    @property
-    def avg_norm(self) -> float:
-        return math.sqrt(self.avg_square_norm)
-
 
 def riemann_plan(b, T: float, M: int) -> RiemannPlan:
-    """Sample b at the M left-Riemann nodes kT/M and record the norms."""
+    """Sample b once at the M left-Riemann nodes kT/M and record the norms."""
     if M < 1:
         raise ValueError("need at least one node")
     src = b if isinstance(b, SampledSource) else SampledSource(b)
     times = np.arange(M) * (T / M)
-    norms = np.array([float(np.linalg.norm(src(t))) for t in times])
-    return RiemannPlan(M, times, norms, float(np.mean(norms ** 2)))
+    values = [src(t) for t in times]
+    norms = np.array([float(np.linalg.norm(v)) for v in values])
+    return RiemannPlan(M, times, np.column_stack(values), norms,
+                       float(np.mean(norms ** 2)))
 
 
 def _sup_drive_term(p: OdeProblem, o: EigenOracleSet,
@@ -335,10 +334,7 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
     if o.alpha_shift < 0:
         raise ValueError("the time-dependent path needs the nonnegative-shift "
                          "variant (α̃ ≥ 0)")
-    if p.inhomogeneous is None or not isinstance(p.inhomogeneous, SampledSource):
-        # a zero b reduces to the homogeneous solver exactly
-        if p.is_homogeneous:
-            return solve_eigen_homogeneous(p, o)
+    if not isinstance(p.inhomogeneous, SampledSource):
         raise ValueError("needs a sampled (callable) inhomogeneous term")
 
     T = p.horizon
@@ -366,10 +362,8 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
     bound = None if sup is None else _bound_from_sup(p, o, M, sup)
 
     plan = riemann_plan(p.inhomogeneous, T, M)
-    src = p.inhomogeneous
     # per-node diagonal factors in the eigenbasis, summed with weight T/M
-    b_nodes = np.column_stack([as_vector(src(t)) for t in plan.times])
-    b_hat = u.conj().T @ b_nodes
+    b_hat = u.conj().T @ plan.samples
     phases = np.exp(np.outer(lam, T - plan.times))
     integral = u @ ((phases * b_hat).sum(axis=1)) * (T / M)
     hom = u @ (np.exp(lam * T) * (u.conj().T @ p.u0))
@@ -395,3 +389,15 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
         "alpha_tilde": alpha_t, "quadrature_bound": bound,
     })
     return report
+
+
+def solve_eigen(p: OdeProblem, o: EigenOracleSet, eps: float,
+                M: int | None = None) -> SolveReport:
+    """The one router to the eigen solvers: a :class:`SampledSource` takes
+    the Riemann sum (the only path reading ``eps`` and ``M``), a problem that
+    ``is_homogeneous`` the e^{AT} encoding, any other b the LCS solver."""
+    if isinstance(p.inhomogeneous, SampledSource):
+        return solve_eigen_timedep(p, o, eps, M=M)
+    if p.is_homogeneous:
+        return solve_eigen_homogeneous(p, o)
+    return solve_eigen_inhomogeneous(p, o)

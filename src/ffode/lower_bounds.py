@@ -26,6 +26,12 @@ from .linalg import (
 from .reference import OdeProblem, solve_reference
 
 
+def inequality_holds(measured: float, bound: float, direction: str) -> bool:
+    """measured <=, >= or == bound (by ``direction``), up to 1e-10."""
+    return {"<=": measured <= bound + 1e-10, ">=": measured >= bound - 1e-10,
+            "==": abs(measured - bound) <= 1e-10}[direction]
+
+
 @dataclass
 class WitnessPair:
     """A certified hard instance: one ODE, two nearby initial states.
@@ -46,9 +52,7 @@ class WitnessPair:
 
     def check(self, name: str, measured: float, bound: float,
               direction: str = "<=") -> None:
-        ok = measured <= bound + 1e-10 if direction == "<=" \
-            else measured >= bound - 1e-10
-        if not ok:
+        if not inequality_holds(measured, bound, direction):
             raise ValueError(
                 f"witness {self.family}: {name} fails ({measured:.8g} "
                 f"{direction} {bound:.8g})")
@@ -518,5 +522,5 @@ def witness_linear_system(kappa: float, u_basis: np.ndarray,
     pair.check("solution_overlap_closed_form", abs(overlap - closed), 1e-10)
     pair.check("solution_overlap_ceiling", overlap, 1.0 / math.sqrt(2.0))
     pair.params["implied_queries"] = kappa
-    pair.certified["solution_overlap"] = (overlap, closed, "==")
+    pair.check("solution_overlap", overlap, closed, "==")
     return pair

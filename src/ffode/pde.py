@@ -3,9 +3,11 @@
 Circulant central-difference stencils (Laplacian, divergence, third and
 fourth derivative), their closed-form Fourier eigensystems, the hyperbolic
 lifting to a first-order system with coefficient [[0, iB], [iB, 0]], fast
-inversion for the lifted initial data, and a driver that routes each problem
-to the matching eigen-oracle solver and compares against the dense Duhamel
-reference.
+inversion for the lifted initial data, and ``solve_pde``, which builds the
+first-order problem and its source once and hands both to
+``eigen_solvers.solve_eigen``, the router that picks the eigen-oracle solver.
+Hyperbolic kinds are then post-selected on the u block and compared against
+the dense Duhamel reference.
 
 All operators act on n grid points per axis of [0,1]^d with spacing h = 1/n;
 the DFT convention is F[j,k] = ω^{jk}/√n with ω = e^{2πi/n}, whose columns
@@ -23,10 +25,7 @@ import scipy.linalg as sla
 
 from .config import TOL
 from .linalg import EigenSystem, as_vector, global_phase_distance, spectral_norm
-from .eigen_solvers import (
-    EigenOracleSet, solve_eigen_homogeneous, solve_eigen_inhomogeneous,
-    solve_eigen_timedep,
-)
+from .eigen_solvers import EigenOracleSet, solve_eigen
 from .qsvt_solvers import SolveReport, repeat_estimates
 from .reference import OdeProblem, SampledSource, solve_reference
 
@@ -225,14 +224,35 @@ class PdeSpec:
             raise ValueError("no source time-derivative sampler")
         return self._sample(lambda x: self.b_dt(x, t))
 
-    def time_independent_source(self, probe_times=(0.0, 0.37, 0.71)) -> bool:
-        """Heuristic: the source counts as constant in t when it agrees at
-        three incommensurate probe times (routes to the cheaper solver)."""
+    def time_independent_source(self, probe_times=(0.0, 0.37, 0.71)):
+        """Heuristic: b at the first probe time if it agrees there with b at
+        the other, incommensurate probe times (constant in t), else None."""
         if self.b is None:
-            return False
+            return None
         ref = self.b_vector(probe_times[0] * self.T)
-        return all(np.allclose(ref, self.b_vector(t * self.T), atol=1e-13)
-                   for t in probe_times[1:])
+        if all(np.allclose(ref, self.b_vector(t * self.T), atol=1e-13)
+               for t in probe_times[1:]):
+            return ref
+        return None
+
+    def _source(self, lead: int = 0):
+        """The source as an ``OdeProblem`` takes it, after ``lead`` zeros (a
+        lifted u block): None, the constant b(0), or a SampledSource."""
+        if self.b is None:
+            return None
+        zero = np.zeros(lead, dtype=complex)
+        const = self.time_independent_source()
+        if const is not None:
+            return np.concatenate([zero, const])
+
+        def b(t):
+            return np.concatenate([zero, self.b_vector(t)])
+
+        b_dt = None
+        if self.b_dt is not None:
+            def b_dt(t):
+                return np.concatenate([zero, self.b_dt_vector(t)])
+        return SampledSource(b, derivative=b_dt)
 
 
 def _tensor_sum(one_d: np.ndarray, coeffs: np.ndarray, n: int,
@@ -248,18 +268,19 @@ def _tensor_sum(one_d: np.ndarray, coeffs: np.ndarray, n: int,
     return total
 
 
+def _symbol(spec: PdeSpec, one_d, coeffs) -> np.ndarray:
+    """Eigenvalues of _tensor_sum(S, coeffs, n, d) on the flattened k-grid
+    (k₀ major), given the 1-d eigenvalues of S."""
+    grids = np.meshgrid(*([np.arange(spec.n)] * spec.d), indexing="ij")
+    return sum(coeffs[j] * one_d[grids[j].ravel()] for j in range(spec.d))
+
+
 def _spatial_eigenvalues(spec: PdeSpec) -> np.ndarray:
-    """Eigenvalues of a₀-weighted Laplacian + advection + cI on the k-grid."""
+    """Eigenvalues of a-weighted Laplacian + advection + cI on the k-grid."""
     if spec.kind == "airy":
         return -dh3_eigenvalues(spec.n)  # coefficient matrix is -D_{h,3}
-    lap = dh_eigenvalues(spec.n)
-    div = vh_eigenvalues(spec.n)
-    grids = np.meshgrid(*([np.arange(spec.n)] * spec.d), indexing="ij")
-    total = np.full(spec.N, complex(spec.c))
-    for j in range(spec.d):
-        k = grids[j].ravel()
-        total = total + spec.a[j] * lap[k] + spec.a_prime[j] * div[k]
-    return total
+    return (spec.c + _symbol(spec, dh_eigenvalues(spec.n), spec.a)
+            + _symbol(spec, vh_eigenvalues(spec.n), spec.a_prime))
 
 
 def dense_operator(spec: PdeSpec) -> np.ndarray:
@@ -284,13 +305,7 @@ def _hyperbolic_radicand(spec: PdeSpec) -> np.ndarray:
     """-μ for the second-order spatial operator: nonnegative by c ≤ 0."""
     if spec.kind == "beam":
         return np.real(dh4_eigenvalues(spec.n)) - spec.c
-    grids = np.meshgrid(*([np.arange(spec.n)] * spec.d), indexing="ij")
-    lap = dh_eigenvalues(spec.n)
-    total = np.full(spec.N, -spec.c)
-    for j in range(spec.d):
-        total = total + 4.0 * spec.n ** 2 * spec.a[j] * np.sin(
-            grids[j].ravel() * np.pi / spec.n) ** 2
-    return total
+    return -spec.c - _symbol(spec, dh_eigenvalues(spec.n), spec.a)
 
 
 def hyperbolic_sqrt_operator(spec: PdeSpec) -> np.ndarray:
@@ -302,6 +317,16 @@ def hyperbolic_sqrt_operator(spec: PdeSpec) -> np.ndarray:
     return (f * s) @ f.conj().T
 
 
+def _cross_validated(eigen: EigenSystem, spec: PdeSpec,
+                     label: str) -> EigenSystem:
+    """eigen, once U Λ U† matches the dense stencil operator."""
+    err = spectral_norm(eigen.matrix - dense_operator(spec))
+    if err > TOL.reconstruction:
+        raise ValueError(f"{label} eigensystem fails cross-validation: "
+                         f"residual {err:.3e}")
+    return eigen
+
+
 def eigensystem_of(spec: PdeSpec) -> EigenOracleSet:
     """Closed-form eigensystem F^{⊗d} / μ(k) of a parabolic-family operator.
 
@@ -311,14 +336,9 @@ def eigensystem_of(spec: PdeSpec) -> EigenOracleSet:
     if spec.kind not in PARABOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not in the parabolic family; "
                          "use lift_hyperbolic")
-    basis = dft_tensor(spec.n, spec.d)
-    eigvals = _spatial_eigenvalues(spec)
-    eigen = EigenSystem(basis, eigvals)
-    dense = dense_operator(spec)
-    err = spectral_norm(eigen.matrix - dense)
-    if err > TOL.reconstruction:
-        raise ValueError(f"closed-form eigensystem fails cross-validation: "
-                         f"residual {err:.3e}")
+    eigen = _cross_validated(
+        EigenSystem(dft_tensor(spec.n, spec.d), _spatial_eigenvalues(spec)),
+        spec, "closed-form")
     variant = "nonneg" if spec.b is not None else "plain"
     return EigenOracleSet.from_eigensystem(eigen, variant=variant)
 
@@ -374,33 +394,14 @@ def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, EigenOracleSet]:
         [np.eye(n_total), np.eye(n_total)],
         [np.eye(n_total), -np.eye(n_total)],
     ]) / math.sqrt(2.0)
-    basis = sla.block_diag(f, f) @ mixer
-    eigvals = np.concatenate([1j * s, -1j * s])
-    eigen = EigenSystem(basis, eigvals)
-    dense = dense_operator(spec)
-    err = spectral_norm(eigen.matrix - dense)
-    if err > TOL.reconstruction:
-        raise ValueError(f"lifted eigensystem fails cross-validation: {err:.3e}")
+    eigen = _cross_validated(
+        EigenSystem(sla.block_diag(f, f) @ mixer,
+                    np.concatenate([1j * s, -1j * s])),
+        spec, "lifted")
     oracle = EigenOracleSet.from_eigensystem(eigen, variant="nonneg")
 
     u_full = np.concatenate([spec.u0_vector(), v0])
-    source = None
-    if spec.b is not None:
-        zero = np.zeros(n_total, dtype=complex)
-
-        def lifted(t):
-            return np.concatenate([zero, spec.b_vector(t)])
-
-        deriv = None
-        if spec.b_dt is not None:
-            def deriv(t):
-                return np.concatenate([zero, spec.b_dt_vector(t)])
-
-        if spec.time_independent_source():
-            source = lifted(0.0)
-        else:
-            source = SampledSource(lifted, derivative=deriv)
-    problem = OdeProblem(eigen, u_full, spec.T, source)
+    problem = OdeProblem(eigen, u_full, spec.T, spec._source(lead=n_total))
     problem.lift_info = {"v0": v0, "inversion_cost": cost}
     return problem, oracle
 
@@ -414,32 +415,10 @@ def _gate_model(spec: PdeSpec, eps: float) -> dict:
     return {"qft_gates": qft, "oracle_arithmetic_gates": oracle}
 
 
-def _route_parabolic(spec: PdeSpec, eps: float) -> SolveReport:
-    oracle = eigensystem_of(spec)
-    u0 = spec.u0_vector()
-    if spec.b is None:
-        problem = OdeProblem(oracle.eigen, u0, spec.T, None)
-        return solve_eigen_homogeneous(problem, oracle)
-    if spec.time_independent_source():
-        problem = OdeProblem(oracle.eigen, u0, spec.T, spec.b_vector(0.0))
-        return solve_eigen_inhomogeneous(problem, oracle)
-    deriv = None
-    if spec.b_dt is not None:
-        def deriv(t):
-            return spec.b_dt_vector(t)
-    source = SampledSource(lambda t: spec.b_vector(t), derivative=deriv)
-    problem = OdeProblem(oracle.eigen, u0, spec.T, source)
-    return solve_eigen_timedep(problem, oracle, eps)
-
-
-def _route_hyperbolic(spec: PdeSpec, eps: float) -> SolveReport:
+def _post_select_u_block(spec: PdeSpec, eps: float) -> SolveReport:
+    """Solve the lifted system and post-select on its u block."""
     problem, oracle = lift_hyperbolic(spec)
-    if problem.inhomogeneous is None:
-        full = solve_eigen_homogeneous(problem, oracle)
-    elif isinstance(problem.inhomogeneous, SampledSource):
-        full = solve_eigen_timedep(problem, oracle, eps)
-    else:
-        full = solve_eigen_inhomogeneous(problem, oracle)
+    full = solve_eigen(problem, oracle, eps)
 
     n_total = spec.N
     u_part = full.output_state[:n_total]
@@ -451,9 +430,7 @@ def _route_hyperbolic(spec: PdeSpec, eps: float) -> SolveReport:
     prob = full.success_probability * nu_part ** 2
 
     reference = solve_reference(OdeProblem(
-        dense_operator(spec),
-        np.concatenate([spec.u0_vector(), problem.lift_info["v0"]]),
-        spec.T, problem.inhomogeneous))
+        dense_operator(spec), problem.u0, spec.T, problem.inhomogeneous))
     ref_u = reference[:n_total]
     out = u_part / nu_part
     err = global_phase_distance(out, ref_u / np.linalg.norm(ref_u))
@@ -478,19 +455,22 @@ def _route_hyperbolic(spec: PdeSpec, eps: float) -> SolveReport:
 
 
 def solve_pde(spec: PdeSpec, eps: float) -> SolveReport:
-    """Route a PDE benchmark to the matching eigen solver.
+    """Solve a PDE benchmark with the eigen solver ``solve_eigen`` picks.
 
-    Parabolic and higher-order first-order-in-time kinds go directly to the
-    eigen solvers; hyperbolic kinds are lifted, solved on the doubled system
-    and post-selected on the u block (charging the extra repeat factor
+    Parabolic and higher-order first-order-in-time kinds are solved
+    directly; hyperbolic kinds are lifted, solved on the doubled system and
+    post-selected on the u block (charging the extra repeat factor
     sqrt(‖u‖² + ‖v‖²)/‖u‖).  The report carries the analytic gate-model
     terms alongside the oracle ledger.
     """
     if spec.u0 is None:
         raise ValueError("the problem needs initial data u0")
     if spec.kind in PARABOLIC_KINDS:
-        report = _route_parabolic(spec, eps)
+        oracle = eigensystem_of(spec)
+        report = solve_eigen(
+            OdeProblem(oracle.eigen, spec.u0_vector(), spec.T, spec._source()),
+            oracle, eps)
     else:
-        report = _route_hyperbolic(spec, eps)
+        report = _post_select_u_block(spec, eps)
     report.extras["gate_model"] = _gate_model(spec, eps)
     return report

@@ -3,8 +3,12 @@
 import json
 import os
 
+import numpy as np
+import pytest
+
+from ffode import WitnessPair
 from ffode.cli import (
-    CSV_COLUMNS, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, main,
+    CSV_COLUMNS, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, _print_certified, main,
 )
 
 
@@ -224,3 +228,46 @@ def test_selftest_deterministic(tmp_path, capsys):
         texts.append((out_dir / "selftest.csv").read_text(encoding="utf-8"))
     capsys.readouterr()
     assert strip_wall_time(texts[0]) == strip_wall_time(texts[1])
+
+
+UNREAD_AXES = {
+    # a PDE problem picks its own Riemann node count
+    "M-pde": ("eigen-td", {"M": [10, 100000]},
+              {"id": "h", "type": "pde", "kind": "heat", "n": 4,
+               "u0": {"name": "one-plus-cos"},
+               "b": {"name": "cos-drive"}}),
+    # only eigen-td reads M
+    "M-ode-eigen": ("eigen", {"M": [10, 20]},
+                    {"id": "r", "type": "ode", "family": "random-normal",
+                     "N": 4}),
+    # ODE sizes come from N, not from the PDE grid axes
+    "n-ode": ("eigen", {"n": [4, 8]},
+              {"id": "r", "type": "ode", "family": "random-normal", "N": 4}),
+    "d-ode": ("eigen", {"d": [1, 2]},
+              {"id": "r", "type": "ode", "family": "random-normal", "N": 4}),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_AXES))
+def test_unread_sweep_axis_is_a_mismatch(tmp_path, capsys, case):
+    solver, sweep, problem = UNREAD_AXES[case]
+    cfg_obj = {"version": 1, "campaign": "unread", "solver": solver,
+               "seed": 0, "sweep": dict(sweep, T=[0.5]),
+               "problems": [problem]}
+    cfg = write_config(tmp_path, cfg_obj)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_MISMATCH
+    axis = next(iter(sweep))
+    assert f"sweep axis '{axis}'" in capsys.readouterr().err
+    assert not (tmp_path / "unread.csv").exists()
+
+
+def test_print_certified_judges_equalities_both_ways(capsys):
+    pair = WitnessPair("demo", np.eye(1), np.ones(1), np.ones(1), 1.0)
+    pair.certified = {"above": (1.0 + 1e-6, 1.0, "=="),
+                      "equal": (1.0, 1.0, "=="),
+                      "below": (1.0 - 1e-6, 1.0, "==")}
+    assert _print_certified(pair) == 2
+    out = capsys.readouterr().out
+    assert "FAIL demo.above" in out and "FAIL demo.below" in out
+    assert "PASS demo.equal" in out

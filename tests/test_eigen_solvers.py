@@ -8,7 +8,7 @@ import pytest
 from ffode import (
     EigenOracleSet, EigenSystem, OdeProblem, SampledSource, be_duhamel_eigen,
     be_exp_eigen, matrix_exponential, quadrature_error_bound,
-    quadrature_nodes_for, riemann_plan, solve_eigen_homogeneous,
+    quadrature_nodes_for, riemann_plan, solve_eigen, solve_eigen_homogeneous,
     solve_eigen_inhomogeneous, solve_eigen_timedep, solve_reference,
     verify_block_encoding,
 )
@@ -267,10 +267,14 @@ def test_timedep_zero_source_reduces_to_homogeneous():
     o = EigenOracleSet.from_eigensystem(es, variant="nonneg")
     u0 = np.array([0.6, 0.8])
     p = OdeProblem(es, u0, 1.5)
-    td = solve_eigen_timedep(p, o, 1e-6)
+    # the router sends a missing b to the homogeneous solver; the Riemann-sum
+    # solver itself takes only a sampled source
+    td = solve_eigen(p, o, 1e-6)
     hom = solve_eigen_homogeneous(p, o)
     assert np.allclose(td.output_state, hom.output_state, atol=1e-12)
     assert td.success_probability == pytest.approx(hom.success_probability)
+    with pytest.raises(ValueError, match="sampled"):
+        solve_eigen_timedep(p, o, 1e-6)
 
 
 def test_timedep_node_cap():
@@ -363,3 +367,28 @@ def test_timedep_sweeps_the_drive_term_once():
     assert rep.extras["nodes"] == quadrature_nodes_for(p, o, eps_prime)
     assert rep.extras["quadrature_bound"] == quadrature_error_bound(
         p, o, rep.extras["nodes"])
+
+
+def test_timedep_samples_each_node_once():
+    es = EigenSystem(np.eye(2), [0.0, -1.0])
+    o = EigenOracleSet.from_eigensystem(es, variant="nonneg")
+    calls = []
+
+    def b(t):
+        calls.append(t)
+        return np.array([math.cos(t), 0.0])
+
+    src = SampledSource(b, derivative=lambda t: np.array([-math.sin(t), 0.0]))
+    p = OdeProblem(es, np.array([1.0, 1.0]) / math.sqrt(2), 1.0, src)
+    counts = []
+    for M in (25, 50):
+        calls.clear()
+        solve_eigen_timedep(p, o, 1.0, M=M)
+        counts.append(len(calls))
+    # the sup sweep and the reference cost the same at both M; each extra
+    # node costs one sample of b
+    assert counts[1] - counts[0] == 25
+    plan = riemann_plan(src, 1.0, 4)
+    assert np.array_equal(plan.samples[:, 1], b(0.25))
+    assert np.allclose(plan.norms, np.linalg.norm(plan.samples, axis=0),
+                       rtol=1e-15, atol=0.0)

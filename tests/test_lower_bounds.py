@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffode import (
-    AmplifierCircuit, OdeProblem, amplifier_bound_check,
+    AmplifierCircuit, OdeProblem, WitnessPair, amplifier_bound_check,
     equilibrium_reduction_check, matrix_exponential,
     shifting_equivalence_check, solve_reference, spectral_norm,
     unitary_with_first_column, witness_imaginary_time, witness_linear_system,
@@ -14,6 +14,7 @@ from ffode import (
     witness_realpart_gap, witness_realpart_gap_inhomogeneous,
     worst_case_oracle_pair,
 )
+from ffode.lower_bounds import inequality_holds
 
 
 def random_unitary(rng, n):
@@ -330,3 +331,24 @@ def test_linear_system_witness_large_kappa_limit():
     assert overlap == pytest.approx(1 / math.sqrt(2), abs=1e-6)
     with pytest.raises(ValueError):
         witness_linear_system(0.5, u, v)
+
+
+def test_equality_entries_are_checked_both_ways():
+    assert inequality_holds(1.0, 1.0 + 5e-11, "==")
+    assert not inequality_holds(1.0 + 1e-6, 1.0, "==")  # passed as >= before
+    assert not inequality_holds(1.0 - 1e-6, 1.0, "==")
+    assert inequality_holds(2.0, 1.0, ">=") and not inequality_holds(2.0, 1.0,
+                                                                     "<=")
+    with pytest.raises(KeyError):
+        inequality_holds(1.0, 1.0, "<")
+    pair = WitnessPair("demo", np.eye(1), np.ones(1), np.ones(1), 1.0)
+    with pytest.raises(ValueError, match="fails"):
+        pair.check("overlap", 1.0 + 1e-6, 1.0, "==")
+    pair.check("overlap", 1.0, 1.0, "==")
+    assert pair.certified["overlap"] == (1.0, 1.0, "==")
+    # the linear-system witness certifies its equality at construction
+    rng = np.random.default_rng(43)
+    lin = witness_linear_system(10.0, random_unitary(rng, 4),
+                                random_unitary(rng, 4))
+    assert lin.certified["solution_overlap"][2] == "=="
+    assert inequality_holds(*lin.certified["solution_overlap"])

@@ -1,0 +1,186 @@
+"""The eigen-solver routing table: ``solve_eigen`` and ``solve_pde`` take the
+path the source term calls for, and give exactly the direct solver's report."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ffode import eigen_solvers
+from ffode import (
+    EigenOracleSet, EigenSystem, OdeProblem, PdeSpec, SampledSource,
+    eigensystem_of, lift_hyperbolic, solve_eigen, solve_eigen_homogeneous,
+    solve_eigen_inhomogeneous, solve_eigen_timedep, solve_pde,
+)
+
+EPS = 1e-2
+
+
+def assert_same_report(got, want, *, skip_extras=()):
+    assert np.array_equal(got.output_state, want.output_state)
+    assert got.success_probability == want.success_probability
+    assert got.error_vs_reference == want.error_vs_reference
+    assert got.claimed_eps == want.claimed_eps
+    assert (got.repeats_no_aa, got.repeats_aa) == (want.repeats_no_aa,
+                                                   want.repeats_aa)
+    assert got.ledger == want.ledger
+    extras = {k: v for k, v in got.extras.items() if k not in skip_extras}
+    assert extras == want.extras
+
+
+@pytest.fixture
+def duhamel_builds(monkeypatch):
+    """Counts Duhamel encodings built: the LCS solver builds one, even for
+    an all-zero b, whose report is otherwise the homogeneous one."""
+    calls = []
+    build = eigen_solvers.be_duhamel_eigen
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(eigen_solvers, "be_duhamel_eigen", counted)
+    return calls
+
+
+def assert_path(report, path, duhamel_builds):
+    """Which solver made the report: its Duhamel builds, extras and ledger."""
+    assert len(duhamel_builds) == (path == "inhomogeneous")
+    duhamel_builds.clear()
+    assert ("nodes" in report.extras) == (path == "timedep")
+    assert (report.ledger["O_bt"] > 0) == (path == "timedep")
+    assert (report.ledger["O_b"] > 0) == (path == "inhomogeneous")
+    assert (report.ledger["O_f"] > 0) == (path == "inhomogeneous")
+
+
+# ---------------------------------------------------------------------------
+# solve_eigen on an ODE
+
+def ode_oracle():
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((3, 3))
+                     + 1j * rng.standard_normal((3, 3)))[0]
+    es = EigenSystem(q, [0.0, -0.5 + 1j, -1.0 - 2j])
+    return es, EigenOracleSet.from_eigensystem(es, variant="nonneg")
+
+
+BVEC = np.array([1.0, 0.5j, -0.25])
+ODE_CASES = {
+    "none": (lambda: None, "homogeneous", solve_eigen_homogeneous),
+    "all-zero": (lambda: np.zeros(3), "homogeneous", solve_eigen_homogeneous),
+    "constant": (lambda: BVEC, "inhomogeneous", solve_eigen_inhomogeneous),
+    "sampled": (lambda: SampledSource(
+        lambda t: BVEC * math.cos(t),
+        derivative=lambda t: -BVEC * math.sin(t)), "timedep", None),
+}
+
+
+@pytest.mark.parametrize("source", list(ODE_CASES))
+def test_solve_eigen_routing_table(source, duhamel_builds):
+    make, path, direct = ODE_CASES[source]
+    es, o = ode_oracle()
+    p = OdeProblem(es, [1.0, 0.0, 1.0j], 0.5, make())
+    report = solve_eigen(p, o, EPS)
+    assert_path(report, path, duhamel_builds)
+    if direct is None:
+        want = solve_eigen_timedep(p, o, EPS)
+    else:
+        want = direct(p, o)
+    assert_same_report(report, want)
+
+
+def test_solve_eigen_passes_the_node_count():
+    es, o = ode_oracle()
+    src = ODE_CASES["sampled"][0]()
+    p = OdeProblem(es, [1.0, 0.0, 1.0j], 0.5, src)
+    report = solve_eigen(p, o, EPS, M=37)
+    assert report.extras["nodes"] == 37
+    assert_same_report(report, solve_eigen_timedep(p, o, EPS, M=37))
+
+
+# ---------------------------------------------------------------------------
+# solve_pde, parabolic and hyperbolic
+
+def u0(x):
+    return 1.0 + 0.5 * np.cos(2 * np.pi * x[0])
+
+
+def w0(x):
+    return np.sin(2 * np.pi * x[0])
+
+
+def g(x):
+    return np.cos(2 * np.pi * x[0])
+
+
+SOURCES = {
+    "none": ({}, "homogeneous"),
+    "constant": ({"b": lambda x, t: g(x), "b_dt": lambda x, t: 0.0},
+                 "inhomogeneous"),
+    "time-dependent": ({"b": lambda x, t: g(x) * math.cos(t),
+                        "b_dt": lambda x, t: -g(x) * math.sin(t)},
+                       "timedep"),
+}
+
+
+def direct_source(spec, path):
+    if path == "homogeneous":
+        return None
+    if path == "inhomogeneous":
+        return spec.b_vector(0.0)
+    return SampledSource(spec.b_vector, derivative=spec.b_dt_vector)
+
+
+DIRECT = {"homogeneous": lambda p, o: solve_eigen_homogeneous(p, o),
+          "inhomogeneous": lambda p, o: solve_eigen_inhomogeneous(p, o),
+          "timedep": lambda p, o: solve_eigen_timedep(p, o, EPS)}
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_solve_pde_parabolic_routing(source, duhamel_builds):
+    kwargs, path = SOURCES[source]
+    spec = PdeSpec("heat", 1, 4, 0.5, u0=u0, **kwargs)
+    report = solve_pde(spec, EPS)
+    assert_path(report, path, duhamel_builds)
+    oracle = eigensystem_of(spec)
+    problem = OdeProblem(oracle.eigen, spec.u0_vector(), spec.T,
+                         direct_source(spec, path))
+    assert_same_report(report, DIRECT[path](problem, oracle),
+                       skip_extras=("gate_model",))
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_solve_pde_hyperbolic_routing(source, duhamel_builds):
+    kwargs, path = SOURCES[source]
+    spec = PdeSpec("wave", 1, 4, 0.1, u0=u0, w0=w0, **kwargs)
+    report = solve_pde(spec, EPS)
+    assert_path(report, path, duhamel_builds)
+    problem, oracle = lift_hyperbolic(spec)
+    if path == "timedep":
+        assert isinstance(problem.inhomogeneous, SampledSource)
+    full = DIRECT[path](problem, oracle)
+    assert report.ledger == full.ledger
+    assert report.extras["full_system_report"] == {
+        "success_probability": full.success_probability,
+        "error_vs_reference": full.error_vs_reference,
+    }
+    u_block = full.output_state[:spec.N]
+    assert np.array_equal(report.output_state,
+                          u_block / float(np.linalg.norm(u_block)))
+    for key, value in full.extras.items():
+        assert report.extras[key] == value
+
+
+def test_lifted_source_is_zero_on_the_u_block():
+    kwargs, _ = SOURCES["time-dependent"]
+    spec = PdeSpec("wave", 1, 4, 0.1, u0=u0, w0=w0, **kwargs)
+    src = lift_hyperbolic(spec)[0].inhomogeneous
+    for t in (0.0, 0.03):
+        assert np.array_equal(src(t), np.concatenate(
+            [np.zeros(spec.N), spec.b_vector(t)]))
+        assert np.array_equal(src.derivative(t), np.concatenate(
+            [np.zeros(spec.N), spec.b_dt_vector(t)]))
+    kwargs, _ = SOURCES["constant"]
+    spec = PdeSpec("wave", 1, 4, 0.1, u0=u0, w0=w0, **kwargs)
+    const = lift_hyperbolic(spec)[0].inhomogeneous
+    assert np.array_equal(const, np.concatenate(
+        [np.zeros(spec.N), spec.b_vector(0.0)]))
