@@ -10,6 +10,7 @@ reference.
 from .config import TOL, Tolerances
 from .linalg import (
     EigenSystem,
+    FourierBasis,
     fidelity_perturbation_bound,
     global_phase_distance,
     logarithmic_norm,
@@ -22,6 +23,7 @@ from .linalg import (
 )
 from .block_encoding import (
     BlockEncoding,
+    DiagonalEncoding,
     QueryLedger,
     StatePreparationPair,
     exact_dilation,

@@ -20,18 +20,24 @@ Conventions
   prepended (most significant), so the block is its leading block.
 * Polynomial eigenvalue transforms are simulated by exact spectral calculus
   while the ledger charges the query cost of the corresponding circuit.
+* :class:`DiagonalEncoding` is the exception to storing the block: for a
+  block U diag(f) U† it keeps the eigenbasis, f and the target's diagonal,
+  applies the block through ``apply`` and builds it only on demand.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import INVERSE_QUERY_CONSTANT, TOL
-from .linalg import as_square, spectral_norm, unitary_with_first_column
+from .linalg import (
+    EigenSystem, as_square, as_vector, spectral_norm,
+    unitary_with_first_column,
+)
 
 # Canonical ledger keys.
 U_A = "U_A"
@@ -136,6 +142,11 @@ class BlockEncoding:
 
     def __post_init__(self):
         self.block = as_square(self.block)
+        if self.target is not None:
+            self.target = as_square(self.target)
+        self._validate()
+
+    def _validate(self) -> None:
         if self.ancilla_qubits < 0:
             raise ValueError("ancilla count must be nonnegative")
         if self.alpha <= 0:
@@ -148,14 +159,27 @@ class BlockEncoding:
             if err > TOL.unitarity:
                 raise ValueError(
                     f"encoding matrix is not unitary: ‖U†U-I‖ = {err:.3e}")
-        else:
+        elif self._norm_bound() > 1.0 + 1e-12:
             norm = spectral_norm(self.block)
             if norm > 1.0 + 1e-12:
                 raise ValueError(
                     f"block is not a contraction: ‖block‖ = {norm:.6g}")
-        if self.target is not None:
-            self.target = as_square(self.target)
+        slack = TOL.verify_slack * max(1.0, self.alpha)
+        if self._claim_bound() > self.epsilon_claim + slack:
             verify_block_encoding(self, self.target)
+
+    def _norm_bound(self) -> float:
+        """An upper bound on ‖block‖₂ cheaper than an SVD (none here)."""
+        return math.inf
+
+    def _claim_bound(self) -> float:
+        """An upper bound on ‖target − alpha·block‖₂ (none here without an
+        SVD; nothing to check without a target)."""
+        return 0.0 if self.target is None else math.inf
+
+    def apply(self, v) -> np.ndarray:
+        """block · v."""
+        return self.block @ v
 
     @property
     def system_dim(self) -> int:
@@ -191,9 +215,10 @@ class BlockEncoding:
     def reattached(self, target, epsilon_claim: float,
                    alpha: float | None = None) -> "BlockEncoding":
         """Same circuit, new claim (e.g. reinterpreting a scaled encoding)."""
-        return replace(self, target=np.asarray(target, dtype=complex),
-                       epsilon_claim=float(epsilon_claim),
-                       alpha=self.alpha if alpha is None else float(alpha))
+        return BlockEncoding(self.block,
+                             self.alpha if alpha is None else float(alpha),
+                             float(epsilon_claim), self.ancilla_qubits,
+                             self.ledger, np.asarray(target, dtype=complex))
 
     def padded(self, extra_ancillas: int) -> "BlockEncoding":
         """Add identity ancillas; the block is unchanged."""
@@ -201,7 +226,9 @@ class BlockEncoding:
             raise ValueError("cannot remove ancillas")
         if extra_ancillas == 0:
             return self
-        return replace(self, ancilla_qubits=self.ancilla_qubits + extra_ancillas)
+        return BlockEncoding(self.block, self.alpha, self.epsilon_claim,
+                             self.ancilla_qubits + extra_ancillas, self.ledger,
+                             self.target)
 
 
 def verify_block_encoding(be: BlockEncoding, target) -> float:
@@ -221,6 +248,60 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
             f"block-encoding violates its claim: measured {err:.3e} > "
             f"claimed {be.epsilon_claim:.3e}")
     return float(err)
+
+
+class DiagonalEncoding(BlockEncoding):
+    """A one-ancilla encoding whose block is U diag(factors) U†.
+
+    Holds the eigensystem's basis U, the factors and the target's diagonal g
+    (target = U diag(g) U†) instead of two dense N×N products; ``block``,
+    ``target`` and ``unitary`` are built on demand, and ``apply`` costs two
+    basis applications.  Because ‖U diag(x) U†‖₂ ≤ (1+δ_U)·max|x| with δ_U
+    the basis's measured defect ‖U†U − I‖ (0 for a Fourier basis), the
+    contraction and claim checks read (1+δ_U)·max|factors| and
+    (1+δ_U)·max|g − alpha·factors| first, and fall back to the dense SVD only
+    when that bound does not prove the check.
+    """
+
+    def __init__(self, eigen: EigenSystem, factors, alpha: float,
+                 epsilon_claim: float, ledger: QueryLedger, target_diagonal):
+        self.eigen = eigen
+        self.factors = as_vector(factors)
+        self.target_diagonal = as_vector(target_diagonal)
+        if not self.factors.size == self.target_diagonal.size == eigen.dim:
+            raise ValueError("factors and target diagonal need one entry per "
+                             "eigenvalue")
+        self.alpha = float(alpha)
+        self.epsilon_claim = float(epsilon_claim)
+        self.ancilla_qubits = 1
+        self.ledger = ledger
+        self._validate()
+
+    def _widened_max(self, values: np.ndarray) -> float:
+        widen = 1.0 + self.eigen.unitarity_defect
+        return widen * float(np.max(np.abs(values)))
+
+    def _norm_bound(self) -> float:
+        return self._widened_max(self.factors)
+
+    def _claim_bound(self) -> float:
+        return self._widened_max(self.target_diagonal
+                                 - self.alpha * self.factors)
+
+    @property
+    def block(self) -> np.ndarray:
+        return self.eigen.apply_function(lambda _: self.factors)
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.eigen.apply_function(lambda _: self.target_diagonal)
+
+    @property
+    def system_dim(self) -> int:
+        return self.eigen.dim
+
+    def apply(self, v) -> np.ndarray:
+        return self.eigen.apply(self.factors * self.eigen.apply_adjoint(v))
 
 
 def ry(theta: float) -> np.ndarray:

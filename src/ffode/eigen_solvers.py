@@ -24,7 +24,7 @@ import numpy as np
 from .config import MAX_RIEMANN_NODES, TOL
 from .block_encoding import (
     GATES, O_BNORM, O_BT, O_EXP, O_F, O_G, O_LAMBDA, O_LAMBDA_I, O_LAMBDA_R,
-    O_PROD, O_T, O_U, U_EIG, BlockEncoding, QueryLedger,
+    O_PROD, O_T, O_U, U_EIG, BlockEncoding, DiagonalEncoding, QueryLedger,
 )
 from .linalg import EigenSystem, as_vector, global_phase_distance
 from .qsvt_solvers import SolveReport, lcs_combine_and_measure, repeat_estimates
@@ -123,15 +123,15 @@ def _real_case(o: EigenOracleSet) -> bool:
 
 
 def _dilate_diagonal(o: EigenOracleSet, factors: np.ndarray, alpha: float,
-                     target: np.ndarray, ledger: QueryLedger) -> BlockEncoding:
+                     target: np.ndarray,
+                     ledger: QueryLedger) -> DiagonalEncoding:
+    """U diag(factors) U† encoding U diag(target) U†, both as diagonals."""
     mags = np.abs(factors)
     if np.max(mags) > 1.0 + 1e-10:
         raise ValueError(f"diagonal factor exceeds 1: {np.max(mags)}")
     factors = factors / np.where(mags > 1.0, mags, 1.0)
-    u = o.eigen.basis
-    m = (u * factors) @ u.conj().T
-    return BlockEncoding(m, float(alpha), TOL.verify_slack * max(1.0, alpha), 1,
-                         ledger, target)
+    return DiagonalEncoding(o.eigen, factors, float(alpha),
+                            TOL.verify_slack * max(1.0, alpha), ledger, target)
 
 
 def be_exp_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
@@ -147,7 +147,7 @@ def be_exp_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
     lam = o.eigenvalues
     alpha = o.alpha_shift
     factors = np.exp((lam - alpha) * T)
-    target = o.eigen.apply_function(lambda w: np.exp(w * T))
+    target = np.exp(lam * T)
     if _real_case(o):
         ledger = QueryLedger({O_T: 2, O_LAMBDA: 2, O_EXP: 2, U_EIG: 2, GATES: 1})
     else:
@@ -166,8 +166,7 @@ def be_duhamel_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
     if T <= 0:
         raise ValueError("T must be positive")
     lam = o.eigenvalues
-    target = o.eigen.apply_function(
-        lambda w: np.array([exp_integral(z, T) for z in w]))
+    target = np.array([exp_integral(z, T) for z in lam])
     if _real_case(o):
         factors = np.array([kernel_f(float(z.real), T) for z in lam],
                            dtype=complex)
@@ -339,7 +338,7 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
 
     T = p.horizon
     lam = o.eigenvalues
-    u = o.eigen.basis
+    eigen = o.eigen
     alpha_t = o.alpha_shift
     reference = solve_reference(p)
     norm_uT = float(np.linalg.norm(reference))
@@ -363,10 +362,10 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
 
     plan = riemann_plan(p.inhomogeneous, T, M)
     # per-node diagonal factors in the eigenbasis, summed with weight T/M
-    b_hat = u.conj().T @ plan.samples
+    b_hat = eigen.apply_adjoint(plan.samples)
     phases = np.exp(np.outer(lam, T - plan.times))
-    integral = u @ ((phases * b_hat).sum(axis=1)) * (T / M)
-    hom = u @ (np.exp(lam * T) * (u.conj().T @ p.u0))
+    integral = eigen.apply((phases * b_hat).sum(axis=1)) * (T / M)
+    hom = eigen.apply(np.exp(lam * T) * eigen.apply_adjoint(p.u0))
     u_tilde = hom + integral
 
     nu = float(np.linalg.norm(p.u0))

@@ -2,12 +2,11 @@
 
 Norms, distances, matrix exponentials, non-normality and the small
 renormalization/fidelity perturbation lemmas, plus the ``EigenSystem``
-container for unitarily diagonalizable matrices.
+container for unitarily diagonalizable matrices, whose basis is either a
+dense unitary or a :class:`FourierBasis` applied by ``numpy.fft``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -163,36 +162,115 @@ def fidelity_perturbation_bound(psi, phi, psi_tilde, phi_tilde) -> bool:
     return bool(lhs <= rhs + 1e-12)
 
 
-@dataclass
-class EigenSystem:
-    """Unitary eigenbasis plus eigenvalue list: A = U Λ U†."""
+class FourierBasis:
+    """The unitary F^{⊗d} on n points per axis, applied by FFT.
 
-    basis: np.ndarray
-    eigenvalues: np.ndarray
+    F[j,k] = ω^{jk}/√n with ω = e^{2πi/n}, so U x = ifftn(x) and
+    U† x = fftn(x) (orthonormal scaling) on the row-major n×…×n grid.
+    ``lifted`` gives the 2n^d basis blockdiag(F^{⊗d}, F^{⊗d})·M with the
+    block mixer M = [[I, I], [I, -I]]/√2.  Unitary by construction, so its
+    defect ‖U†U − I‖ is taken as 0.
+    """
 
-    def __post_init__(self):
-        self.basis = as_square(self.basis)
-        self.eigenvalues = as_vector(self.eigenvalues)
-        n = self.basis.shape[0]
-        if self.eigenvalues.size != n:
-            raise ValueError("eigenvalue count does not match basis dimension")
-        gram = self.basis.conj().T @ self.basis - np.eye(n)
-        err = spectral_norm(gram)
-        if err > TOL.unitarity:
-            raise ValueError(f"eigenbasis is not unitary: ‖U†U-I‖ = {err:.3e}")
+    def __init__(self, n: int, d: int, lifted: bool = False):
+        self.n, self.d, self.lifted = int(n), int(d), bool(lifted)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return (2 if self.lifted else 1) * self.n ** self.d
+
+    def _fft(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        grid = x.reshape((self.n,) * self.d + x.shape[1:])
+        fft = np.fft.fftn if adjoint else np.fft.ifftn
+        out = fft(grid, axes=tuple(range(self.d)), norm="ortho")
+        return out.reshape(x.shape)
+
+    def _apply(self, x, adjoint: bool) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if not self.lifted:
+            return self._fft(x, adjoint)
+        half = self.n ** self.d
+        top, bottom = x[:half], x[half:]
+        if adjoint:
+            top, bottom = self._fft(top, True), self._fft(bottom, True)
+        root2 = np.sqrt(2.0)
+        top, bottom = (top + bottom) / root2, (top - bottom) / root2
+        if not adjoint:
+            top, bottom = self._fft(top, False), self._fft(bottom, False)
+        return np.concatenate([top, bottom])
+
+    def apply(self, x) -> np.ndarray:
+        """U x for one vector or for each column of a matrix."""
+        return self._apply(x, False)
+
+    def apply_adjoint(self, x) -> np.ndarray:
+        """U† x for one vector or for each column of a matrix."""
+        return self._apply(x, True)
+
+    def dense(self) -> np.ndarray:
+        """U as a dense matrix, from one batched apply of the identity."""
+        return self.apply(np.eye(self.dim))
+
+
+class EigenSystem:
+    """Unitary eigenbasis plus eigenvalue list: A = U Λ U†.
+
+    ``basis`` is a dense matrix, whose gram defect ``‖U†U − I‖`` is measured
+    and bounded by ``TOL.unitarity``, or a :class:`FourierBasis`.  ``apply``
+    and ``apply_adjoint`` act with U and U† on a vector or on the columns of
+    a matrix; the dense ``basis`` and ``matrix`` of a Fourier basis are built
+    only on demand.
+    """
+
+    def __init__(self, basis, eigenvalues):
+        self.eigenvalues = as_vector(eigenvalues)
+        if isinstance(basis, FourierBasis):
+            self._fourier, self._dense = basis, None
+            n = basis.dim
+        else:
+            self._fourier, self._dense = None, as_square(basis)
+            n = self._dense.shape[0]
+        if self.eigenvalues.size != n:
+            raise ValueError("eigenvalue count does not match basis dimension")
+        #: measured ‖U†U − I‖₂ (0 for a Fourier basis)
+        self.unitarity_defect = 0.0
+        if self._dense is not None:
+            gram = self._dense.conj().T @ self._dense - np.eye(n)
+            self.unitarity_defect = spectral_norm(gram)
+            if self.unitarity_defect > TOL.unitarity:
+                raise ValueError("eigenbasis is not unitary: "
+                                 f"‖U†U-I‖ = {self.unitarity_defect:.3e}")
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense unitary U."""
+        return self._dense if self._fourier is None else self._fourier.dense()
+
+    def apply(self, x) -> np.ndarray:
+        """U x; x may hold one vector per column."""
+        if self._fourier is not None:
+            return self._fourier.apply(x)
+        return self._dense @ x
+
+    def apply_adjoint(self, x) -> np.ndarray:
+        """U† x; x may hold one vector per column."""
+        if self._fourier is not None:
+            return self._fourier.apply_adjoint(x)
+        return self._dense.conj().T @ x
 
     @property
     def matrix(self) -> np.ndarray:
         """Reconstruct the dense matrix U Λ U†."""
-        return (self.basis * self.eigenvalues) @ self.basis.conj().T
+        return self.apply_function(lambda w: w)
 
     def apply_function(self, f) -> np.ndarray:
         """U f(Λ) U† for a scalar function applied to the eigenvalues."""
-        return (self.basis * f(self.eigenvalues)) @ self.basis.conj().T
+        u = self.basis
+        return (u * f(self.eigenvalues)) @ u.conj().T
 
     @classmethod
     def from_matrix(cls, a) -> "EigenSystem":

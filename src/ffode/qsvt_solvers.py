@@ -175,10 +175,11 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
         raise ValueError("u0 must be nonzero")
     nb = 0.0 if b is None else float(np.linalg.norm(as_vector(b)))
 
-    # U·|0>|v̂> post-selected on the all-zero ancillas leaves block·v̂
+    # U·|0>|v̂> post-selected on the all-zero ancillas leaves block·v̂, which
+    # every encoding computes through apply
     if nb == 0.0:
         # degenerate θ = 0 branch: the control stays |0> and only U₀ acts
-        success = be0.block @ (u0 / nu)
+        success = be0.apply(u0 / nu)
         ancillas = be0.ancilla_qubits
         prob = float(np.linalg.norm(success) ** 2)
         ledger = be0.ledger.charge(O_U, 1)
@@ -194,8 +195,8 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
         w1 = be1.alpha * nb
         weight = math.hypot(w0, w1)
         theta = -2.0 * math.asin(w1 / weight)
-        v0 = be0.block @ (u0 / nu)
-        v1 = be1.block @ (as_vector(b) / nb)
+        v0 = be0.apply(u0 / nu)
+        v1 = be1.apply(as_vector(b) / nb)
         success = (w0 * v0 + w1 * v1) / (math.sqrt(2.0) * weight)
         prob = float(np.linalg.norm(success) ** 2)
         ledger = (be0.ledger + be1.ledger).charge(O_U, 1).charge(O_B, 1) \

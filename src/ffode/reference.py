@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -134,10 +135,22 @@ def kernel_fg_complex(lam: complex, T: float, C: float) -> tuple[float, float]:
 
 
 def _diagonalize(a: np.ndarray):
-    """General eigendecomposition with a conditioning check."""
+    """(w, v, vinv, cond) with a = v diag(w) vinv.
+
+    A Hermitian or skew-Hermitian a (‖a ∓ a†‖_F ≤ TOL.normality·max(1, ‖a‖_F),
+    an O(N²) test) is diagonalized by ``eigh``, whose v is unitary, so
+    vinv = v† and cond = 1.  Any other a goes through ``eig`` with a
+    conditioning check; vinv is None when cond(v) > 1e8.
+    """
+    scale = TOL.normality * max(1.0, float(np.linalg.norm(a)))
+    for phase in (1.0, 1j):
+        h = a / phase
+        if np.linalg.norm(h - h.conj().T) <= scale:
+            w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+            return phase * w, v, v.conj().T, 1.0
     w, v = np.linalg.eig(a)
     cond = np.linalg.cond(v)
-    return w, v, cond
+    return w, v, (None if cond > 1e8 else np.linalg.inv(v)), cond
 
 
 def _gauss_panels(g, T: float, order: int = 12):
@@ -167,33 +180,33 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
     """u(T) by the Duhamel formula, to ~1e-10 relative accuracy.
 
     Diagonalizable coefficients use closed-form per-eigenvalue kernels
-    (constant b) or adaptive Gauss-Legendre quadrature (sampled b); a badly
-    conditioned eigenbasis falls back to expm-based quadrature with a warning.
+    (constant b) or adaptive Gauss-Legendre quadrature (sampled b), moving
+    into the eigenbasis by an :class:`EigenSystem`'s ``apply_adjoint`` or the
+    dense ``_diagonalize`` factors; a badly conditioned eigenbasis falls back
+    to expm-based quadrature with a warning.
     """
     T = p.horizon
     if isinstance(p.coefficient, EigenSystem):
-        u = p.coefficient.basis
-        w = p.coefficient.eigenvalues
-        vinv = u.conj().T
-        v = u
-        cond = 1.0
+        es = p.coefficient
+        w, to_eigen, from_eigen = es.eigenvalues, es.apply_adjoint, es.apply
     else:
-        w, v, cond = _diagonalize(p.coefficient)
-        vinv = None if cond > 1e8 else np.linalg.inv(v)
+        w, v, vinv, cond = _diagonalize(p.coefficient)
+        to_eigen = None if vinv is None else partial(np.matmul, vinv)
+        from_eigen = partial(np.matmul, v)
 
-    if vinv is not None:
-        out = v @ (np.exp(w * T) * (vinv @ p.u0))
+    if to_eigen is not None:
+        out = from_eigen(np.exp(w * T) * to_eigen(p.u0))
         if not p.is_homogeneous:
             if isinstance(p.inhomogeneous, SampledSource):
                 src = p.inhomogeneous
 
                 def g(s):
-                    return v @ (np.exp(w * (T - s)) * (vinv @ src(s)))
+                    return from_eigen(np.exp(w * (T - s)) * to_eigen(src(s)))
 
                 out = out + _gauss_panels(g, T)
             else:
                 kern = np.array([exp_integral(wj, T) for wj in w])
-                out = out + v @ (kern * (vinv @ p.inhomogeneous))
+                out = out + from_eigen(kern * to_eigen(p.inhomogeneous))
         return out
 
     # non-diagonalizable (or numerically nearly so): expm path

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ffode import (
-    EigenOracleSet, EigenSystem, OdeProblem, SampledSource, be_duhamel_eigen,
-    be_exp_eigen, matrix_exponential, quadrature_error_bound,
-    quadrature_nodes_for, riemann_plan, solve_eigen, solve_eigen_homogeneous,
+    BlockEncoding, DiagonalEncoding, EigenOracleSet, EigenSystem, OdeProblem,
+    QueryLedger, SampledSource, be_duhamel_eigen, be_exp_eigen,
+    matrix_exponential, quadrature_error_bound, quadrature_nodes_for,
+    riemann_plan, solve_eigen, solve_eigen_homogeneous,
     solve_eigen_inhomogeneous, solve_eigen_timedep, solve_reference,
-    verify_block_encoding,
+    spectral_norm, verify_block_encoding,
 )
 from ffode.block_encoding import U_EIG
 from ffode.config import MAX_RIEMANN_NODES
@@ -392,3 +393,70 @@ def test_timedep_samples_each_node_once():
     assert np.array_equal(plan.samples[:, 1], b(0.25))
     assert np.allclose(plan.norms, np.linalg.norm(plan.samples, axis=0),
                        rtol=1e-15, atol=0.0)
+
+
+def _advdiff_oracle():
+    from ffode import PdeSpec, eigensystem_of
+    spec = PdeSpec("advection-diffusion", 2, 8, 1.0, a=[1.0, 0.5],
+                   a_prime=[1.0, -0.5], c=-0.2,
+                   u0=lambda x: 1.0 + np.cos(2 * np.pi * x[0]))
+    return eigensystem_of(spec)
+
+
+def test_diagonal_encodings_match_dense_construction():
+    # the dense N×N products the encodings used to store, at n = 8, d = 2
+    from ffode.pde import dft_tensor
+    o = _advdiff_oracle()
+    u = dft_tensor(8, 2)
+    lam = o.eigenvalues
+    T = 0.03
+    for be in (be_exp_eigen(o, T), be_duhamel_eigen(o, T)):
+        assert isinstance(be, DiagonalEncoding) and be.system_dim == 64
+        dense = BlockEncoding((u * be.factors) @ u.conj().T, be.alpha,
+                              be.epsilon_claim, 1, be.ledger,
+                              (u * be.target_diagonal) @ u.conj().T)
+        assert np.max(np.abs(be.block - dense.block)) < 1e-12
+        assert np.max(np.abs(be.target - dense.target)) < 1e-12
+        assert np.max(np.abs(be.unitary - dense.unitary)) < 1e-12
+        v = np.linspace(0.0, 1.0, 64) + 0.5j
+        assert np.allclose(be.apply(v), dense.block @ v, atol=1e-13)
+    assert np.allclose(be_exp_eigen(o, T).target_diagonal, np.exp(lam * T))
+
+
+def test_diagonal_encoding_checks_need_no_svd(monkeypatch):
+    import ffode.block_encoding as bem
+    o = _advdiff_oracle()
+    calls = []
+    monkeypatch.setattr(bem, "spectral_norm",
+                        lambda m: calls.append(1) or spectral_norm(m))
+    be_exp_eigen(o, 0.03)
+    be_duhamel_eigen(o, 0.03)
+    assert calls == []
+
+
+def test_diagonal_encodings_reject_bad_factors_and_claims():
+    from ffode.eigen_solvers import _dilate_diagonal
+    o = _advdiff_oracle()
+    n = o.eigen.dim
+    ones = np.ones(n, dtype=complex)
+    big = ones.copy()
+    big[3] = 1.0 + 2e-10
+    with pytest.raises(ValueError, match="exceeds 1"):
+        _dilate_diagonal(o, big, 1.0, big, QueryLedger())
+    # past the bound, the dense SVD decides: a factor of 1 + 1e-9 is rejected
+    big[3] = 1.0 + 1e-9
+    with pytest.raises(ValueError, match="contraction"):
+        DiagonalEncoding(o.eigen, big, 1.0, 0.0, QueryLedger(), big)
+    # a target off by 1e-6 in one mode violates a 1e-9 claim
+    off = 2.0 * ones
+    off[5] += 1e-6
+    with pytest.raises(ValueError, match="violates its claim"):
+        DiagonalEncoding(o.eigen, ones, 2.0, 1e-9, QueryLedger(), off)
+    # the same check on a dense basis with a measured defect
+    dense = EigenSystem(o.eigen.basis, o.eigenvalues)
+    assert 0.0 < dense.unitarity_defect < 1e-13
+    with pytest.raises(ValueError, match="violates its claim"):
+        DiagonalEncoding(dense, ones, 2.0, 1e-9, QueryLedger(), off)
+    DiagonalEncoding(dense, ones, 2.0, 1e-9, QueryLedger(), 2.0 * ones)
+    with pytest.raises(ValueError, match="one entry per eigenvalue"):
+        DiagonalEncoding(dense, ones[1:], 2.0, 1e-9, QueryLedger(), ones[1:])

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from ffode import (
-    EigenSystem, fidelity_perturbation_bound, global_phase_distance,
-    logarithmic_norm, matrix_exponential, non_normality,
-    pure_state_trace_distance, renormalization_error_bounds,
+    EigenSystem, FourierBasis, fidelity_perturbation_bound,
+    global_phase_distance, logarithmic_norm, matrix_exponential,
+    non_normality, pure_state_trace_distance, renormalization_error_bounds,
     schatten1_distance, spectral_norm,
 )
-from ffode.pde import build_dh
+from ffode.pde import build_dh, dft_tensor
 
 
 def random_unit(rng, n):
@@ -255,3 +255,41 @@ def test_global_phase_distance():
     assert global_phase_distance(v, np.exp(1.3j) * v) < 1e-12
     w = random_unit(rng, 5)
     assert global_phase_distance(v, w) <= np.linalg.norm(v - w) + 1e-12
+
+
+def test_fourier_basis_matches_dense_dft():
+    rng = np.random.default_rng(41)
+    for n, d in [(4, 1), (5, 2), (3, 3), (8, 2)]:
+        f = dft_tensor(n, d)
+        big = n ** d
+        mixer = np.block([[np.eye(big), np.eye(big)],
+                          [np.eye(big), -np.eye(big)]]) / math.sqrt(2.0)
+        zero = np.zeros_like(f)
+        lifted = np.block([[f, zero], [zero, f]]) @ mixer
+        for dense, basis in ((f, FourierBasis(n, d)),
+                             (lifted, FourierBasis(n, d, lifted=True))):
+            assert basis.dim == dense.shape[0]
+            assert np.max(np.abs(basis.dense() - dense)) < 1e-14
+            # one vector and a batch of columns
+            x = (rng.standard_normal((basis.dim, 3))
+                 + 1j * rng.standard_normal((basis.dim, 3)))
+            assert np.allclose(basis.apply(x), dense @ x, atol=1e-13)
+            assert np.allclose(basis.apply_adjoint(x), dense.conj().T @ x,
+                               atol=1e-13)
+            assert np.allclose(basis.apply(x[:, 0]), dense @ x[:, 0],
+                               atol=1e-13)
+
+
+def test_eigensystem_fourier_basis_on_demand():
+    lam = np.linspace(-3.0, 0.0, 16) + 1j * np.linspace(0.0, 1.0, 16)
+    es = EigenSystem(FourierBasis(4, 2), lam)
+    dense = EigenSystem(dft_tensor(4, 2), lam)
+    assert es.unitarity_defect == 0.0 and es.dim == 16
+    assert dense.unitarity_defect < 1e-14
+    assert np.max(np.abs(es.basis - dense.basis)) < 1e-14
+    assert np.max(np.abs(es.matrix - dense.matrix)) < 1e-13
+    x = np.arange(16.0) + 1j
+    assert np.allclose(es.apply(lam * es.apply_adjoint(x)), dense.matrix @ x,
+                       atol=1e-12)
+    with pytest.raises(ValueError, match="count"):
+        EigenSystem(FourierBasis(4, 2), lam[:8])

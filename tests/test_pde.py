@@ -301,3 +301,124 @@ def test_pde_spec_validation():
         PdeSpec("airy", 2, 8, 1.0, u0=smooth_u0)
     with pytest.raises(ValueError):
         PdeSpec("unknown", 1, 8, 1.0)
+
+
+def test_grid_is_built_once_per_shape():
+    spec = PdeSpec("heat", 2, 5, 1.0, u0=smooth_u0)
+    other = PdeSpec("heat", 2, 5, 2.0, u0=smooth_u0)
+    grid = spec.grid()
+    assert grid is other.grid() and not grid.flags.writeable
+    mesh = np.meshgrid(np.arange(5) / 5, np.arange(5) / 5, indexing="ij")
+    assert np.array_equal(grid, np.stack([m.ravel() for m in mesh], axis=1))
+    assert np.array_equal(spec.u0_vector(), [smooth_u0(x) for x in grid])
+
+
+@pytest.mark.parametrize("spec, calls", [
+    (PdeSpec("heat", 2, 6, 0.1, u0=smooth_u0), 0),
+    (PdeSpec("advection-diffusion", 2, 6, 0.1, a_prime=[1.0, -0.5],
+             u0=smooth_u0), 0),
+    (PdeSpec("transport", 1, 8, 0.1, u0=smooth_u0), 0),
+    (PdeSpec("airy", 1, 8, 0.001, u0=smooth_u0), 0),
+    (PdeSpec("wave", 2, 6, 0.1, u0=smooth_u0, w0=mean_zero_w0), 1),
+    (PdeSpec("klein-gordon", 2, 6, 0.1, mass=1.0, u0=smooth_u0,
+             w0=mean_zero_w0), 1),
+    (PdeSpec("beam", 1, 8, 0.001, u0=smooth_u0, w0=mean_zero_w0), 1),
+])
+def test_solve_pde_builds_dense_operator_only_for_the_reference(
+        monkeypatch, spec, calls):
+    import ffode.pde as pde
+    built = []
+    original = pde.dense_operator
+    monkeypatch.setattr(pde, "dense_operator",
+                        lambda s: built.append(s) or original(s))
+    solve_pde(spec, 1e-8)
+    assert len(built) == calls
+
+
+def _advdiff_spec(a_prime):
+    return PdeSpec("advection-diffusion", 2, 8, 1.0, a=[1.0, 0.7],
+                   a_prime=a_prime, c=-0.2, u0=smooth_u0)
+
+
+def test_cross_validation_rejects_wrong_parabolic_eigenvalues():
+    from ffode.pde import _cross_validated, _spatial_eigenvalues
+    spec = _advdiff_spec([1.0, -0.5])
+    lam = _spatial_eigenvalues(spec)
+    _cross_validated(spec, lam)
+    bumped = lam.copy()
+    bumped[11] += 1e-6
+    with pytest.raises(ValueError, match="residual"):
+        _cross_validated(spec, bumped)
+    swapped = _spatial_eigenvalues(_advdiff_spec([-0.5, 1.0]))
+    with pytest.raises(ValueError, match="residual"):
+        _cross_validated(spec, swapped)
+    airy = PdeSpec("airy", 1, 16, 1.0, u0=smooth_u0)
+    lam = -dh3_eigenvalues(16)
+    lam[3] += 1e-6
+    with pytest.raises(ValueError, match="residual"):
+        _cross_validated(airy, lam)
+
+
+def test_cross_validation_probe_catches_swapped_symbol_axes(monkeypatch):
+    # with the symbol's axes swapped both spectra move together, so only the
+    # stencil probe can tell
+    import ffode.pde as pde
+    original = pde._symbol
+    monkeypatch.setattr(pde, "_symbol", lambda spec, one_d, coeffs: original(
+        spec, one_d, np.asarray(coeffs)[::-1]))
+    with pytest.raises(ValueError, match="probe"):
+        eigensystem_of(_advdiff_spec([1.0, -0.5]))
+
+
+def test_cross_validation_rejects_wrong_lifted_eigenvalues():
+    from ffode.pde import _cross_validated, _hyperbolic_radicand
+    for spec in (PdeSpec("wave", 2, 6, 1.0, c=-0.5, u0=smooth_u0,
+                         w0=mean_zero_w0),
+                 PdeSpec("beam", 1, 16, 1.0, u0=smooth_u0, w0=mean_zero_w0)):
+        s = np.sqrt(_hyperbolic_radicand(spec))
+        lam = np.concatenate([1j * s, -1j * s])
+        eigen = _cross_validated(spec, lam)
+        assert np.allclose(eigen.matrix, dense_operator(spec), atol=1e-8)
+        with pytest.raises(ValueError, match="residual"):
+            _cross_validated(spec, np.concatenate([-1j * s, 1j * s]))
+        bumped = lam.copy()
+        bumped[spec.N + 2] += 1e-6
+        with pytest.raises(ValueError, match="residual"):
+            _cross_validated(spec, bumped)
+
+
+def test_heat_d3_n16_without_dense_matrices():
+    # N = 4096: one dense N×N complex matrix would take 256 MiB
+    import tracemalloc
+    from scipy.sparse import csr_matrix, hstack, identity, kron, vstack
+    from scipy.sparse.linalg import expm_multiply
+
+    def u0(x):
+        return (1.0 + 0.5 * np.cos(2 * np.pi * x[0]) * np.sin(2 * np.pi * x[1])
+                + 0.25 * np.cos(4 * np.pi * x[2]))
+
+    def b(x, t):
+        return 0.5 + np.sin(2 * np.pi * (x[0] + x[2]))
+
+    n, T = 16, 0.01
+    spec = PdeSpec("heat", 3, n, T, u0=u0, b=b, b_dt=lambda x, t: 0.0)
+    tracemalloc.start()
+    try:
+        rep = solve_pde(spec, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.error_vs_reference <= 1e-9
+    assert peak < 32 * 2 ** 20
+
+    # independent: the sparse stencil, with b carried by one extra row
+    dh, eye = csr_matrix(build_dh(n).real), identity(n, format="csr")
+    lap = (kron(kron(dh, eye), eye) + kron(kron(eye, dh), eye)
+           + kron(kron(eye, eye), dh))
+    bvec = spec.b_vector(0.0).real
+    aug = vstack([hstack([lap, csr_matrix(bvec[:, None])]),
+                  csr_matrix((1, n ** 3 + 1))]).tocsr()
+    uT = expm_multiply(aug * T, np.append(spec.u0_vector().real, 1.0))[:-1]
+    ov = np.vdot(uT / np.linalg.norm(uT), rep.output_state)
+    assert np.linalg.norm(rep.output_state * abs(ov) / ov
+                          - uT / np.linalg.norm(uT)) <= 1e-9

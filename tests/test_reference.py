@@ -219,3 +219,30 @@ def test_ode_problem_validation():
         OdeProblem(np.eye(2), [1.0, 0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         OdeProblem(np.eye(2), [1.0, 0.0], 1.0, [1.0, 2.0, 3.0])
+
+
+def test_reference_diagonalizes_hermitian_and_skew_with_eigh(monkeypatch):
+    from scipy.linalg import expm
+    called = []
+    for name in ("eig", "eigh"):
+        def spy(a, _name=name, _original=getattr(np.linalg, name)):
+            called.append(_name)
+            return _original(a)
+        monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    herm = -(x @ x.conj().T) / 6.0          # Hermitian, spectrum ≤ 0
+    skew = (x - x.conj().T) / 2.0           # skew-Hermitian
+    nearly_skew = skew + 1e-6 * np.diag(np.arange(6.0))
+    nonnormal = np.triu(x) - 3.0 * np.eye(6)
+    u0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    b = rng.standard_normal(6) + 0j
+    for a, route in ((herm, "eigh"), (skew, "eigh"), (nearly_skew, "eig"),
+                     (nonnormal, "eig")):
+        called.clear()
+        out = solve_reference(OdeProblem(a, u0, 0.7, b))
+        assert called == [route]
+        aug = np.zeros((7, 7), dtype=complex)
+        aug[:6, :6], aug[:6, 6] = a, b
+        want = (expm(0.7 * aug) @ np.append(u0, 1.0))[:6]
+        assert np.linalg.norm(out - want) <= 1e-10 * np.linalg.norm(want)
