@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -384,11 +385,6 @@ def write_csv(rows: list[dict], path: str) -> None:
 # ---------------------------------------------------------------------------
 # lb subcommand
 
-LB_FAMILIES = ("realpart-gap", "nonnormal-homo", "realpart-gap-inhomo",
-               "nonnormal-inhomo", "imaginary-time", "linear-system",
-               "amplifier", "shifting")
-
-
 def _print_certified(pair) -> int:
     failures = 0
     for name, (measured, bound, direction) in sorted(pair.certified.items()):
@@ -400,84 +396,99 @@ def _print_certified(pair) -> int:
     return failures
 
 
+def _print_check(name: str, ok: bool, detail: str = "") -> int:
+    print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
+    return 0 if ok else 1
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.linalg.qr(_complex_normal(rng, (n, n)))[0]
+
+
+def _lb_amplifier(args, rng) -> float:
+    """Worst ratio to the 2q·sqrt(2ε) bound over random one-ancilla circuits."""
+    psi = np.zeros(args.dim, dtype=complex)
+    psi[0] = 1.0
+    phi = psi * (1.0 - args.eps)
+    phi[1] = math.sqrt(1.0 - (1.0 - args.eps) ** 2)
+    pair = worst_case_oracle_pair(psi, phi)
+    worst = 0.0
+    for _ in range(args.trials):
+        q = int(rng.integers(1, 9))
+        inter = [_random_unitary(rng, 2 * args.dim) for _ in range(q + 1)]
+        kinds = [str(rng.choice(["oracle", "inverse", "controlled",
+                                 "controlled-inverse"]))
+                 for _ in range(q)]
+        circ = AmplifierCircuit(inter, kinds, ancilla_qubits=1)
+        worst = max(worst, amplifier_bound_check(pair, circ))
+    return worst
+
+
+#: range-checked ``lb`` parameters: (predicate, message on violation)
+LB_RANGES = {
+    "eps": (lambda x: 0 < x < 1, "eps must lie in (0,1)"),
+    "delta": (lambda x: 0 < x < 1, "delta must lie in (0,1)"),
+    "kappa": (lambda x: x > 1, "kappa must exceed 1"),
+}
+
+
+class LbFamily(NamedTuple):
+    """An ``lb`` family: the LB_RANGES keys it reads, ``build(args, rng)``,
+    and ``report(result)``, which prints PASS/FAIL lines, returns failures."""
+
+    checked: tuple
+    build: Callable
+    report: Callable = _print_certified
+
+
+def _gap_family(witness) -> LbFamily:
+    """A real-part-gap family: identity basis, real parts 1 down to -1."""
+    return LbFamily(("eps",), lambda args, rng: witness(
+        np.eye(args.dim, dtype=complex), np.linspace(1.0, -1.0, args.dim) + 0j,
+        args.eps))
+
+
+LB_TABLE = {
+    "realpart-gap": _gap_family(witness_realpart_gap),
+    "nonnormal-homo": LbFamily(("delta",), lambda args, rng:
+                               witness_nonnormal_homogeneous(args.delta)),
+    "realpart-gap-inhomo": _gap_family(witness_realpart_gap_inhomogeneous),
+    "nonnormal-inhomo": LbFamily(("delta",), lambda args, rng:
+                                 witness_nonnormal_inhomogeneous(args.delta)),
+    "imaginary-time": LbFamily((), lambda args, rng: witness_imaginary_time(
+        np.diag(np.linspace(0.0, 1.0, args.dim)).astype(complex), args.T)),
+    "linear-system": LbFamily(("kappa",), lambda args, rng: witness_linear_system(
+        args.kappa, _random_unitary(rng, args.dim),
+        _random_unitary(rng, args.dim))),
+    "amplifier": LbFamily(("eps",), _lb_amplifier, lambda worst: _print_check(
+        "amplifier.ratio_max", worst <= 1.0,
+        f": measured {worst:.8g} <= bound 1")),
+    "shifting": LbFamily((), lambda args, rng: shifting_equivalence_check(
+        _complex_normal(rng, (args.dim, args.dim)), args.shift,
+        _complex_normal(rng, args.dim), args.T),
+        lambda ok: _print_check("shifting.normalized_invariance", ok)),
+}
+
+LB_FAMILIES = tuple(LB_TABLE)
+
+
 def cmd_lb(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    checked, build, report = LB_TABLE[args.family]
+    for name in checked:
+        in_range, message = LB_RANGES[name]
+        if not in_range(getattr(args, name)):
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_SCHEMA
     try:
-        if args.family == "realpart-gap":
-            if not (0 < args.eps < 1):
-                raise SchemaError("eps must lie in (0,1)")
-            basis = np.eye(args.dim, dtype=complex)
-            lam = np.linspace(1.0, -1.0, args.dim) + 0j
-            pair = witness_realpart_gap(basis, lam, args.eps)
-            return EXIT_FAIL if _print_certified(pair) else EXIT_OK
-        if args.family == "nonnormal-homo":
-            if not (0 < args.delta < 1):
-                raise SchemaError("delta must lie in (0,1)")
-            pair = witness_nonnormal_homogeneous(args.delta)
-            return EXIT_FAIL if _print_certified(pair) else EXIT_OK
-        if args.family == "realpart-gap-inhomo":
-            if not (0 < args.eps < 1):
-                raise SchemaError("eps must lie in (0,1)")
-            basis = np.eye(args.dim, dtype=complex)
-            lam = np.linspace(1.0, -1.0, args.dim) + 0j
-            pair = witness_realpart_gap_inhomogeneous(basis, lam, args.eps)
-            return EXIT_FAIL if _print_certified(pair) else EXIT_OK
-        if args.family == "nonnormal-inhomo":
-            if not (0 < args.delta < 1):
-                raise SchemaError("delta must lie in (0,1)")
-            pair = witness_nonnormal_inhomogeneous(args.delta)
-            return EXIT_FAIL if _print_certified(pair) else EXIT_OK
-        if args.family == "imaginary-time":
-            h = np.diag(np.linspace(0.0, 1.0, args.dim)).astype(complex)
-            pair = witness_imaginary_time(h, args.T)
-            return EXIT_FAIL if _print_certified(pair) else EXIT_OK
-        if args.family == "linear-system":
-            if args.kappa <= 1:
-                raise SchemaError("kappa must exceed 1")
-            u = np.linalg.qr(rng.standard_normal((args.dim, args.dim))
-                             + 1j * rng.standard_normal((args.dim, args.dim)))[0]
-            v = np.linalg.qr(rng.standard_normal((args.dim, args.dim))
-                             + 1j * rng.standard_normal((args.dim, args.dim)))[0]
-            pair = witness_linear_system(args.kappa, u, v)
-            return EXIT_FAIL if _print_certified(pair) else EXIT_OK
-        if args.family == "amplifier":
-            if not (0 < args.eps < 1):
-                raise SchemaError("eps must lie in (0,1)")
-            psi = np.zeros(args.dim, dtype=complex)
-            psi[0] = 1.0
-            phi = psi * (1.0 - args.eps)
-            phi[1] = math.sqrt(1.0 - (1.0 - args.eps) ** 2)
-            pair = worst_case_oracle_pair(psi, phi)
-            worst = 0.0
-            for trial in range(args.trials):
-                q = int(rng.integers(1, 9))
-                inter = [np.linalg.qr(
-                    rng.standard_normal((2 * args.dim, 2 * args.dim))
-                    + 1j * rng.standard_normal((2 * args.dim, 2 * args.dim)))[0]
-                    for _ in range(q + 1)]
-                kinds = [str(rng.choice(["oracle", "inverse", "controlled",
-                                         "controlled-inverse"]))
-                         for _ in range(q)]
-                circ = AmplifierCircuit(inter, kinds, ancilla_qubits=1)
-                worst = max(worst, amplifier_bound_check(pair, circ))
-            ok = worst <= 1.0
-            print(f"{'PASS' if ok else 'FAIL'} amplifier.ratio_max: measured "
-                  f"{worst:.8g} <= bound 1")
-            return EXIT_OK if ok else EXIT_FAIL
-        if args.family == "shifting":
-            n = args.dim
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ok = shifting_equivalence_check(a, args.shift, u0, args.T)
-            print(f"{'PASS' if ok else 'FAIL'} shifting.normalized_invariance")
-            return EXIT_OK if ok else EXIT_FAIL
-        raise SchemaError(f"unknown family {args.family!r}")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        result = build(args, np.random.default_rng(args.seed))
     except ValueError as exc:
         print(f"FAIL {args.family}: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    return EXIT_FAIL if report(result) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

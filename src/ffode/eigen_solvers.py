@@ -34,6 +34,7 @@ from .reference import (
 )
 
 _REAL_TOL = 1e-12
+_DRIVE_SAMPLES = 4097  # grid points of the sup drive term
 
 
 @dataclass
@@ -84,9 +85,8 @@ class EigenOracleSet:
                     and np.all(lam.real <= _REAL_TOL))
 
     @classmethod
-    def from_eigensystem(cls, eigen: EigenSystem, *, variant: str = "plain",
-                         alpha_shift: float | None = None,
-                         beta_floor: float | None = None) -> "EigenOracleSet":
+    def from_eigensystem(cls, eigen: EigenSystem, *,
+                         variant: str = "plain") -> "EigenOracleSet":
         """Auto-fill the shift and floor from the spectrum.
 
         plain:  α = 0 for real nonpositive spectra (the 6-query lemmas apply
@@ -100,20 +100,18 @@ class EigenOracleSet:
         """
         lam = eigen.eigenvalues
         max_re = float(np.max(lam.real))
-        if alpha_shift is None:
-            if variant == "nonneg":
-                alpha_shift = max(0.0, max_re)
-            elif np.all(np.abs(lam.imag) <= _REAL_TOL) and max_re <= _REAL_TOL:
-                alpha_shift = 0.0
-            else:
-                alpha_shift = max_re
-        if beta_floor is None:
-            all_imag = np.all(np.abs(lam.real) <= _REAL_TOL)
-            none_zero = np.all(np.abs(lam) > _REAL_TOL)
-            if abs(max_re) <= _REAL_TOL and all_imag and none_zero:
-                beta_floor = float(np.min(np.abs(lam.imag)))
-            else:
-                beta_floor = 0.0
+        if variant == "nonneg":
+            alpha_shift = max(0.0, max_re)
+        elif np.all(np.abs(lam.imag) <= _REAL_TOL) and max_re <= _REAL_TOL:
+            alpha_shift = 0.0
+        else:
+            alpha_shift = max_re
+        all_imag = np.all(np.abs(lam.real) <= _REAL_TOL)
+        none_zero = np.all(np.abs(lam) > _REAL_TOL)
+        if abs(max_re) <= _REAL_TOL and all_imag and none_zero:
+            beta_floor = float(np.min(np.abs(lam.imag)))
+        else:
+            beta_floor = 0.0
         return cls(eigen, float(alpha_shift), float(beta_floor),
                    nonneg_shift=(variant == "nonneg"))
 
@@ -166,7 +164,7 @@ def be_duhamel_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
     if T <= 0:
         raise ValueError("T must be positive")
     lam = o.eigenvalues
-    target = np.array([exp_integral(z, T) for z in lam])
+    target = exp_integral(lam, T)
     if _real_case(o):
         factors = np.array([kernel_f(float(z.real), T) for z in lam],
                            dtype=complex)
@@ -251,23 +249,19 @@ def riemann_plan(b, T: float, M: int) -> RiemannPlan:
                        float(np.mean(norms ** 2)))
 
 
-def _sup_drive_term(p: OdeProblem, o: EigenOracleSet,
-                    samples: int = 4097) -> float:
-    """sup over [0,T] of ‖A‖·‖b(t)‖ + ‖db/dt‖ on a dense grid."""
+def _sup_drive_term(p: OdeProblem, o: EigenOracleSet) -> float:
+    """sup over [0,T] of ‖A‖·‖b(t)‖ + ‖db/dt‖ on a grid of _DRIVE_SAMPLES."""
     src = p.inhomogeneous
     if not isinstance(src, SampledSource):
         raise ValueError("quadrature bounds need a sampled source")
-    if src.derivative is None and src.derivative_sup is None:
-        raise ValueError("quadrature bounds need a derivative or a bound on it")
+    if src.derivative is None:
+        raise ValueError("quadrature bounds need the source's derivative")
     norm_a = float(np.max(np.abs(o.eigenvalues)))
-    ts = np.linspace(0.0, p.horizon, samples)
+    ts = np.linspace(0.0, p.horizon, _DRIVE_SAMPLES)
     best = 0.0
     for t in ts:
-        term = norm_a * float(np.linalg.norm(src(t)))
-        if src.derivative is not None:
-            term += float(np.linalg.norm(as_vector(src.derivative(t))))
-        else:
-            term += float(src.derivative_sup)
+        term = (norm_a * float(np.linalg.norm(src(t)))
+                + float(np.linalg.norm(as_vector(src.derivative(t)))))
         best = max(best, term)
     return best
 

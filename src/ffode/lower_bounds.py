@@ -7,8 +7,9 @@ Duhamel reference, and certifies every inequality the argument rests on:
 initial overlap, final-fidelity ceiling, and the displayed Ω(1) trace
 distances.  The amplifier framework (worst-case prepare-oracle pairs and the
 2q·sqrt(2ε) circuit bound) and the equilibrium reduction are certified the
-same way.  The asymptotic statements themselves are not "tested"; what is
-checked is every concrete inequality they rest on.
+same way; an amplifier circuit applies each oracle slot to the state and
+never forms a 2^a·d slot matrix.  The asymptotic statements themselves are
+not "tested"; what is checked is every concrete inequality they rest on.
 """
 
 from __future__ import annotations
@@ -70,15 +71,15 @@ def _evolved_pair(pair: WitnessPair) -> tuple[np.ndarray, np.ndarray]:
     return solve_reference(pu), solve_reference(pw)
 
 
-def witness_realpart_gap(basis: np.ndarray, eigenvalues, eps: float) -> WitnessPair:
-    """Homogeneous hard pair for a coefficient with an eigenvalue real-part gap.
-
-    Picks the extreme-real-part eigenvectors v1, v2 (columns of ``basis``,
-    unit norm, phase-rotated so <v1|v2> is real), sets u(0) = v2 and
-    w(0) = sqrt(eps)·v1 + ξ·v2 with ξ the normalizing root, and evolves to
-    T = log(1/eps)/(2·gap), at which point sqrt(eps)·e^{gap·T} = 1 exactly.
-    Certifies the initial overlap ≥ sqrt(1-eps), |ξ| ≤ 1+sqrt(2), and the
-    final-fidelity ceiling that depends only on <v1|v2>.
+def _realpart_gap_pair(family: str, basis: np.ndarray, eigenvalues,
+                       eps: float, horizon, driven: bool = False) -> WitnessPair:
+    """Both real-part-gap witnesses: A = VΛV⁻¹ for an invertible basis V of
+    unit columns, the eigenvectors v1, v2 of the largest and smallest real
+    parts α1, α2 (not parallel; v2's phase rotated so g = <v1|v2> ≥ 0),
+    u(0) = v2, w(0) = sqrt(eps)·v1 + ξ·v2 with ξ the normalizing root, b = v2
+    when ``driven``, and (T, extra params) = horizon(α1, α2), which raises
+    when the family's condition on α1, α2 fails.  Certifies unit initial
+    states, |ξ| ≤ 1+sqrt(2) and the initial overlap ≥ sqrt(1-eps).
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
@@ -90,16 +91,12 @@ def witness_realpart_gap(basis: np.ndarray, eigenvalues, eps: float) -> WitnessP
         raise ValueError("eigenvector columns must be unit norm")
     i_hi = int(np.argmax(lam.real))
     i_lo = int(np.argmin(lam.real))
-    gap = float(lam.real[i_hi] - lam.real[i_lo])
-    if gap <= TOL.zero:
-        raise ValueError("no real-part gap: all eigenvalues share a real part")
+    T, extra = horizon(float(lam.real[i_hi]), float(lam.real[i_lo]))
     v1 = v[:, i_hi]
     v2 = v[:, i_lo]
     g_raw = np.vdot(v1, v2)
     if abs(g_raw) >= 1.0 - 1e-12:
         raise ValueError("v1 and v2 are parallel; normalization is insolvable")
-    # rotate v2's phase so the overlap is real and nonnegative; this changes
-    # neither A nor the construction
     phase = g_raw / abs(g_raw) if abs(g_raw) > 1e-14 else 1.0
     v2 = v2 * np.conj(phase)
     g = float(np.real(np.vdot(v1, v2)))
@@ -107,15 +104,31 @@ def witness_realpart_gap(basis: np.ndarray, eigenvalues, eps: float) -> WitnessP
     xi = -math.sqrt(eps) * g + math.sqrt(eps * g * g + 1.0 - eps)
     u0 = v2.copy()
     w0 = math.sqrt(eps) * v1 + xi * v2
-    T = math.log(1.0 / eps) / (2.0 * gap)
     a = (v * lam) @ np.linalg.inv(v)
-
-    pair = WitnessPair("realpart-gap", a, u0, w0, T,
-                       params={"eps": eps, "gap": gap, "xi": xi, "overlap": g})
+    pair = WitnessPair(family, a, u0, w0, T, b=v2.copy() if driven else None,
+                       params={"eps": eps, **extra, "xi": xi, "overlap": g})
     pair.check("initial_norm_u", abs(np.linalg.norm(u0) - 1.0), 1e-12)
     pair.check("initial_norm_w", abs(np.linalg.norm(w0) - 1.0), 1e-12)
     pair.check("xi_bound", abs(xi), 1.0 + math.sqrt(2.0))
     pair.check("initial_overlap", _fidelity(u0, w0), math.sqrt(1.0 - eps), ">=")
+    return pair
+
+
+def witness_realpart_gap(basis: np.ndarray, eigenvalues, eps: float) -> WitnessPair:
+    """Homogeneous hard pair for a coefficient with an eigenvalue real-part gap.
+
+    The ``_realpart_gap_pair`` states evolve to T = log(1/eps)/(2·gap), where
+    sqrt(eps)·e^{gap·T} = 1 exactly.  Also certifies that identity and the
+    final-fidelity ceiling, which depends only on g = <v1|v2>.
+    """
+    def horizon(top, bottom):
+        gap = top - bottom
+        if gap <= TOL.zero:
+            raise ValueError("no real-part gap: all eigenvalues share a real part")
+        return math.log(1.0 / eps) / (2.0 * gap), {"gap": gap}
+
+    pair = _realpart_gap_pair("realpart-gap", basis, eigenvalues, eps, horizon)
+    gap, g, T = pair.params["gap"], pair.params["overlap"], pair.horizon
     # the implied query floor: sqrt(eps)·e^{gap·T} = 1 at the constructed T
     pair.check("query_floor_identity",
                abs(math.sqrt(eps) * math.exp(gap * T) - 1.0), 1e-10)
@@ -182,56 +195,33 @@ def witness_realpart_gap_inhomogeneous(basis: np.ndarray, eigenvalues,
                                        eps: float) -> WitnessPair:
     """Inhomogeneous hard pair; needs a positive top real part.
 
-    b = v2, u(0) = v2, w(0) = sqrt(eps)·v1 + ξ·v2; the horizon solves
+    The ``_realpart_gap_pair`` states with b = v2; T solves
     sqrt(eps)·e^{γ'T} = 1 + sqrt(2) + T with γ' = min(α1, α1-α2), found by
     bisection (the proof's monotonicity argument makes the root unique).
-    Certifies the root residual, the initial overlap and the fidelity
-    ceiling sqrt((2g²+2)/(3+g²)).
+    Also certifies the root residual and the ceiling sqrt((2g²+2)/(3+g²)).
     """
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    v = as_square(basis)
-    lam = as_vector(eigenvalues)
-    i_hi = int(np.argmax(lam.real))
-    i_lo = int(np.argmin(lam.real))
-    a1 = float(lam.real[i_hi])
-    a2 = float(lam.real[i_lo])
-    if a1 <= 0 or a1 - a2 <= 0:
-        raise ValueError("needs a positive top real part and a real-part gap")
-    gamma = min(a1, a1 - a2)
-    v1 = v[:, i_hi]
-    v2 = v[:, i_lo]
-    g_raw = np.vdot(v1, v2)
-    if abs(g_raw) >= 1.0 - 1e-12:
-        raise ValueError("v1 and v2 are parallel")
-    phase = g_raw / abs(g_raw) if abs(g_raw) > 1e-14 else 1.0
-    v2 = v2 * np.conj(phase)
-    g = float(np.real(np.vdot(v1, v2)))
-    xi = -math.sqrt(eps) * g + math.sqrt(eps * g * g + 1.0 - eps)
-
-    def root_fn(t):
+    def root_fn(t, gamma):
         return math.sqrt(eps) * math.exp(gamma * t) - (1.0 + math.sqrt(2.0) + t)
 
-    lo, hi = 0.0, (math.log(1.0 / eps) + 10.0) / gamma
-    if root_fn(hi) <= 0:
-        raise ValueError("bisection bracket failed to contain the root")
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if root_fn(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    T = (lo + hi) / 2.0
+    def horizon(top, bottom):
+        if top <= 0 or top - bottom <= 0:
+            raise ValueError("needs a positive top real part and a real-part gap")
+        gamma = min(top, top - bottom)
+        lo, hi = 0.0, (math.log(1.0 / eps) + 10.0) / gamma
+        if root_fn(hi, gamma) <= 0:
+            raise ValueError("bisection bracket failed to contain the root")
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            if root_fn(mid, gamma) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2.0, {"gamma": gamma}
 
-    a = (v * lam) @ np.linalg.inv(v)
-    u0 = v2.copy()
-    w0 = math.sqrt(eps) * v1 + xi * v2
-    pair = WitnessPair("realpart-gap-inhomogeneous", a, u0, w0, T, b=v2.copy(),
-                       params={"eps": eps, "gamma": gamma, "xi": xi,
-                               "overlap": g})
-    pair.check("bisection_residual", abs(root_fn(T)), 1e-9)
-    pair.check("xi_bound", abs(xi), 1.0 + math.sqrt(2.0))
-    pair.check("initial_overlap", _fidelity(u0, w0), math.sqrt(1.0 - eps), ">=")
+    pair = _realpart_gap_pair("realpart-gap-inhomogeneous", basis, eigenvalues,
+                              eps, horizon, driven=True)
+    gamma, g, T = pair.params["gamma"], pair.params["overlap"], pair.horizon
+    pair.check("bisection_residual", abs(root_fn(T, gamma)), 1e-9)
     uT, wT = _evolved_pair(pair)
     ceiling = math.sqrt((2.0 * g * g + 2.0) / (3.0 + g * g))
     pair.check("final_fidelity", _fidelity(uT, wT), ceiling)
@@ -443,26 +433,24 @@ class AmplifierCircuit:
                 and self.ancilla_qubits < 1:
             raise ValueError("controlled slots need at least one ancilla qubit")
 
-    def _slot_matrix(self, kind: str, oracle: np.ndarray) -> np.ndarray:
-        d = oracle.shape[0]
-        o = oracle if "inverse" not in kind else oracle.conj().T
-        full = np.kron(np.eye(2 ** self.ancilla_qubits), o)
-        if kind.startswith("controlled"):
-            half = full.shape[0] // 2
-            out = np.eye(full.shape[0], dtype=complex)
-            body = np.kron(np.eye(2 ** (self.ancilla_qubits - 1)), o)
-            out[half:, half:] = body
-            return out
-        return full
-
     def run(self, oracle: np.ndarray) -> np.ndarray:
-        """Pre-measurement state on input |0...0>."""
-        dim = (2 ** self.ancilla_qubits) * oracle.shape[0]
-        state = np.zeros(dim, dtype=complex)
+        """Pre-measurement state on input |0...0>.
+
+        Slots act on the state held as a (2^a, d) array, one row per ancilla
+        basis state; controlled slots act only on the bottom half of the
+        rows, where the most significant qubit is 1.
+        """
+        d = oracle.shape[0]
+        rows = 2 ** self.ancilla_qubits
+        state = np.zeros(rows * d, dtype=complex)
         state[0] = 1.0
-        for j, kind in enumerate(self.slots):
-            state = self.interleavers[j] @ state
-            state = self._slot_matrix(kind, oracle) @ state
+        for inter, kind in zip(self.interleavers, self.slots):
+            grid = (inter @ state).reshape(rows, d)
+            # a row r becomes O r, i.e. r @ O.T (r @ O.conj() for O†)
+            o_rows = oracle.conj() if "inverse" in kind else oracle.T
+            first = rows // 2 if kind.startswith("controlled") else 0
+            grid[first:] = grid[first:] @ o_rows
+            state = grid.reshape(-1)
         return self.interleavers[-1] @ state
 
 

@@ -41,6 +41,8 @@ PARABOLIC_KINDS = ("transport", "heat", "advection-diffusion", "airy",
                    "generic-parabolic")
 HYPERBOLIC_KINDS = ("wave", "klein-gordon", "beam")
 KINDS = PARABOLIC_KINDS + HYPERBOLIC_KINDS
+#: fractions of T at which ``time_independent_source`` compares b
+_SOURCE_PROBE_TIMES = (0.0, 0.37, 0.71)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +242,14 @@ class PdeSpec:
             raise ValueError("no source time-derivative sampler")
         return self._sample(lambda x: self.b_dt(x, t))
 
-    def time_independent_source(self, probe_times=(0.0, 0.37, 0.71)):
+    def time_independent_source(self):
         """Heuristic: b at the first probe time if it agrees there with b at
         the other, incommensurate probe times (constant in t), else None."""
         if self.b is None:
             return None
-        ref = self.b_vector(probe_times[0] * self.T)
+        ref = self.b_vector(_SOURCE_PROBE_TIMES[0] * self.T)
         if all(np.allclose(ref, self.b_vector(t * self.T), atol=1e-13)
-               for t in probe_times[1:]):
+               for t in _SOURCE_PROBE_TIMES[1:]):
             return ref
         return None
 

@@ -75,7 +75,7 @@ def _check_negdef(a: np.ndarray, delta: float) -> np.ndarray:
 def duhamel_integral_negdef(a: np.ndarray, T: float) -> np.ndarray:
     """Exact ∫₀ᵀ e^{A(T-s)} ds for Hermitian A, via eigendecomposition."""
     w, v = np.linalg.eigh(a)
-    kern = np.array([exp_integral(float(wj), T) for wj in w])
+    kern = exp_integral(w, T)
     return (v * kern) @ v.conj().T
 
 
@@ -284,8 +284,7 @@ def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
 
     hw, hv = np.linalg.eigh(h)
     exp_target = (hv * np.exp(-T * hw ** 2)) @ hv.conj().T
-    duh_target = (hv * np.array([exp_integral(-float(x) ** 2, T) for x in hw])
-                  ) @ hv.conj().T
+    duh_target = (hv * exp_integral(-hw ** 2, T)) @ hv.conj().T
 
     if nb == 0.0:
         eps0 = min(norm_uT * eps / (2.0 * nu), 0.24)

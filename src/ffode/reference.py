@@ -3,8 +3,9 @@
 Implements the Duhamel formula u(T) = e^{AT} u(0) + ∫₀ᵀ e^{A(T-s)} b(s) ds
 through eigendecomposition with closed-form per-eigenvalue kernels, plus the
 diagonal kernels f(λ,t), C(α,β,T) and the complex split f+ig used by the
-eigen-oracle solvers.  This module is the independent oracle the solvers are
-tested against, so it never reuses their construction path.
+eigen-oracle solvers.  The solvers are tested against ``solve_reference``,
+which builds no encoding or approximant; the solvers do import its kernels,
+so a kernel error would reach both sides.
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ import scipy.linalg as sla
 from .config import TOL
 from .linalg import EigenSystem, as_square, as_vector
 
+_GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the reference quadrature
+
 
 @dataclass
 class SampledSource:
     """A time-dependent inhomogeneous term given as a callback.
 
-    ``func(t)`` returns the vector b(t); ``derivative`` (a callback) or
-    ``derivative_sup`` (a bound on sup_t ‖db/dt‖) is needed by quadrature
-    error bounds.  Callbacks must be reentrant.
+    ``func(t)`` returns the vector b(t); ``derivative(t)`` returns db/dt and
+    is needed by quadrature error bounds.  Callbacks must be reentrant.
     """
 
     func: Callable[[float], np.ndarray]
     derivative: Callable[[float], np.ndarray] | None = None
-    derivative_sup: float | None = None
 
     def __call__(self, t: float) -> np.ndarray:
         return as_vector(self.func(t))
@@ -87,12 +88,14 @@ class OdeProblem:
         return bool(np.all(np.abs(self.inhomogeneous) < TOL.zero))
 
 
-def exp_integral(lam: complex, t: float) -> complex:
-    """∫₀ᵗ e^{λ(t-s)} ds, numerically stable for small |λt|."""
+def exp_integral(lam, t: float):
+    """∫₀ᵗ e^{λ(t-s)} ds, elementwise over λ: expm1(λt)/λ, which unlike
+    (e^{λt}-1)/λ does not cancel at small |λt|, or its series below it."""
+    lam = np.asarray(lam)
     z = lam * t
-    if abs(z) < TOL.kernel_series_switch:
-        return t * (1.0 + z / 2.0 + z * z / 6.0)
-    return (np.exp(z) - 1.0) / lam
+    small = np.abs(z) < TOL.kernel_series_switch
+    return np.where(small, t * (1.0 + z / 2.0 + z * z / 6.0),
+                    np.expm1(z) / np.where(small, 1.0, lam))[()]
 
 
 def kernel_f(lam: float, t: float) -> float:
@@ -153,10 +156,10 @@ def _diagonalize(a: np.ndarray):
     return w, v, (None if cond > 1e8 else np.linalg.inv(v)), cond
 
 
-def _gauss_panels(g, T: float, order: int = 12):
+def _gauss_panels(g, T: float):
     """Composite Gauss-Legendre quadrature of a vector-valued g over [0, T],
     with panel doubling until the refinement stalls below TOL.quadrature."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     prev = None
     panels = 1
     while panels <= 2 ** 14:
@@ -205,7 +208,7 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
 
                 out = out + _gauss_panels(g, T)
             else:
-                kern = np.array([exp_integral(wj, T) for wj in w])
+                kern = exp_integral(w, T)
                 out = out + from_eigen(kern * to_eigen(p.inhomogeneous))
         return out
 

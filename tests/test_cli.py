@@ -8,7 +8,8 @@ import pytest
 
 from ffode import WitnessPair
 from ffode.cli import (
-    CSV_COLUMNS, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, _print_certified, main,
+    CSV_COLUMNS, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, LB_FAMILIES,
+    _print_certified, main,
 )
 
 
@@ -194,6 +195,27 @@ def test_lb_bad_params(capsys):
     assert main(["lb", "--family", "realpart-gap", "--eps", "1.5"]) \
         == EXIT_SCHEMA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, code", [
+    *(([family], EXIT_OK) for family in LB_FAMILIES),
+    *(([family, f"--{name}", value], EXIT_SCHEMA)
+      for family, name in (("realpart-gap", "eps"),
+                           ("realpart-gap-inhomo", "eps"),
+                           ("amplifier", "eps"),
+                           ("nonnormal-homo", "delta"),
+                           ("nonnormal-inhomo", "delta"))
+      for value in ("0", "1")),
+    (["linear-system", "--kappa", "1"], EXIT_SCHEMA),
+    (["imaginary-time", "--eps", "1", "--kappa", "1"], EXIT_OK),  # unread
+])
+def test_lb_every_family_at_defaults_and_out_of_range(args, code, capsys):
+    assert main(["lb", "--family", *args]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert out.startswith("PASS") and "FAIL" not in out
+    else:
+        assert out == "" and err.startswith("error:")
 
 
 def test_degree_scan_csv(tmp_path, capsys):

@@ -107,6 +107,22 @@ def test_realpart_gap_inhomogeneous_preconditions():
             np.eye(2, dtype=complex), [-0.5, -1.0], 0.01)
 
 
+@pytest.mark.parametrize("witness", [witness_realpart_gap,
+                                     witness_realpart_gap_inhomogeneous])
+def test_realpart_gap_witnesses_validate_the_basis(witness):
+    lam = [1.0, -1.0]
+    # 2·I gave the inhomogeneous witness a "pair" with ‖u0‖ = ‖w0‖ = 2
+    with pytest.raises(ValueError, match="unit norm"):
+        witness(2.0 * np.eye(2), lam, 0.01)
+    ill = np.array([[1.0, 1.0], [0.0, 1e-13]])
+    ill = ill / np.linalg.norm(ill, axis=0)
+    with pytest.raises(ValueError, match="invertible"):
+        witness(ill, lam, 0.01)
+    pair = witness(np.eye(2, dtype=complex), lam, 0.01)
+    for name in ("initial_norm_u", "initial_norm_w"):
+        assert pair.certified[name][0] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # non-normal witnesses
 
@@ -283,6 +299,46 @@ def test_amplifier_growth_with_repeated_queries():
         circ = AmplifierCircuit(inter, ["oracle"] * q, ancilla_qubits=1)
         ratio = amplifier_bound_check(pair, circ)
         assert ratio <= 1.0
+
+
+def _dense_slot(kind, oracle, ancilla_qubits):
+    """The slot as an explicit 2^a·d matrix: kron(I, O) (O† for inverse
+    kinds), with identity on the half where the top qubit is 0 for
+    controlled kinds."""
+    o = oracle.conj().T if "inverse" in kind else oracle
+    full = np.kron(np.eye(2 ** ancilla_qubits), o)
+    if kind.startswith("controlled"):
+        half = full.shape[0] // 2
+        full[:half, :half] = np.eye(half)
+    return full
+
+
+@pytest.mark.parametrize("ancilla_qubits", [0, 1, 2, 3])
+def test_amplifier_run_matches_dense_circuit(ancilla_qubits, monkeypatch):
+    rng = np.random.default_rng(47 + ancilla_qubits)
+    d = 3
+    dim = 2 ** ancilla_qubits * d
+    oracle = random_unitary(rng, d)
+    kinds = ["oracle", "inverse"]
+    if ancilla_qubits:
+        kinds += ["controlled", "controlled-inverse"]
+    slot_lists = [[k] for k in kinds] + [list(rng.permutation(kinds * 2))]
+    circuits, dense = [], []
+    for slots in slot_lists:
+        inter = [random_unitary(rng, dim) for _ in range(len(slots) + 1)]
+        circuits.append(AmplifierCircuit(inter, slots, ancilla_qubits))
+        state = np.zeros(dim, dtype=complex)
+        state[0] = 1.0
+        for u, kind in zip(inter, slots):
+            state = _dense_slot(kind, oracle, ancilla_qubits) @ (u @ state)
+        dense.append(inter[-1] @ state)
+
+    def no_kron(*args):
+        raise AssertionError("AmplifierCircuit.run formed a Kronecker product")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    for circ, expected in zip(circuits, dense):
+        assert np.linalg.norm(circ.run(oracle) - expected) <= 1e-14
 
 
 def test_amplifier_random_circuits():

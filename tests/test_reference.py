@@ -10,6 +10,7 @@ from ffode import (
     EigenSystem, OdeProblem, SampledSource, kernel_C, kernel_f,
     kernel_fg_complex, matrix_exponential, solve_reference,
 )
+from ffode.reference import exp_integral
 
 
 def test_kernel_f_zero_eigenvalue():
@@ -31,6 +32,31 @@ def test_kernel_f_series_branch():
     assert val == pytest.approx(1.0 - 5e-10, abs=1e-15)
     numeric, _ = quad(lambda s: math.exp(lam * (1.0 - s)), 0.0, 1.0)
     assert val == pytest.approx(numeric, abs=1e-13)
+
+
+def _taylor_exp_integral(lam, t):
+    """t·Σ_{k<20} (λt)^k/(k+1)!, by Horner in plain float arithmetic."""
+    z = lam * t
+    acc = 0.0
+    for k in range(19, -1, -1):
+        acc = acc * z + 1.0 / math.factorial(k + 1)
+    return t * acc
+
+
+@pytest.mark.parametrize("direction", [
+    1.0, -1.0, 1j, (1 + 1j) / math.sqrt(2), (-1 + 1j) / math.sqrt(2),
+    (-2 - 1j) / math.sqrt(5)])
+def test_exp_integral_accurate_above_series_switch(direction):
+    # (e^z - 1)/λ cancelled to ~5e-11 relative just above |z| = 1e-6
+    mags = np.geomspace(1.1e-6, 1e-2, 40)
+    for t in (0.5, 1.0, 2.0):  # powers of two keep z = λt exact
+        lam = mags * direction / t
+        got = exp_integral(lam, t)
+        assert got.shape == lam.shape
+        for lj, gj in zip(lam, got):
+            ref = _taylor_exp_integral(lj, t)
+            assert abs(gj - ref) <= 4e-16 * abs(ref)
+            assert exp_integral(lj, t) == gj  # scalar and array agree
 
 
 def test_kernel_f_rejects_bad_args():
