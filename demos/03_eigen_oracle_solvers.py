@@ -4,8 +4,9 @@ With A = U diag(lambda) U' for an implementable U and classically computable
 eigenvalues, e^{AT} becomes a zero-error block-encoding built from a CONSTANT
 number of oracle queries: 6 (real nonpositive spectra) or 10 (complex
 spectra) plus 2 uses of U, independent of T, the norm of A and the dimension.
-The script shows the constant ledgers, exact success probabilities, and the
-Riemann-sum path for a time-dependent source.
+The script shows the constant ledgers, exact success probabilities from
+``solve_eigen_constant`` (no source is b = None, the same LCS circuit without
+its Duhamel branch), and the Riemann-sum path for a time-dependent source.
 """
 
 import math
@@ -14,8 +15,8 @@ import numpy as np
 
 from ffode import (
     EigenOracleSet, EigenSystem, OdeProblem, SampledSource, be_duhamel_eigen,
-    be_exp_eigen, quadrature_error_bound, solve_eigen_homogeneous,
-    solve_eigen_inhomogeneous, solve_eigen_timedep, solve_reference,
+    be_exp_eigen, quadrature_error_bound, solve_eigen_constant,
+    solve_eigen_timedep, solve_reference,
 )
 
 print("=" * 70)
@@ -38,12 +39,12 @@ print("=" * 70)
 es2 = EigenSystem(np.eye(2), [0.0, -1.0])
 o2 = EigenOracleSet.from_eigensystem(es2)
 u0 = np.array([1.0, 1.0]) / math.sqrt(2)
-rep = solve_eigen_homogeneous(OdeProblem(es2, u0, math.log(2.0)), o2)
+rep = solve_eigen_constant(OdeProblem(es2, u0, math.log(2.0)), o2)
 print("diag(0,-1), T = ln 2: probability", rep.success_probability,
       "(closed form 5/8)")
 es1 = EigenSystem(np.eye(1), [0.0])
 o1 = EigenOracleSet.from_eigensystem(es1)
-rep = solve_eigen_inhomogeneous(OdeProblem(es1, [1.0], 5.0, [1.0]), o1)
+rep = solve_eigen_constant(OdeProblem(es1, [1.0], 5.0, [1.0]), o1)
 print("lambda = 0, u0 = b = 1, T = 5: probability", rep.success_probability,
       "(closed form 36/52)")
 

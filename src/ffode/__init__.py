@@ -66,8 +66,7 @@ from .eigen_solvers import (
     quadrature_nodes_for,
     riemann_plan,
     solve_eigen,
-    solve_eigen_homogeneous,
-    solve_eigen_inhomogeneous,
+    solve_eigen_constant,
     solve_eigen_timedep,
 )
 from .pde import (

@@ -190,50 +190,44 @@ def _build_pde_spec(prob: dict, n: int | None, d: int | None,
         raise SchemaError(f"bad PDE problem {prob['id']}: {exc}") from exc
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.linalg.qr(_complex_normal(rng, (n, n)))[0]
+
+
 def _build_ode_problem(prob: dict, T: float, rng: np.random.Generator):
     """Returns (OdeProblem, aux) where aux carries solver-specific pieces."""
     family = prob["family"]
     N = int(prob.get("N", 4))
-    if family == "random-negdef":
-        delta = float(prob.get("delta", 0.25))
-        q = np.linalg.qr(rng.standard_normal((N, N))
-                         + 1j * rng.standard_normal((N, N)))[0]
-        w = rng.uniform(-1.0, -delta, N)
-        a = (q * w) @ q.conj().T
-        a = (a + a.conj().T) / 2.0
-        u0 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        b = None
-        if prob.get("b", "random") is not None:
-            b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        return OdeProblem(a, u0, T, b), {"delta": delta}
-    if family == "random-sqrt":
-        q = np.linalg.qr(rng.standard_normal((N, N))
-                         + 1j * rng.standard_normal((N, N)))[0]
-        hw = rng.uniform(0.0, 1.0, N)
-        h = (q * hw) @ q.conj().T
-        h = (h + h.conj().T) / 2.0
-        u0 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        b = None
-        if prob.get("b", "random") is not None:
-            b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        return OdeProblem(-(h @ h), u0, T, b), {"h": h}
-    if family == "random-normal":
-        q = np.linalg.qr(rng.standard_normal((N, N))
-                         + 1j * rng.standard_normal((N, N)))[0]
-        lam = rng.uniform(-1.0, 0.0, N) + 1j * rng.uniform(-2.0, 2.0, N)
-        lam[0] = 1j * lam[0].imag  # keep a zero-real-part mode
-        es = EigenSystem(q, lam)
-        u0 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        b = None
-        if prob.get("b", "random") is not None:
-            b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        return OdeProblem(es, u0, T, b), {"eigen": es}
     if family == "nonnormal":
         delta = float(prob.get("delta", 0.5))
         a = np.array([[1j, 1j / delta, 0], [0, 2j, 0], [0, 0, 3j]])
         u0 = np.array([0.0, 0.0, 1.0], dtype=complex)
         return OdeProblem(a, u0, T), {}
-    raise SchemaError(f"unknown ode family {family!r}")
+    q = _random_unitary(rng, N)
+    if family == "random-negdef":
+        delta = float(prob.get("delta", 0.25))
+        a = (q * rng.uniform(-1.0, -delta, N)) @ q.conj().T
+        coefficient, aux = (a + a.conj().T) / 2.0, {"delta": delta}
+    elif family == "random-sqrt":
+        h = (q * rng.uniform(0.0, 1.0, N)) @ q.conj().T
+        h = (h + h.conj().T) / 2.0
+        coefficient, aux = -(h @ h), {"h": h}
+    elif family == "random-normal":
+        lam = rng.uniform(-1.0, 0.0, N) + 1j * rng.uniform(-2.0, 2.0, N)
+        lam[0] = 1j * lam[0].imag  # keep a zero-real-part mode
+        coefficient = EigenSystem(q, lam)
+        aux = {"eigen": coefficient}
+    else:
+        raise SchemaError(f"unknown ode family {family!r}")
+    u0 = _complex_normal(rng, N)
+    b = None
+    if prob.get("b", "random") is not None:
+        b = _complex_normal(rng, N)
+    return OdeProblem(coefficient, u0, T, b), aux
 
 
 def _unread_axes(solver: str, prob: dict) -> tuple[str, ...]:
@@ -399,14 +393,6 @@ def _print_certified(pair) -> int:
 def _print_check(name: str, ok: bool, detail: str = "") -> int:
     print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
     return 0 if ok else 1
-
-
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.linalg.qr(_complex_normal(rng, (n, n)))[0]
 
 
 def _lb_amplifier(args, rng) -> float:

@@ -19,8 +19,9 @@ class Tolerances:
     #: absolute slack added to block-encoding error claims during verification
     #: (scaled by the normalization factor, which sets the rounding floor)
     verify_slack: float = 1e-12
-    #: non-normality threshold (relative to matrix norm) for the fast
-    #: eigendecomposition path of the matrix exponential
+    #: relative threshold of the Hermitian/skew-Hermitian test
+    #: (``linalg.hermitian_eigh``, on ‖A ∓ A†‖_F) and of the Schur
+    #: normality test of ``EigenSystem.from_matrix`` (on the off-diagonal)
     normality: float = 1e-10
     #: |λt| below which (e^{λt}-1)/(λt) switches to its Taylor series
     kernel_series_switch: float = 1e-6

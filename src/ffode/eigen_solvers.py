@@ -6,7 +6,8 @@ built from constant numbers of oracle queries (6 in the real nonpositive
 case, 10 in the general complex case, plus 2 uses of U), independent of T,
 ‖A‖ and the dimension.  A Riemann-sum linear combination of states extends
 this to time-dependent inhomogeneous terms.  ``solve_eigen`` is the one
-place that picks among the three solvers from the source term.
+place that picks between the two solvers: ``solve_eigen_constant`` for no
+source or a constant one, ``solve_eigen_timedep`` for a sampled source.
 
 Register-level binary encodings of eigenvalue data are simulated as exact
 real-valued tags attached to each eigenindex: the compute / controlled
@@ -166,8 +167,7 @@ def be_duhamel_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
     lam = o.eigenvalues
     target = exp_integral(lam, T)
     if _real_case(o):
-        factors = np.array([kernel_f(float(z.real), T) for z in lam],
-                           dtype=complex)
+        factors = kernel_f(lam.real, T).astype(complex)
         norm = T
         ledger = QueryLedger({O_T: 2, O_LAMBDA: 2, O_F: 2, U_EIG: 2, GATES: 1})
     else:
@@ -175,8 +175,8 @@ def be_duhamel_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
         if abs(alpha) <= _REAL_TOL:
             alpha = 0.0
         norm = kernel_C(alpha, o.beta_floor, T)
-        fg = [kernel_fg_complex(z, T, norm) for z in lam]
-        factors = np.array([complex(f, g) for f, g in fg])
+        factors = np.empty(lam.shape, dtype=complex)
+        factors.real, factors.imag = kernel_fg_complex(lam, T, norm)
         ledger = QueryLedger({O_T: 2, O_LAMBDA_R: 2, O_LAMBDA_I: 2, O_F: 2,
                               O_G: 2, U_EIG: 2, GATES: 4})
     return _dilate_diagonal(o, factors, norm, target, ledger)
@@ -194,33 +194,23 @@ def _check_problem(p: OdeProblem, o: EigenOracleSet) -> None:
             raise ValueError("problem coefficient disagrees with the oracle set")
 
 
-def solve_eigen_homogeneous(p: OdeProblem, o: EigenOracleSet) -> SolveReport:
-    """Apply the e^{AT} encoding to |u(0)> and post-select.
+def solve_eigen_constant(p: OdeProblem, o: EigenOracleSet) -> SolveReport:
+    """LCS combination of the e^{AT} encoding and, for a constant b, the
+    Duhamel encoding.
 
-    The construction is zero-error, so the output equals the normalized
-    reference exactly and the success probability is exactly
-    (‖u(T)‖/(e^{αT}‖u0‖))².
+    With b None the control qubit never rotates and the circuit is the
+    homogeneous post-selection, with success probability exactly
+    (‖u(T)‖/(e^{αT}‖u0‖))².  Both encodings are zero-error, so the output
+    equals the normalized reference.
     """
     _check_problem(p, o)
-    if not p.is_homogeneous:
-        raise ValueError("homogeneous solver got a nonzero b")
-    be = be_exp_eigen(o, p.horizon)
-    reference = solve_reference(p)
-    rep = lcs_combine_and_measure(p.u0, None, be, None, reference,
-                                  TOL.exact_solver)
-    rep.extras["alpha_shift"] = o.alpha_shift
-    return rep
-
-
-def solve_eigen_inhomogeneous(p: OdeProblem, o: EigenOracleSet) -> SolveReport:
-    """LCS combination of the e^{AT} and Duhamel encodings (constant b)."""
-    _check_problem(p, o)
-    if p.inhomogeneous is None or isinstance(p.inhomogeneous, SampledSource):
-        raise ValueError("needs a constant inhomogeneous term")
+    b = p.inhomogeneous
+    if isinstance(b, SampledSource):
+        raise ValueError("needs a constant inhomogeneous term or none")
     be0 = be_exp_eigen(o, p.horizon)
-    be1 = be_duhamel_eigen(o, p.horizon)
+    be1 = None if b is None else be_duhamel_eigen(o, p.horizon)
     reference = solve_reference(p)
-    rep = lcs_combine_and_measure(p.u0, p.inhomogeneous, be0, be1, reference,
+    rep = lcs_combine_and_measure(p.u0, b, be0, be1, reference,
                                   TOL.exact_solver)
     rep.extras["alpha_shift"] = o.alpha_shift
     return rep
@@ -387,10 +377,8 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
 def solve_eigen(p: OdeProblem, o: EigenOracleSet, eps: float,
                 M: int | None = None) -> SolveReport:
     """The one router to the eigen solvers: a :class:`SampledSource` takes
-    the Riemann sum (the only path reading ``eps`` and ``M``), a problem that
-    ``is_homogeneous`` the e^{AT} encoding, any other b the LCS solver."""
+    the Riemann sum (the only path reading ``eps`` and ``M``), no source or a
+    constant one ``solve_eigen_constant``."""
     if isinstance(p.inhomogeneous, SampledSource):
         return solve_eigen_timedep(p, o, eps, M=M)
-    if p.is_homogeneous:
-        return solve_eigen_homogeneous(p, o)
-    return solve_eigen_inhomogeneous(p, o)
+    return solve_eigen_constant(p, o)

@@ -115,21 +115,34 @@ def logarithmic_norm(a) -> float:
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
+def hermitian_eigh(a):
+    """``eigh`` eigenpairs (w, v) of a Hermitian or skew-Hermitian a, or None.
+
+    The test is O(N²): ‖a ∓ a†‖_F ≤ TOL.normality·max(1, ‖a‖_F).  A
+    skew-Hermitian a is diagonalized as i·(a/i), so w is imaginary and v
+    unitary in both cases.
+    """
+    scale = TOL.normality * max(1.0, float(np.linalg.norm(a)))
+    for phase in (1.0, 1j):
+        h = a / phase
+        if np.linalg.norm(h - h.conj().T) <= scale:
+            w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+            return phase * w, v
+    return None
+
+
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     """e^{At}.
 
-    Normal matrices (detected through the off-diagonal weight of the complex
-    Schur form, scaled by ‖A‖) go through the eigendecomposition path;
-    everything else falls back to scipy's scaling-and-squaring Padé.
+    Hermitian and skew-Hermitian matrices go through ``hermitian_eigh``;
+    everything else through scipy's scaling-and-squaring Padé.
     """
     m = as_square(a)
-    norm = spectral_norm(m)
-    tmat, q = sla.schur(m, output="complex")
-    off = tmat - np.diag(np.diag(tmat))
-    if spectral_norm(off) <= TOL.normality * max(1.0, norm):
-        w = np.diag(tmat)
-        return (q * np.exp(w * t)) @ q.conj().T
-    return sla.expm(m * t)
+    pair = hermitian_eigh(m)
+    if pair is None:
+        return sla.expm(m * t)
+    w, v = pair
+    return (v * np.exp(w * t)) @ v.conj().T
 
 
 def renormalization_error_bounds(a, a_tilde) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -166,6 +166,9 @@ class PdeSpec:
     w0: Callable[[np.ndarray], complex] | None = None
     b: Callable[[np.ndarray, float], complex] | None = None
     b_dt: Callable[[np.ndarray, float], complex] | None = None
+    #: w0 on the grid, sampled on first use and then reused
+    _w0_samples: np.ndarray | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -230,7 +233,9 @@ class PdeSpec:
     def w0_vector(self) -> np.ndarray:
         if self.w0 is None:
             raise ValueError("no velocity sampler")
-        return self._sample(self.w0)
+        if self._w0_samples is None:
+            self._w0_samples = self._sample(self.w0)
+        return self._w0_samples.copy()
 
     def b_vector(self, t: float) -> np.ndarray:
         if self.b is None:

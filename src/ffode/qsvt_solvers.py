@@ -25,7 +25,7 @@ from .linalg import as_vector, global_phase_distance, matrix_exponential, \
     spectral_norm
 from .poly_approx import approx_exp_shifted, approx_gaussian, \
     approx_gaussian_integral
-from .reference import OdeProblem, exp_integral, solve_reference
+from .reference import OdeProblem, SampledSource, exp_integral, solve_reference
 
 
 def repeat_estimates(success_probability: float) -> tuple[int, int]:
@@ -215,12 +215,29 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
     })
 
 
-def _lcs_tolerances(eps: float, norm_uT: float, nu: float,
-                    nb: float) -> tuple[float, float]:
-    """Component error budgets ε₀ = ‖u(T)‖ε/(4‖u0‖), ε₁ = ‖u(T)‖ε/(4‖b‖)."""
-    eps0 = norm_uT * eps / (4.0 * nu)
-    eps1 = norm_uT * eps / (4.0 * nb) if nb > 0 else 0.0
-    return eps0, eps1
+def _solve_lcs(p: OdeProblem, eps: float, encode_exp,
+               encode_duhamel) -> SolveReport:
+    """The constant-source LCS solve of both QSVT families.
+
+    Checks that u(T) does not vanish, splits ε into the component budgets
+    ε₀ = ε‖u(T)‖/(2‖u0‖) without b, or ε₀ = ε‖u(T)‖/(4‖u0‖) and
+    ε₁ = ε‖u(T)‖/(4‖b‖) with b, and runs the LCS circuit on
+    ``encode_exp(min(ε₀, 0.24))`` and ``encode_duhamel(ε₁)``; each Duhamel
+    encoder applies its own cap to ε₁.
+    """
+    b = p.inhomogeneous
+    if isinstance(b, SampledSource):
+        raise ValueError("the QSVT solvers need a constant b or none")
+    reference = solve_reference(p)
+    norm_uT = float(np.linalg.norm(reference))
+    if norm_uT <= TOL.zero:
+        raise ValueError("u(T) vanishes; nothing to post-select")
+    nu = float(np.linalg.norm(p.u0))
+    split = 2.0 if b is None else 4.0
+    be0 = encode_exp(min(norm_uT * eps / (split * nu), 0.24))
+    be1 = None if b is None else encode_duhamel(
+        norm_uT * eps / (4.0 * float(np.linalg.norm(b))))
+    return lcs_combine_and_measure(p.u0, b, be0, be1, reference, eps)
 
 
 def solve_negdef(p: OdeProblem, delta: float, eps: float) -> SolveReport:
@@ -232,26 +249,11 @@ def solve_negdef(p: OdeProblem, delta: float, eps: float) -> SolveReport:
     """
     a = p.matrix
     _check_negdef(a, delta)
-    if p.inhomogeneous is not None and not isinstance(p.inhomogeneous, np.ndarray):
-        raise ValueError("the negative-definite solver needs a constant b")
-    reference = solve_reference(p)
-    norm_uT = float(np.linalg.norm(reference))
-    if norm_uT <= TOL.zero:
-        raise ValueError("u(T) vanishes; nothing to post-select")
-    nu = float(np.linalg.norm(p.u0))
-    nb = 0.0 if p.is_homogeneous else float(np.linalg.norm(p.inhomogeneous))
     u_a = exact_dilation(a, 1.0)
-
-    if nb == 0.0:
-        eps0 = min(norm_uT * eps / (2.0 * nu), 0.24)
-        be0 = be_exp_negdef(u_a, p.horizon, delta, eps0)
-        return lcs_combine_and_measure(p.u0, None, be0, None, reference, eps)
-
-    eps0, eps1 = _lcs_tolerances(eps, norm_uT, nu, nb)
-    be0 = be_exp_negdef(u_a, p.horizon, delta, min(eps0, 0.24))
-    be1 = be_duhamel_negdef(u_a, p.horizon, delta, min(eps1, 0.49))
-    return lcs_combine_and_measure(p.u0, p.inhomogeneous, be0, be1,
-                                   reference, eps)
+    T = p.horizon
+    return _solve_lcs(
+        p, eps, lambda eps0: be_exp_negdef(u_a, T, delta, eps0),
+        lambda eps1: be_duhamel_negdef(u_a, T, delta, min(eps1, 0.49)))
 
 
 def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
@@ -260,7 +262,7 @@ def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
 
     e^{AT} comes from the even gaussian approximant of e^{-βx²} with
     β = T·α_H² (normalization 3); the Duhamel integral from the integrated
-    gaussian (normalization 3T).  Constant b only.
+    gaussian (normalization 3T).  Constant b or none.
     """
     if u_h.target is None:
         raise ValueError("needs an encoding of H with an attached target")
@@ -270,40 +272,26 @@ def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
     a = -(h @ h)
     if spectral_norm(a - p.matrix) > 1e-9:
         raise ValueError("problem coefficient does not equal -H²")
-    if p.inhomogeneous is not None and not isinstance(p.inhomogeneous, np.ndarray):
-        raise ValueError("the square-root solver needs a constant b")
 
     T = p.horizon
     beta = T * u_h.alpha ** 2
-    reference = solve_reference(p)
-    norm_uT = float(np.linalg.norm(reference))
-    if norm_uT <= TOL.zero:
-        raise ValueError("u(T) vanishes; nothing to post-select")
-    nu = float(np.linalg.norm(p.u0))
-    nb = 0.0 if p.is_homogeneous else float(np.linalg.norm(p.inhomogeneous))
-
     hw, hv = np.linalg.eigh(h)
     exp_target = (hv * np.exp(-T * hw ** 2)) @ hv.conj().T
-    duh_target = (hv * exp_integral(-hw ** 2, T)) @ hv.conj().T
+    fits = []
 
-    if nb == 0.0:
-        eps0 = min(norm_uT * eps / (2.0 * nu), 0.24)
-        g = approx_gaussian(beta, eps0)
-        be0 = polynomial_transform(u_h, g.scaled(1.0 / 3.0))
-        be0 = be0.reattached(exp_target, eps0, alpha=3.0)
-        rep = lcs_combine_and_measure(p.u0, None, be0, None, reference, eps)
-    else:
-        eps0, eps1 = _lcs_tolerances(eps, norm_uT, nu, nb)
-        eps0 = min(eps0, 0.24)
+    def encode(poly, target, tol, alpha):
+        fits.append(poly)
+        out = polynomial_transform(u_h, poly.scaled(1.0 / 3.0))
+        return out.reattached(target, tol, alpha=alpha)
+
+    def encode_duhamel(eps1):
         eps1 = min(eps1, 0.24)
-        g = approx_gaussian(beta, eps0)
-        be0 = polynomial_transform(u_h, g.scaled(1.0 / 3.0))
-        be0 = be0.reattached(exp_target, eps0, alpha=3.0)
-        q = approx_gaussian_integral(beta, eps1 / T)
-        be1 = polynomial_transform(u_h, q.scaled(1.0 / 3.0))
-        be1 = be1.reattached(duh_target, eps1, alpha=3.0 * T)
-        rep = lcs_combine_and_measure(p.u0, p.inhomogeneous, be0, be1,
-                                      reference, eps)
+        duh_target = (hv * exp_integral(-hw ** 2, T)) @ hv.conj().T
+        return encode(approx_gaussian_integral(beta, eps1 / T), duh_target,
+                      eps1, 3.0 * T)
+
+    rep = _solve_lcs(p, eps, lambda eps0: encode(
+        approx_gaussian(beta, eps0), exp_target, eps0, 3.0), encode_duhamel)
     rep.extras["beta"] = beta
-    rep.extras["gaussian_degree"] = g.degree()
+    rep.extras["gaussian_degree"] = fits[0].degree()
     return rep

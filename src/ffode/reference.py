@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import TOL
-from .linalg import EigenSystem, as_square, as_vector
+from .linalg import EigenSystem, as_square, as_vector, hermitian_eigh
 
 _GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the reference quadrature
 
@@ -45,6 +45,8 @@ class OdeProblem:
 
     ``coefficient`` is a dense matrix or an :class:`EigenSystem`;
     ``inhomogeneous`` is None, a constant vector, or a :class:`SampledSource`.
+    A constant b whose entries all lie below ``TOL.zero`` is stored as None,
+    so ``inhomogeneous is None`` is the one test for a homogeneous problem.
     """
 
     coefficient: np.ndarray | EigenSystem
@@ -61,11 +63,12 @@ class OdeProblem:
             raise ValueError("u0 dimension does not match the coefficient")
         if self.horizon <= 0:
             raise ValueError("horizon T must be positive")
-        if self.inhomogeneous is not None and not isinstance(
-                self.inhomogeneous, SampledSource):
-            self.inhomogeneous = as_vector(self.inhomogeneous)
-            if self.inhomogeneous.size != n:
+        b = self.inhomogeneous
+        if b is not None and not isinstance(b, SampledSource):
+            b = as_vector(b)
+            if b.size != n:
                 raise ValueError("b dimension does not match the coefficient")
+            self.inhomogeneous = None if np.all(np.abs(b) < TOL.zero) else b
 
     @property
     def dim(self) -> int:
@@ -79,14 +82,6 @@ class OdeProblem:
             return self.coefficient.matrix
         return self.coefficient
 
-    @property
-    def is_homogeneous(self) -> bool:
-        if self.inhomogeneous is None:
-            return True
-        if isinstance(self.inhomogeneous, SampledSource):
-            return False
-        return bool(np.all(np.abs(self.inhomogeneous) < TOL.zero))
-
 
 def exp_integral(lam, t: float):
     """∫₀ᵗ e^{λ(t-s)} ds, elementwise over λ: expm1(λt)/λ, which unlike
@@ -98,16 +93,16 @@ def exp_integral(lam, t: float):
                     np.expm1(z) / np.where(small, 1.0, lam))[()]
 
 
-def kernel_f(lam: float, t: float) -> float:
-    """f(λ,t) = (1/t)∫₀ᵗ e^{λ(t-s)} ds for real λ ≤ 0: 1 at λ=0, in (0,1]."""
+def kernel_f(lam, t: float):
+    """f(λ,t) = (1/t)∫₀ᵗ e^{λ(t-s)} ds, elementwise over real λ ≤ 0: 1 at
+    λ=0, in (0,1]."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if lam > TOL.zero:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam > TOL.zero):
         raise ValueError("kernel_f requires a nonpositive eigenvalue")
-    lam = min(lam, 0.0)
-    if lam == 0.0:
-        return 1.0
-    return float(np.real(exp_integral(lam, t)) / t)
+    lam = np.minimum(lam, 0.0)
+    return np.where(lam == 0.0, 1.0, exp_integral(lam, t) / t)[()]
 
 
 def kernel_C(alpha: float, beta: float, T: float) -> float:
@@ -121,36 +116,36 @@ def kernel_C(alpha: float, beta: float, T: float) -> float:
     return float((np.exp(alpha * T) - 1.0) / alpha)
 
 
-def kernel_fg_complex(lam: complex, T: float, C: float) -> tuple[float, float]:
-    """Real/imaginary split of C⁻¹ ∫₀ᵀ e^{λ(T-s)} ds; magnitude must be ≤ 1.
+def kernel_fg_complex(lam, T: float, C: float):
+    """Real/imaginary split (f, g) of C⁻¹ ∫₀ᵀ e^{λ(T-s)} ds, elementwise over
+    λ; every magnitude must be ≤ 1.
 
     A magnitude above 1 signals that the (α, β) pair used to compute C is
     inconsistent with λ, and raises.
     """
     if T <= 0 or C <= 0:
         raise ValueError("T and C must be positive")
-    val = exp_integral(complex(lam), T) / C
-    if abs(val) > 1.0 + 1e-12:
+    val = exp_integral(np.asarray(lam, dtype=complex), T) / C
+    mag = np.max(np.abs(val))
+    if mag > 1.0 + 1e-12:
         raise ValueError(
-            f"|f+ig| = {abs(val):.6g} > 1: normalization C is inconsistent "
+            f"|f+ig| = {mag:.6g} > 1: normalization C is inconsistent "
             "with the eigenvalue")
-    return float(val.real), float(val.imag)
+    return np.real(val)[()], np.imag(val)[()]
 
 
 def _diagonalize(a: np.ndarray):
     """(w, v, vinv, cond) with a = v diag(w) vinv.
 
-    A Hermitian or skew-Hermitian a (‖a ∓ a†‖_F ≤ TOL.normality·max(1, ‖a‖_F),
-    an O(N²) test) is diagonalized by ``eigh``, whose v is unitary, so
-    vinv = v† and cond = 1.  Any other a goes through ``eig`` with a
-    conditioning check; vinv is None when cond(v) > 1e8.
+    A Hermitian or skew-Hermitian a is diagonalized by ``eigh``
+    (``linalg.hermitian_eigh``), whose v is unitary, so vinv = v† and
+    cond = 1.  Any other a goes through ``eig`` with a conditioning check;
+    vinv is None when cond(v) > 1e8.
     """
-    scale = TOL.normality * max(1.0, float(np.linalg.norm(a)))
-    for phase in (1.0, 1j):
-        h = a / phase
-        if np.linalg.norm(h - h.conj().T) <= scale:
-            w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-            return phase * w, v, v.conj().T, 1.0
+    pair = hermitian_eigh(a)
+    if pair is not None:
+        w, v = pair
+        return w, v, v.conj().T, 1.0
     w, v = np.linalg.eig(a)
     cond = np.linalg.cond(v)
     return w, v, (None if cond > 1e8 else np.linalg.inv(v)), cond
@@ -189,6 +184,7 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
     to expm-based quadrature with a warning.
     """
     T = p.horizon
+    src = p.inhomogeneous
     if isinstance(p.coefficient, EigenSystem):
         es = p.coefficient
         w, to_eigen, from_eigen = es.eigenvalues, es.apply_adjoint, es.apply
@@ -199,17 +195,13 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
 
     if to_eigen is not None:
         out = from_eigen(np.exp(w * T) * to_eigen(p.u0))
-        if not p.is_homogeneous:
-            if isinstance(p.inhomogeneous, SampledSource):
-                src = p.inhomogeneous
+        if isinstance(src, SampledSource):
+            def g(s):
+                return from_eigen(np.exp(w * (T - s)) * to_eigen(src(s)))
 
-                def g(s):
-                    return from_eigen(np.exp(w * (T - s)) * to_eigen(src(s)))
-
-                out = out + _gauss_panels(g, T)
-            else:
-                kern = exp_integral(w, T)
-                out = out + from_eigen(kern * to_eigen(p.inhomogeneous))
+            out = out + _gauss_panels(g, T)
+        elif src is not None:
+            out = out + from_eigen(exp_integral(w, T) * to_eigen(src))
         return out
 
     # non-diagonalizable (or numerically nearly so): expm path
@@ -217,19 +209,11 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
                   f"(cond={cond:.2e}); falling back to expm quadrature")
     a = p.matrix
     out = sla.expm(a * T) @ p.u0
-    if not p.is_homogeneous:
-        if isinstance(p.inhomogeneous, SampledSource):
-            src = p.inhomogeneous
+    if src is not None:
+        drive = src if isinstance(src, SampledSource) else (lambda s: src)
 
-            def g(s):
-                return sla.expm(a * (T - s)) @ src(s)
+        def g(s):
+            return sla.expm(a * (T - s)) @ drive(s)
 
-            out = out + _gauss_panels(g, T)
-        else:
-            b = p.inhomogeneous
-
-            def g(s):
-                return sla.expm(a * (T - s)) @ b
-
-            out = out + _gauss_panels(g, T)
+        out = out + _gauss_panels(g, T)
     return out

@@ -19,8 +19,8 @@ from ffode import (
     equilibrium_reduction_check, exact_dilation, invert, lcu_combine,
     lift_hyperbolic, matrix_exponential, multiply,
     polynomial_transform, quadrature_error_bound, shifting_equivalence_check,
-    solve_eigen_homogeneous, solve_eigen_inhomogeneous, solve_eigen_timedep,
-    solve_pde, solve_reference, spectral_norm, verify_block_encoding,
+    solve_eigen_constant, solve_eigen_timedep, solve_pde, solve_reference,
+    spectral_norm, verify_block_encoding,
     witness_imaginary_time, witness_linear_system,
     witness_nonnormal_homogeneous, witness_nonnormal_inhomogeneous,
     witness_realpart_gap, witness_realpart_gap_inhomogeneous,
@@ -153,11 +153,11 @@ def test_criterion_2_eigen_solvers_match_reference():
             b = random_unit(rng, n)
             T = float(rng.uniform(0.2, 2.0))
             o = EigenOracleSet.from_eigensystem(es)
-            rep = solve_eigen_homogeneous(OdeProblem(es, u0, T), o)
+            rep = solve_eigen_constant(OdeProblem(es, u0, T), o)
             ref = solve_reference(OdeProblem(es.matrix, u0, T))
             assert fidelity_defect(rep.output_state, ref) <= 1e-9
             instances += 1
-            rep = solve_eigen_inhomogeneous(OdeProblem(es, u0, T, b), o)
+            rep = solve_eigen_constant(OdeProblem(es, u0, T, b), o)
             ref = solve_reference(OdeProblem(es.matrix, u0, T, b))
             assert fidelity_defect(rep.output_state, ref) <= 1e-9
             instances += 1
@@ -246,7 +246,7 @@ def test_criterion_4_success_probability_formulas():
     es = EigenSystem(np.eye(2), [0.0, -1.0])
     o = EigenOracleSet.from_eigensystem(es)
     u0 = np.array([1.0, 1.0]) / math.sqrt(2)
-    rep = solve_eigen_homogeneous(OdeProblem(es, u0, math.log(2.0)), o)
+    rep = solve_eigen_constant(OdeProblem(es, u0, math.log(2.0)), o)
     assert abs(rep.success_probability - 5.0 / 8.0) <= 1e-10
     checked += 1
 
@@ -267,7 +267,7 @@ def test_criterion_4_success_probability_formulas():
         o = EigenOracleSet.from_eigensystem(es)
         u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         T = float(rng.uniform(0.3, 2.0))
-        rep = solve_eigen_homogeneous(OdeProblem(es, u0, T), o)
+        rep = solve_eigen_constant(OdeProblem(es, u0, T), o)
         ref = solve_reference(OdeProblem(es, u0, T))
         expected = (np.linalg.norm(ref)
                     / (math.exp(o.alpha_shift * T) * np.linalg.norm(u0))) ** 2
@@ -275,7 +275,7 @@ def test_criterion_4_success_probability_formulas():
         checked += 1
 
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rep = solve_eigen_inhomogeneous(OdeProblem(es, u0, T, b), o)
+        rep = solve_eigen_constant(OdeProblem(es, u0, T, b), o)
         ref = solve_reference(OdeProblem(es, u0, T, b))
         w = math.hypot(rep.extras["alpha0"] * np.linalg.norm(u0),
                        rep.extras["alpha1"] * np.linalg.norm(b))

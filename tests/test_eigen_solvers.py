@@ -9,9 +9,8 @@ from ffode import (
     BlockEncoding, DiagonalEncoding, EigenOracleSet, EigenSystem, OdeProblem,
     QueryLedger, SampledSource, be_duhamel_eigen, be_exp_eigen,
     matrix_exponential, quadrature_error_bound, quadrature_nodes_for,
-    riemann_plan, solve_eigen, solve_eigen_homogeneous,
-    solve_eigen_inhomogeneous, solve_eigen_timedep, solve_reference,
-    spectral_norm, verify_block_encoding,
+    riemann_plan, solve_eigen, solve_eigen_constant, solve_eigen_timedep,
+    solve_reference, spectral_norm, verify_block_encoding,
 )
 from ffode.block_encoding import U_EIG
 from ffode.config import MAX_RIEMANN_NODES
@@ -45,7 +44,7 @@ def test_be_exp_eigen_antihermitian_is_unitary():
     u = be.block
     assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
     p = OdeProblem(es, np.array([1.0, 0, 0, 0]), 2.0)
-    rep = solve_eigen_homogeneous(p, o)
+    rep = solve_eigen_constant(p, o)
     assert rep.success_probability == pytest.approx(1.0, abs=1e-12)
 
 
@@ -102,7 +101,7 @@ def test_solve_eigen_homogeneous_hand_check():
     es = EigenSystem(np.eye(2), [0.0, -1.0])
     o = EigenOracleSet.from_eigensystem(es)
     u0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    rep = solve_eigen_homogeneous(OdeProblem(es, u0, math.log(2.0)), o)
+    rep = solve_eigen_constant(OdeProblem(es, u0, math.log(2.0)), o)
     assert rep.success_probability == pytest.approx(5.0 / 8.0, abs=1e-12)
     expected = np.array([2.0, 1.0]) / math.sqrt(5.0)
     assert np.allclose(rep.output_state, expected, atol=1e-12)
@@ -113,14 +112,14 @@ def test_solve_eigen_homogeneous_zero_mode():
     o = EigenOracleSet.from_eigensystem(es)
     u0 = np.array([1.0, 0.0])
     for T in (0.5, 5.0, 50.0):
-        rep = solve_eigen_homogeneous(OdeProblem(es, u0, T), o)
+        rep = solve_eigen_constant(OdeProblem(es, u0, T), o)
         assert rep.success_probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_eigen_inhomogeneous_hand_check():
     es = EigenSystem(np.eye(1), [0.0])
     o = EigenOracleSet.from_eigensystem(es)
-    rep = solve_eigen_inhomogeneous(OdeProblem(es, [1.0], 5.0, [1.0]), o)
+    rep = solve_eigen_constant(OdeProblem(es, [1.0], 5.0, [1.0]), o)
     assert rep.success_probability == pytest.approx(36.0 / 52.0, abs=1e-12)
     assert rep.error_vs_reference < 1e-12
 
@@ -133,7 +132,7 @@ def test_solve_eigen_inhomogeneous_zero_mode_source():
     b = np.array([1.0, 0.0])
     repeats = []
     for T in (10.0, 40.0, 160.0):
-        rep = solve_eigen_inhomogeneous(OdeProblem(es, u0, T, b), o)
+        rep = solve_eigen_constant(OdeProblem(es, u0, T, b), o)
         ref = solve_reference(OdeProblem(es, u0, T, b))
         assert np.linalg.norm(ref) >= 0.9 * T
         repeats.append(rep.repeats_aa)
@@ -146,7 +145,7 @@ def test_solve_eigen_stationary():
     o = EigenOracleSet.from_eigensystem(es)
     u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     b = -(es.matrix @ u0)
-    rep = solve_eigen_inhomogeneous(OdeProblem(es, u0, 7.0, b), o)
+    rep = solve_eigen_constant(OdeProblem(es, u0, 7.0, b), o)
     fid = abs(np.vdot(rep.output_state, u0 / np.linalg.norm(u0)))
     assert 1.0 - fid < 1e-9
 
@@ -159,9 +158,9 @@ def test_eigen_solvers_match_reference_random():
         u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         T = rng.uniform(0.2, 3.0)
-        hom = solve_eigen_homogeneous(OdeProblem(es, u0, T), o)
+        hom = solve_eigen_constant(OdeProblem(es, u0, T), o)
         assert hom.error_vs_reference < 1e-10
-        inh = solve_eigen_inhomogeneous(OdeProblem(es, u0, T, b), o)
+        inh = solve_eigen_constant(OdeProblem(es, u0, T, b), o)
         assert inh.error_vs_reference < 1e-10
 
 
@@ -173,11 +172,11 @@ def test_shift_covariance():
     u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     T = 1.3
     base = EigenSystem(q, lam)
-    rep0 = solve_eigen_homogeneous(
+    rep0 = solve_eigen_constant(
         OdeProblem(base, u0, T), EigenOracleSet.from_eigensystem(base))
     for c in (0.7, -0.4, 2.0):
         shifted = EigenSystem(q, lam + c)
-        rep1 = solve_eigen_homogeneous(
+        rep1 = solve_eigen_constant(
             OdeProblem(shifted, u0, T),
             EigenOracleSet.from_eigensystem(shifted))
         ov = abs(np.vdot(rep0.output_state, rep1.output_state))
@@ -240,7 +239,7 @@ def test_timedep_matches_constant_solver():
     src = SampledSource(lambda t: bvec, derivative=lambda t: 0.0 * bvec)
     T = 2.0
     td = solve_eigen_timedep(OdeProblem(es, u0, T, src), o, 1e-3, M=400_000)
-    const = solve_eigen_inhomogeneous(OdeProblem(es, u0, T, bvec), o)
+    const = solve_eigen_constant(OdeProblem(es, u0, T, bvec), o)
     fid = abs(np.vdot(td.output_state, const.output_state))
     assert 1.0 - fid < 1e-9
 
@@ -268,10 +267,10 @@ def test_timedep_zero_source_reduces_to_homogeneous():
     o = EigenOracleSet.from_eigensystem(es, variant="nonneg")
     u0 = np.array([0.6, 0.8])
     p = OdeProblem(es, u0, 1.5)
-    # the router sends a missing b to the homogeneous solver; the Riemann-sum
-    # solver itself takes only a sampled source
+    # the router sends a missing b to the constant-source solver; the
+    # Riemann-sum solver itself takes only a sampled source
     td = solve_eigen(p, o, 1e-6)
-    hom = solve_eigen_homogeneous(p, o)
+    hom = solve_eigen_constant(p, o)
     assert np.allclose(td.output_state, hom.output_state, atol=1e-12)
     assert td.success_probability == pytest.approx(hom.success_probability)
     with pytest.raises(ValueError, match="sampled"):

@@ -119,6 +119,32 @@ def test_matrix_exponential_nonnormal_witness():
     assert np.allclose(matrix_exponential(a, 1.0), direct, atol=1e-12)
 
 
+def test_matrix_exponential_eigh_only_for_hermitian_or_skew(monkeypatch):
+    import scipy.linalg
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(m):
+        calls.append(m)
+        return expm(m)
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    rng = np.random.default_rng(19)
+    q = random_unitary(rng, 6)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    cases = {
+        "hermitian": ((q * rng.uniform(-2, 1, 6)) @ q.conj().T, False),
+        "skew": ((x - x.conj().T) / 2.0, False),
+        "normal": ((q * (rng.uniform(-2, 1, 6) + 1j * rng.uniform(-2, 2, 6)))
+                   @ q.conj().T, True),
+        "nonnormal": (nonnormal_witness(0.5), True),
+    }
+    for name, (a, by_expm) in cases.items():
+        calls.clear()
+        out = matrix_exponential(a, 0.8)
+        assert bool(calls) == by_expm, name
+        assert spectral_norm(out - expm(0.8 * a)) < 1e-12, name
+
+
 def test_matrix_exponential_semigroup_normal():
     rng = np.random.default_rng(3)
     for seed in range(5):

@@ -239,6 +239,18 @@ def test_solve_pde_wave_u_block():
     assert fid_defect < 1e-8
 
 
+def test_solve_pde_samples_w0_once():
+    calls = []
+
+    def w0(x):
+        calls.append(x)
+        return mean_zero_w0(x)
+    spec = PdeSpec("wave", 1, 8, 0.5, u0=smooth_u0, w0=w0)
+    assert len(calls) == 8  # the mean-zero check at construction
+    solve_pde(spec, 1e-6)
+    assert len(calls) == 8
+
+
 def test_solve_pde_heat_conservation():
     # with c = 0 and b = 0 the zero-mode amplitude (total mass) is conserved
     spec = PdeSpec("heat", 1, 8, 0.7, u0=smooth_u0)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ffode import (
-    OdeProblem, exact_dilation, lcs_combine_and_measure, matrix_exponential,
-    solve_negdef, solve_reference, solve_sqrt_access, spectral_norm,
-    verify_block_encoding,
+    EigenOracleSet, EigenSystem, OdeProblem, SampledSource, eigen_solvers,
+    exact_dilation, lcs_combine_and_measure, matrix_exponential,
+    qsvt_solvers, solve_eigen, solve_negdef, solve_reference,
+    solve_sqrt_access, spectral_norm, verify_block_encoding,
 )
 from ffode.block_encoding import U_A
 from ffode.qsvt_solvers import (
@@ -263,3 +264,83 @@ def test_solve_negdef_scales_to_n16_with_source():
     rep = solve_negdef(OdeProblem(a, u0, 10.0, b), 0.25, 1e-6)
     assert rep.error_vs_reference <= 1e-6
     assert rep.extras["ancilla_qubits"] == 9
+
+
+# ---------------------------------------------------------------------------
+# one constant-source solve in every family: no source is b = None
+
+SOLVER_SOURCES = {
+    "none": lambda b: None,
+    "below-zero-tol": lambda b: np.full(b.size, 1e-13),
+    "constant": lambda b: b,
+}
+
+
+def _shared_instance():
+    """A = Q diag(-s²) Q† with s in [0.5, 1]: negative definite, -H² for
+    H = Q diag(s) Q†, and normal with a known eigensystem."""
+    rng = np.random.default_rng(29)
+    q = np.linalg.qr(rng.standard_normal((4, 4))
+                     + 1j * rng.standard_normal((4, 4)))[0]
+    s = rng.uniform(0.5, 1.0, 4)
+    h = (q * s) @ q.conj().T
+    h = (h + h.conj().T) / 2.0
+    u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return q, s, h, u0, b
+
+
+def _family_solvers(q, s, h):
+    """Per family: (solve(problem), module, name of its Duhamel builder)."""
+    oracle = EigenOracleSet.from_eigensystem(EigenSystem(q, -s ** 2))
+    return {
+        "eigen": (lambda p: solve_eigen(p, oracle, 1e-6), eigen_solvers,
+                  "be_duhamel_eigen"),
+        "negdef": (lambda p: solve_negdef(p, 0.25, 1e-4), qsvt_solvers,
+                   "be_duhamel_negdef"),
+        "sqrt": (lambda p: solve_sqrt_access(p, exact_dilation(h, 1.0), 1e-4),
+                 qsvt_solvers, "approx_gaussian_integral"),
+    }
+
+
+@pytest.mark.parametrize("solver", ["eigen", "negdef", "sqrt"])
+@pytest.mark.parametrize("source", list(SOLVER_SOURCES))
+def test_constant_source_solve_in_every_family(solver, source, monkeypatch):
+    q, s, h, u0, b = _shared_instance()
+    solve, module, duhamel = _family_solvers(q, s, h)[solver]
+    builds = []
+    original = getattr(module, duhamel)
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, duhamel, counted)
+
+    p = OdeProblem(-(h @ h), u0, 2.0, SOLVER_SOURCES[source](b))
+    has_b = source == "constant"
+    if has_b:
+        assert np.array_equal(p.inhomogeneous, b)
+    else:
+        assert p.inhomogeneous is None
+    rep = solve(p)
+    assert len(builds) == int(has_b)
+    assert rep.ledger["O_b"] == int(has_b)
+    assert (rep.extras["alpha1"] > 0.0) == has_b
+    if solver == "eigen":  # real spectrum: the kernel oracle is O_f alone
+        assert (rep.ledger["O_f"] > 0) == has_b
+    if source == "below-zero-tol":
+        want = solve(OdeProblem(-(h @ h), u0, 2.0))
+        assert np.array_equal(rep.output_state, want.output_state)
+        assert rep.success_probability == want.success_probability
+        assert rep.ledger == want.ledger
+
+
+def test_qsvt_solvers_reject_a_sampled_source():
+    q, s, h, u0, b = _shared_instance()
+    src = SampledSource(lambda t: b * math.cos(t),
+                        derivative=lambda t: -b * math.sin(t))
+    p = OdeProblem(-(h @ h), u0, 2.0, src)
+    with pytest.raises(ValueError, match="constant b"):
+        solve_negdef(p, 0.25, 1e-4)
+    with pytest.raises(ValueError, match="constant b"):
+        solve_sqrt_access(p, exact_dilation(h, 1.0), 1e-4)

@@ -87,6 +87,24 @@ def test_kernel_fg_flags_inconsistent_normalization():
         kernel_fg_complex(0.0, 10.0, 1.0)  # integral T = 10 with C = 1
 
 
+def test_kernels_elementwise_match_scalar_calls():
+    rng = np.random.default_rng(47)
+    lam = np.concatenate([[0.0, 5e-13, -1e-9], rng.uniform(-50.0, 0.0, 64)])
+    f = kernel_f(lam, 0.7)
+    assert np.array_equal(f, [kernel_f(float(z), 0.7) for z in lam])
+    assert f[0] == f[1] == 1.0
+    with pytest.raises(ValueError, match="nonpositive"):
+        kernel_f(np.append(lam, 1e-6), 0.7)
+    lam = lam + 1j * rng.uniform(-20.0, 20.0, lam.size)
+    c = kernel_C(0.0, 0.0, 0.7)
+    f, g = kernel_fg_complex(lam, 0.7, c)
+    pairs = [kernel_fg_complex(complex(z), 0.7, c) for z in lam]
+    assert np.array_equal(f, [pair[0] for pair in pairs])
+    assert np.array_equal(g, [pair[1] for pair in pairs])
+    with pytest.raises(ValueError, match="inconsistent"):
+        kernel_fg_complex(np.append(lam, 0.0), 10.0, 1.0)
+
+
 def test_kernel_magnitudes_bounded_randomized():
     rng = np.random.default_rng(41)
     for _ in range(10_000):

@@ -9,8 +9,8 @@ import pytest
 from ffode import eigen_solvers
 from ffode import (
     EigenOracleSet, EigenSystem, OdeProblem, PdeSpec, SampledSource,
-    eigensystem_of, lift_hyperbolic, solve_eigen, solve_eigen_homogeneous,
-    solve_eigen_inhomogeneous, solve_eigen_timedep, solve_pde,
+    eigensystem_of, lift_hyperbolic, solve_eigen, solve_eigen_constant,
+    solve_eigen_timedep, solve_pde,
 )
 
 EPS = 1e-2
@@ -30,8 +30,8 @@ def assert_same_report(got, want, *, skip_extras=()):
 
 @pytest.fixture
 def duhamel_builds(monkeypatch):
-    """Counts Duhamel encodings built: the LCS solver builds one, even for
-    an all-zero b, whose report is otherwise the homogeneous one."""
+    """Counts Duhamel encodings built: the constant-source solver builds one
+    exactly when the problem has a source (an all-zero b is stored as None)."""
     calls = []
     build = eigen_solvers.be_duhamel_eigen
 
@@ -65,9 +65,9 @@ def ode_oracle():
 
 BVEC = np.array([1.0, 0.5j, -0.25])
 ODE_CASES = {
-    "none": (lambda: None, "homogeneous", solve_eigen_homogeneous),
-    "all-zero": (lambda: np.zeros(3), "homogeneous", solve_eigen_homogeneous),
-    "constant": (lambda: BVEC, "inhomogeneous", solve_eigen_inhomogeneous),
+    "none": (lambda: None, "homogeneous", solve_eigen_constant),
+    "all-zero": (lambda: np.zeros(3), "homogeneous", solve_eigen_constant),
+    "constant": (lambda: BVEC, "inhomogeneous", solve_eigen_constant),
     "sampled": (lambda: SampledSource(
         lambda t: BVEC * math.cos(t),
         derivative=lambda t: -BVEC * math.sin(t)), "timedep", None),
@@ -130,8 +130,8 @@ def direct_source(spec, path):
     return SampledSource(spec.b_vector, derivative=spec.b_dt_vector)
 
 
-DIRECT = {"homogeneous": lambda p, o: solve_eigen_homogeneous(p, o),
-          "inhomogeneous": lambda p, o: solve_eigen_inhomogeneous(p, o),
+DIRECT = {"homogeneous": solve_eigen_constant,
+          "inhomogeneous": solve_eigen_constant,
           "timedep": lambda p, o: solve_eigen_timedep(p, o, EPS)}
 
 
