@@ -7,6 +7,8 @@ spectra) plus 2 uses of U, independent of T, the norm of A and the dimension.
 The script shows the constant ledgers, exact success probabilities from
 ``solve_eigen_constant`` (no source is b = None, the same LCS circuit without
 its Duhamel branch), and the Riemann-sum path for a time-dependent source.
+Every solver takes the problem alone; its normalizations follow from the
+spectrum and the circuit that runs.
 """
 
 import math
@@ -14,20 +16,19 @@ import math
 import numpy as np
 
 from ffode import (
-    EigenOracleSet, EigenSystem, OdeProblem, SampledSource, be_duhamel_eigen,
+    EigenSystem, OdeProblem, SampledSource, be_duhamel_eigen,
     be_exp_eigen, quadrature_error_bound, solve_eigen_constant,
-    solve_eigen_timedep, solve_reference,
+    solve_eigen_timedep,
 )
 
 print("=" * 70)
 print("constant query counts, whatever the horizon")
 print("=" * 70)
 es = EigenSystem(np.eye(4), [0.0, -100.0, -2500.0, -10000.0])
-oracle = EigenOracleSet.from_eigensystem(es)
 for T in (1.0, 100.0):
-    led = be_exp_eigen(oracle, T).ledger
+    led = be_exp_eigen(es, T).ledger
     print(f"T = {T:6.0f}: exp ledger {led.counts}")
-    led = be_duhamel_eigen(oracle, T).ledger
+    led = be_duhamel_eigen(es, T).ledger
     print(f"           duhamel ledger {led.counts}")
 print("norm(A) = 1e4 never enters the counts: that is the exponential")
 print("fast-forwarding in both T and the norm.")
@@ -37,14 +38,12 @@ print("=" * 70)
 print("exact success probabilities")
 print("=" * 70)
 es2 = EigenSystem(np.eye(2), [0.0, -1.0])
-o2 = EigenOracleSet.from_eigensystem(es2)
 u0 = np.array([1.0, 1.0]) / math.sqrt(2)
-rep = solve_eigen_constant(OdeProblem(es2, u0, math.log(2.0)), o2)
+rep = solve_eigen_constant(OdeProblem(es2, u0, math.log(2.0)))
 print("diag(0,-1), T = ln 2: probability", rep.success_probability,
       "(closed form 5/8)")
 es1 = EigenSystem(np.eye(1), [0.0])
-o1 = EigenOracleSet.from_eigensystem(es1)
-rep = solve_eigen_constant(OdeProblem(es1, [1.0], 5.0, [1.0]), o1)
+rep = solve_eigen_constant(OdeProblem(es1, [1.0], 5.0, [1.0]))
 print("lambda = 0, u0 = b = 1, T = 5: probability", rep.success_probability,
       "(closed form 36/52)")
 
@@ -54,13 +53,11 @@ print("time-dependent source via the Riemann-sum combination of states")
 print("=" * 70)
 src = SampledSource(lambda t: np.array([math.cos(t), 0.0]),
                     derivative=lambda t: np.array([-math.sin(t), 0.0]))
-o2td = EigenOracleSet.from_eigensystem(es2, variant="nonneg")
 p = OdeProblem(es2, u0, math.pi / 2, src)
-rep = solve_eigen_timedep(p, o2td, 1e-4)
+rep = solve_eigen_timedep(p, 1e-4)
 m = rep.extras["nodes"]
 print(f"chosen node count M = {m} for eps = 1e-4")
-print(f"quadrature bound at M: {quadrature_error_bound(p, o2td, m):.3e}")
+print(f"quadrature bound at M: {quadrature_error_bound(p, m):.3e}")
 print(f"measured state error:  {rep.error_vs_reference:.3e}")
-ref = solve_reference(p)
 print("note: M only affects classical planning; the per-run ORACLE ledger is")
 print("M-independent:", rep.ledger.counts)

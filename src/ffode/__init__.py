@@ -58,7 +58,6 @@ from .qsvt_solvers import (
     solve_sqrt_access,
 )
 from .eigen_solvers import (
-    EigenOracleSet,
     RiemannPlan,
     be_duhamel_eigen,
     be_exp_eigen,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .block_encoding import LEDGER_KEYS, QueryLedger
 from .linalg import EigenSystem
-from .eigen_solvers import EigenOracleSet, solve_eigen
+from .eigen_solvers import solve_eigen
 from .lower_bounds import (
     AmplifierCircuit, amplifier_bound_check, inequality_holds,
     shifting_equivalence_check, witness_imaginary_time, witness_linear_system,
@@ -219,8 +219,7 @@ def _build_ode_problem(prob: dict, T: float, rng: np.random.Generator):
     elif family == "random-normal":
         lam = rng.uniform(-1.0, 0.0, N) + 1j * rng.uniform(-2.0, 2.0, N)
         lam[0] = 1j * lam[0].imag  # keep a zero-real-part mode
-        coefficient = EigenSystem(q, lam)
-        aux = {"eigen": coefficient}
+        coefficient, aux = EigenSystem(q, lam), {}
     else:
         raise SchemaError(f"unknown ode family {family!r}")
     u0 = _complex_normal(rng, N)
@@ -291,11 +290,6 @@ def _run_point(cfg: dict, prob: dict, T: float, eps: float,
             u_h = exact_dilation(aux["h"], 1.0)
             report = solve_sqrt_access(problem, u_h, eps)
         elif solver in ("eigen", "eigen-td"):
-            eigen = aux.get("eigen")
-            if eigen is None:
-                eigen = EigenSystem.from_matrix(problem.matrix)
-            variant = "nonneg" if solver == "eigen-td" else "plain"
-            oracle = EigenOracleSet.from_eigensystem(eigen, variant=variant)
             if solver == "eigen-td":
                 # the Riemann-sum path, also for a constant b
                 src = problem.inhomogeneous
@@ -303,9 +297,8 @@ def _run_point(cfg: dict, prob: dict, T: float, eps: float,
                     const = np.asarray(src)
                     src = SampledSource(lambda t: const,
                                         derivative=lambda t: 0.0 * const)
-                problem = OdeProblem(eigen, problem.u0, T, src)
-            report = solve_eigen(problem, oracle, eps,
-                                 M=int(M) if M else None)
+                problem = OdeProblem(problem.coefficient, problem.u0, T, src)
+            report = solve_eigen(problem, eps, M=int(M) if M else None)
         else:  # pragma: no cover
             raise MismatchError(f"unhandled solver {solver}")
 

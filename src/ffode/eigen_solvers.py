@@ -9,6 +9,13 @@ this to time-dependent inhomogeneous terms.  ``solve_eigen`` is the one
 place that picks between the two solvers: ``solve_eigen_constant`` for no
 source or a constant one, ``solve_eigen_timedep`` for a sampled source.
 
+Every solver takes the :class:`OdeProblem` alone: its coefficient is the
+eigensystem (a dense normal matrix is diagonalized by
+``EigenSystem.from_matrix``), and each normalization is a function of the
+spectrum fixed by the circuit that runs: e^{αT} and C(α,β,T) for the
+constant-source circuit (``_shift``, ``_beta_floor``), e^{α̃T} with
+α̃ = max(0, max Re λ) for the Riemann sum (``_alpha_tilde``).
+
 Register-level binary encodings of eigenvalue data are simulated as exact
 real-valued tags attached to each eigenindex: the compute / controlled
 rotation / uncompute sandwich nets to exact per-index amplitude and phase
@@ -34,94 +41,46 @@ from .reference import (
     kernel_fg_complex, solve_reference,
 )
 
-_REAL_TOL = 1e-12
 _DRIVE_SAMPLES = 4097  # grid points of the sup drive term
 
 
-@dataclass
-class EigenOracleSet:
-    """Eigen-oracle access: eigensystem plus the shift/floor parameters.
-
-    ``alpha_shift`` is the normalization exponent (at least the largest
-    eigenvalue real part; the ``nonneg_shift`` variant additionally clamps it
-    at zero, as the time-dependent solver requires).  ``beta_floor`` is a
-    lower bound on |Im λ| over the purely imaginary eigenvalues, used only by
-    the C(α,β,T) normalization.  Oracles are treated as exact real-valued
-    maps.
-    """
-
-    eigen: EigenSystem
-    alpha_shift: float
-    beta_floor: float = 0.0
-    nonneg_shift: bool = False
-
-    def __post_init__(self):
-        lam = self.eigen.eigenvalues
-        max_re = float(np.max(lam.real))
-        if self.alpha_shift < max_re - _REAL_TOL:
-            raise ValueError(
-                f"alpha_shift {self.alpha_shift} is below the largest "
-                f"eigenvalue real part {max_re}")
-        if self.nonneg_shift and self.alpha_shift < 0.0:
-            raise ValueError("the nonnegative-shift variant needs alpha_shift ≥ 0")
-        if self.beta_floor < 0:
-            raise ValueError("beta_floor must be nonnegative")
-        imag_only = np.abs(lam.real) <= _REAL_TOL
-        nonzero_imag = imag_only & (np.abs(lam.imag) > _REAL_TOL)
-        if np.any(nonzero_imag):
-            floor = float(np.min(np.abs(lam.imag[nonzero_imag])))
-            if self.beta_floor > floor + _REAL_TOL:
-                raise ValueError(
-                    f"beta_floor {self.beta_floor} exceeds the smallest "
-                    f"purely-imaginary magnitude {floor}")
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigen.eigenvalues
-
-    @property
-    def real_nonpositive(self) -> bool:
-        lam = self.eigenvalues
-        return bool(np.all(np.abs(lam.imag) <= _REAL_TOL)
-                    and np.all(lam.real <= _REAL_TOL))
-
-    @classmethod
-    def from_eigensystem(cls, eigen: EigenSystem, *,
-                         variant: str = "plain") -> "EigenOracleSet":
-        """Auto-fill the shift and floor from the spectrum.
-
-        plain:  α = 0 for real nonpositive spectra (the 6-query lemmas apply
-                unshifted), otherwise the largest real part.
-        nonneg: α̃ = max(0, largest real part), the time-dependent variant.
-
-        beta_floor defaults to min |Im λ| over the purely imaginary
-        eigenvalues when the whole spectrum is purely imaginary and nonzero
-        (the Hamiltonian-like case where C = 2/β pays off) and to 0 otherwise,
-        which keeps the C(α,β,T) normalization valid for mixed spectra.
-        """
-        lam = eigen.eigenvalues
-        max_re = float(np.max(lam.real))
-        if variant == "nonneg":
-            alpha_shift = max(0.0, max_re)
-        elif np.all(np.abs(lam.imag) <= _REAL_TOL) and max_re <= _REAL_TOL:
-            alpha_shift = 0.0
-        else:
-            alpha_shift = max_re
-        all_imag = np.all(np.abs(lam.real) <= _REAL_TOL)
-        none_zero = np.all(np.abs(lam) > _REAL_TOL)
-        if abs(max_re) <= _REAL_TOL and all_imag and none_zero:
-            beta_floor = float(np.min(np.abs(lam.imag)))
-        else:
-            beta_floor = 0.0
-        return cls(eigen, float(alpha_shift), float(beta_floor),
-                   nonneg_shift=(variant == "nonneg"))
+def _eigensystem(p: OdeProblem) -> EigenSystem:
+    """The eigen oracles of p's coefficient: its own :class:`EigenSystem`, or
+    the unitary eigensystem of a dense normal matrix, whose reconstruction
+    ‖UΛU†−A‖ ≤ TOL.reconstruction ``EigenSystem.from_matrix`` checks."""
+    if isinstance(p.coefficient, EigenSystem):
+        return p.coefficient
+    return EigenSystem.from_matrix(p.coefficient)
 
 
-def _real_case(o: EigenOracleSet) -> bool:
-    return o.real_nonpositive and abs(o.alpha_shift) <= _REAL_TOL
+def _real_nonpositive(lam: np.ndarray) -> bool:
+    return bool(np.all(np.abs(lam.imag) <= TOL.zero)
+                and np.all(lam.real <= TOL.zero))
 
 
-def _dilate_diagonal(o: EigenOracleSet, factors: np.ndarray, alpha: float,
+def _shift(lam: np.ndarray) -> float:
+    """α of the constant-source circuit: 0 for a real nonpositive spectrum
+    (the 6-query lemmas apply unshifted), otherwise the largest real part."""
+    return 0.0 if _real_nonpositive(lam) else float(np.max(lam.real))
+
+
+def _alpha_tilde(lam: np.ndarray) -> float:
+    """α̃ = max(0, largest real part) of the Riemann-sum circuit."""
+    return max(0.0, float(np.max(lam.real)))
+
+
+def _beta_floor(lam: np.ndarray) -> float:
+    """β of C(α,β,T): min |Im λ| when the whole spectrum is purely imaginary
+    and nonzero (the Hamiltonian-like case where C = 2/β pays off), else 0,
+    which keeps C valid for mixed spectra."""
+    all_imag = np.all(np.abs(lam.real) <= TOL.zero)
+    none_zero = np.all(np.abs(lam) > TOL.zero)
+    if all_imag and none_zero:
+        return float(np.min(np.abs(lam.imag)))
+    return 0.0
+
+
+def _dilate_diagonal(eigen: EigenSystem, factors: np.ndarray, alpha: float,
                      target: np.ndarray,
                      ledger: QueryLedger) -> DiagonalEncoding:
     """U diag(factors) U† encoding U diag(target) U†, both as diagonals."""
@@ -129,72 +88,58 @@ def _dilate_diagonal(o: EigenOracleSet, factors: np.ndarray, alpha: float,
     if np.max(mags) > 1.0 + 1e-10:
         raise ValueError(f"diagonal factor exceeds 1: {np.max(mags)}")
     factors = factors / np.where(mags > 1.0, mags, 1.0)
-    return DiagonalEncoding(o.eigen, factors, float(alpha),
+    return DiagonalEncoding(eigen, factors, float(alpha),
                             TOL.verify_slack * max(1.0, alpha), ledger, target)
 
 
-def be_exp_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
-    """(e^{αT}, ·, 0)-block-encoding of e^{AT} from the eigen oracles.
+def be_exp_eigen(eigen: EigenSystem, T: float) -> BlockEncoding:
+    """(e^{αT}, ·, 0)-block-encoding of e^{AT} from the eigen oracles, α the
+    spectrum's ``_shift``.
 
-    Real nonpositive spectra with zero shift use the 6-query circuit
-    (O_T, O_Λ, O_exp computed and uncomputed); anything else uses the
-    10-query complex circuit with separate real/imaginary eigenvalue
-    registers and a phase gate.  Both charge exactly 2 uses of U.
+    Real nonpositive spectra use the 6-query circuit (O_T, O_Λ, O_exp
+    computed and uncomputed); anything else uses the 10-query complex
+    circuit with separate real/imaginary eigenvalue registers and a phase
+    gate.  Both charge exactly 2 uses of U.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    lam = o.eigenvalues
-    alpha = o.alpha_shift
+    lam = eigen.eigenvalues
+    alpha = _shift(lam)
     factors = np.exp((lam - alpha) * T)
     target = np.exp(lam * T)
-    if _real_case(o):
+    if _real_nonpositive(lam):
         ledger = QueryLedger({O_T: 2, O_LAMBDA: 2, O_EXP: 2, U_EIG: 2, GATES: 1})
     else:
         ledger = QueryLedger({O_T: 2, O_LAMBDA_R: 2, O_EXP: 2, O_LAMBDA_I: 2,
                               O_PROD: 2, U_EIG: 2, GATES: 4})
-    return _dilate_diagonal(o, factors, math.exp(alpha * T), target, ledger)
+    return _dilate_diagonal(eigen, factors, math.exp(alpha * T), target, ledger)
 
 
-def be_duhamel_eigen(o: EigenOracleSet, T: float) -> BlockEncoding:
+def be_duhamel_eigen(eigen: EigenSystem, T: float) -> BlockEncoding:
     """Zero-error block-encoding of ∫₀ᵀ e^{A(T-s)} ds.
 
     Normalization T with the real kernel f(λ,T) for real nonpositive
-    spectra; C(α,β,T) with the complex split f+ig otherwise (α recomputed
-    as the largest real part, β from the oracle set's floor).
+    spectra; C(α,β,T) with the complex split f+ig otherwise (α the largest
+    real part, β the spectrum's ``_beta_floor``).
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    lam = o.eigenvalues
+    lam = eigen.eigenvalues
     target = exp_integral(lam, T)
-    if _real_case(o):
+    if _real_nonpositive(lam):
         factors = kernel_f(lam.real, T).astype(complex)
         norm = T
         ledger = QueryLedger({O_T: 2, O_LAMBDA: 2, O_F: 2, U_EIG: 2, GATES: 1})
     else:
-        alpha = float(np.max(lam.real))
-        if abs(alpha) <= _REAL_TOL:
-            alpha = 0.0
-        norm = kernel_C(alpha, o.beta_floor, T)
+        norm = kernel_C(float(np.max(lam.real)), _beta_floor(lam), T)
         factors = np.empty(lam.shape, dtype=complex)
         factors.real, factors.imag = kernel_fg_complex(lam, T, norm)
         ledger = QueryLedger({O_T: 2, O_LAMBDA_R: 2, O_LAMBDA_I: 2, O_F: 2,
                               O_G: 2, U_EIG: 2, GATES: 4})
-    return _dilate_diagonal(o, factors, norm, target, ledger)
+    return _dilate_diagonal(eigen, factors, norm, target, ledger)
 
 
-def _check_problem(p: OdeProblem, o: EigenOracleSet) -> None:
-    if isinstance(p.coefficient, EigenSystem):
-        same = (p.coefficient is o.eigen or np.allclose(
-            p.coefficient.matrix, o.eigen.matrix, atol=TOL.reconstruction))
-        if not same:
-            raise ValueError("problem eigensystem disagrees with the oracle set")
-    else:
-        from .linalg import spectral_norm
-        if spectral_norm(p.coefficient - o.eigen.matrix) > TOL.reconstruction:
-            raise ValueError("problem coefficient disagrees with the oracle set")
-
-
-def solve_eigen_constant(p: OdeProblem, o: EigenOracleSet) -> SolveReport:
+def solve_eigen_constant(p: OdeProblem) -> SolveReport:
     """LCS combination of the e^{AT} encoding and, for a constant b, the
     Duhamel encoding.
 
@@ -203,16 +148,16 @@ def solve_eigen_constant(p: OdeProblem, o: EigenOracleSet) -> SolveReport:
     (‖u(T)‖/(e^{αT}‖u0‖))².  Both encodings are zero-error, so the output
     equals the normalized reference.
     """
-    _check_problem(p, o)
     b = p.inhomogeneous
     if isinstance(b, SampledSource):
         raise ValueError("needs a constant inhomogeneous term or none")
-    be0 = be_exp_eigen(o, p.horizon)
-    be1 = None if b is None else be_duhamel_eigen(o, p.horizon)
+    eigen = _eigensystem(p)
+    be0 = be_exp_eigen(eigen, p.horizon)
+    be1 = None if b is None else be_duhamel_eigen(eigen, p.horizon)
     reference = solve_reference(p)
     rep = lcs_combine_and_measure(p.u0, b, be0, be1, reference,
                                   TOL.exact_solver)
-    rep.extras["alpha_shift"] = o.alpha_shift
+    rep.extras["alpha_shift"] = _shift(eigen.eigenvalues)
     return rep
 
 
@@ -239,14 +184,14 @@ def riemann_plan(b, T: float, M: int) -> RiemannPlan:
                        float(np.mean(norms ** 2)))
 
 
-def _sup_drive_term(p: OdeProblem, o: EigenOracleSet) -> float:
+def _sup_drive_term(p: OdeProblem, lam: np.ndarray) -> float:
     """sup over [0,T] of ‖A‖·‖b(t)‖ + ‖db/dt‖ on a grid of _DRIVE_SAMPLES."""
     src = p.inhomogeneous
     if not isinstance(src, SampledSource):
         raise ValueError("quadrature bounds need a sampled source")
     if src.derivative is None:
         raise ValueError("quadrature bounds need the source's derivative")
-    norm_a = float(np.max(np.abs(o.eigenvalues)))
+    norm_a = float(np.max(np.abs(lam)))
     ts = np.linspace(0.0, p.horizon, _DRIVE_SAMPLES)
     best = 0.0
     for t in ts:
@@ -256,36 +201,32 @@ def _sup_drive_term(p: OdeProblem, o: EigenOracleSet) -> float:
     return best
 
 
-def _alpha_tilde(o: EigenOracleSet) -> float:
-    return max(0.0, float(np.max(o.eigenvalues.real)))
-
-
-def _bound_from_sup(p: OdeProblem, o: EigenOracleSet, M: int,
-                    sup: float) -> float:
+def _bound_from_sup(T: float, alpha_t: float, M: int, sup: float) -> float:
     if M < 1:
         raise ValueError("need at least one node")
-    T = p.horizon
-    return (T ** 2) * math.exp(_alpha_tilde(o) * T) / (2.0 * M) * sup
+    return (T ** 2) * math.exp(alpha_t * T) / (2.0 * M) * sup
 
 
-def _nodes_from_sup(p: OdeProblem, o: EigenOracleSet, eps_prime: float,
+def _nodes_from_sup(T: float, alpha_t: float, eps_prime: float,
                     sup: float) -> int:
     if eps_prime <= 0:
         raise ValueError("eps_prime must be positive")
-    T = p.horizon
     return max(1, math.ceil(
-        (T ** 2) * math.exp(_alpha_tilde(o) * T) * sup / (2.0 * eps_prime)))
+        (T ** 2) * math.exp(alpha_t * T) * sup / (2.0 * eps_prime)))
 
 
-def quadrature_error_bound(p: OdeProblem, o: EigenOracleSet, M: int) -> float:
+def quadrature_error_bound(p: OdeProblem, M: int) -> float:
     """Riemann-sum error bound T²e^{α̃T}/(2M) · sup(‖A‖‖b‖ + ‖db/dt‖)."""
-    return _bound_from_sup(p, o, M, _sup_drive_term(p, o))
+    lam = _eigensystem(p).eigenvalues
+    return _bound_from_sup(p.horizon, _alpha_tilde(lam), M,
+                           _sup_drive_term(p, lam))
 
 
-def quadrature_nodes_for(p: OdeProblem, o: EigenOracleSet,
-                         eps_prime: float) -> int:
+def quadrature_nodes_for(p: OdeProblem, eps_prime: float) -> int:
     """Node count M making the Riemann error bound at most eps_prime."""
-    return _nodes_from_sup(p, o, eps_prime, _sup_drive_term(p, o))
+    lam = _eigensystem(p).eigenvalues
+    return _nodes_from_sup(p.horizon, _alpha_tilde(lam), eps_prime,
+                           _sup_drive_term(p, lam))
 
 
 def _timedep_ledger(M: int) -> QueryLedger:
@@ -299,7 +240,7 @@ def _timedep_ledger(M: int) -> QueryLedger:
     })
 
 
-def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
+def solve_eigen_timedep(p: OdeProblem, eps: float,
                         M: int | None = None) -> SolveReport:
     """Riemann-sum LCS solve for a time-dependent inhomogeneous term.
 
@@ -308,22 +249,18 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
     over the M nodes, per-node application of the e^{A(T-kT/M)} diagonal
     factors, a Hadamard collapse of the time register and the final control
     Hadamard.  The success probability is exactly
-    (‖ũ(T)‖ / (e^{α̃T} sqrt(2(‖u0‖² + T²‖b‖²_avg))))².
+    (‖ũ(T)‖ / (e^{α̃T} sqrt(2(‖u0‖² + T²‖b‖²_avg))))², α̃ = max(0, max Re λ).
 
     M defaults to the quadrature bound's choice for ε′ = ε‖u(T)‖/2 and is
     capped at MAX_RIEMANN_NODES (the required M is reported on failure).
     """
-    _check_problem(p, o)
-    if o.alpha_shift < 0:
-        raise ValueError("the time-dependent path needs the nonnegative-shift "
-                         "variant (α̃ ≥ 0)")
     if not isinstance(p.inhomogeneous, SampledSource):
         raise ValueError("needs a sampled (callable) inhomogeneous term")
 
     T = p.horizon
-    lam = o.eigenvalues
-    eigen = o.eigen
-    alpha_t = o.alpha_shift
+    eigen = _eigensystem(p)
+    lam = eigen.eigenvalues
+    alpha_t = _alpha_tilde(lam)
     reference = solve_reference(p)
     norm_uT = float(np.linalg.norm(reference))
     if norm_uT <= TOL.zero:
@@ -331,18 +268,18 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
 
     # one sweep of the drive term serves both the node count and the bound
     try:
-        sup = _sup_drive_term(p, o)
+        sup = _sup_drive_term(p, lam)
     except ValueError:
         if M is None:
             raise
         sup = None  # no derivative data when M was supplied explicitly
     if M is None:
-        M = _nodes_from_sup(p, o, eps * norm_uT / 2.0, sup)
+        M = _nodes_from_sup(T, alpha_t, eps * norm_uT / 2.0, sup)
         if M > MAX_RIEMANN_NODES:
             raise ValueError(
                 f"required Riemann node count M = {M} exceeds the configured "
                 f"cap {MAX_RIEMANN_NODES}")
-    bound = None if sup is None else _bound_from_sup(p, o, M, sup)
+    bound = None if sup is None else _bound_from_sup(T, alpha_t, M, sup)
 
     plan = riemann_plan(p.inhomogeneous, T, M)
     # per-node diagonal factors in the eigenbasis, summed with weight T/M
@@ -374,11 +311,11 @@ def solve_eigen_timedep(p: OdeProblem, o: EigenOracleSet, eps: float,
     return report
 
 
-def solve_eigen(p: OdeProblem, o: EigenOracleSet, eps: float,
+def solve_eigen(p: OdeProblem, eps: float,
                 M: int | None = None) -> SolveReport:
     """The one router to the eigen solvers: a :class:`SampledSource` takes
     the Riemann sum (the only path reading ``eps`` and ``M``), no source or a
     constant one ``solve_eigen_constant``."""
     if isinstance(p.inhomogeneous, SampledSource):
-        return solve_eigen_timedep(p, o, eps, M=M)
-    return solve_eigen_constant(p, o)
+        return solve_eigen_timedep(p, eps, M=M)
+    return solve_eigen_constant(p)

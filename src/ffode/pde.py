@@ -4,10 +4,12 @@ Circulant central-difference stencils (Laplacian, divergence, third and
 fourth derivative), their closed-form Fourier eigensystems, the hyperbolic
 lifting to a first-order system with coefficient [[0, iB], [iB, 0]], fast
 inversion for the lifted initial data, and ``solve_pde``, which builds the
-first-order problem and its source once and hands both to
+first-order problem and its source once and hands it to
 ``eigen_solvers.solve_eigen``, the router that picks the eigen-oracle solver.
-Hyperbolic kinds are then post-selected on the u block and compared against
-the dense Duhamel reference.
+The problem is all the solver needs: its coefficient is the cross-validated
+:class:`EigenSystem` (``eigensystem_of``, or the lifted one of
+``lift_hyperbolic``).  Hyperbolic kinds are then post-selected on the u block
+and compared against the dense Duhamel reference.
 
 All operators act on n grid points per axis of [0,1]^d with spacing h = 1/n;
 the DFT convention is F[j,k] = ω^{jk}/√n with ω = e^{2πi/n}, whose columns
@@ -33,7 +35,7 @@ import scipy.linalg as sla
 
 from .config import TOL
 from .linalg import EigenSystem, FourierBasis, as_vector, global_phase_distance
-from .eigen_solvers import EigenOracleSet, solve_eigen
+from .eigen_solvers import solve_eigen
 from .qsvt_solvers import SolveReport, repeat_estimates
 from .reference import OdeProblem, SampledSource, solve_reference
 
@@ -418,7 +420,7 @@ def _cross_validated(spec: PdeSpec, eigenvalues) -> EigenSystem:
     return EigenSystem(basis, lam)
 
 
-def eigensystem_of(spec: PdeSpec) -> EigenOracleSet:
+def eigensystem_of(spec: PdeSpec) -> EigenSystem:
     """Closed-form eigensystem F^{⊗d} / μ(k) of a parabolic-family operator.
 
     Cross-validates the reconstruction against the stencil operator to the
@@ -427,12 +429,10 @@ def eigensystem_of(spec: PdeSpec) -> EigenOracleSet:
     if spec.kind not in PARABOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not in the parabolic family; "
                          "use lift_hyperbolic")
-    eigen = _cross_validated(spec, _spatial_eigenvalues(spec))
-    variant = "nonneg" if spec.b is not None else "plain"
-    return EigenOracleSet.from_eigensystem(eigen, variant=variant)
+    return _cross_validated(spec, _spatial_eigenvalues(spec))
 
 
-def fast_inversion(b_eigen: EigenOracleSet, w0) -> tuple[np.ndarray, float]:
+def fast_inversion(eigen: EigenSystem, w0) -> tuple[np.ndarray, float]:
     """Solve O v = w0 by per-mode division for O = U diag(λ) U†.
 
     Requires w0 to have no weight (≤ 1e-10) on the zero modes when O is
@@ -440,8 +440,7 @@ def fast_inversion(b_eigen: EigenOracleSet, w0) -> tuple[np.ndarray, float]:
     count of any algorithm consuming |v> instead of |w0>.
     """
     w0 = as_vector(w0)
-    lam = b_eigen.eigenvalues
-    eigen = b_eigen.eigen
+    lam = eigen.eigenvalues
     w_hat = eigen.apply_adjoint(w0)
     singular = np.abs(lam) <= 1e-12 * max(1.0, float(np.max(np.abs(lam))))
     if np.any(singular):
@@ -461,29 +460,25 @@ def fast_inversion(b_eigen: EigenOracleSet, w0) -> tuple[np.ndarray, float]:
     return v, float(np.linalg.norm(w0)) / nv
 
 
-def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, EigenOracleSet]:
+def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, float]:
     """First-order 2N system for a hyperbolic kind.
 
     Coefficient [[0, iB], [iB, 0]] with eigenvalues ±i·sqrt(-μ(k)) in the
     basis (F^{⊗d} ⊕ F^{⊗d}) followed by the Hadamard block mixer; the second
     component's initial data solves iB v(0) = w0 by fast inversion, and the
-    source enters only the second block as (0, b(t)).
+    source enters only the second block as (0, b(t)).  Returns the problem
+    and the inversion cost factor of ``fast_inversion``.
     """
     if spec.kind not in HYPERBOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not hyperbolic")
     s = np.sqrt(_hyperbolic_radicand(spec))
     # eigen data of iB in the plain Fourier basis, for the initial data solve
-    ib_eigen = EigenOracleSet.from_eigensystem(
-        EigenSystem(FourierBasis(spec.n, spec.d), 1j * s), variant="nonneg")
-    v0, cost = fast_inversion(ib_eigen, spec.w0_vector())
+    v0, cost = fast_inversion(
+        EigenSystem(FourierBasis(spec.n, spec.d), 1j * s), spec.w0_vector())
 
     eigen = _cross_validated(spec, np.concatenate([1j * s, -1j * s]))
-    oracle = EigenOracleSet.from_eigensystem(eigen, variant="nonneg")
-
     u_full = np.concatenate([spec.u0_vector(), v0])
-    problem = OdeProblem(eigen, u_full, spec.T, spec._source(lead=spec.N))
-    problem.lift_info = {"v0": v0, "inversion_cost": cost}
-    return problem, oracle
+    return OdeProblem(eigen, u_full, spec.T, spec._source(lead=spec.N)), cost
 
 
 def _gate_model(spec: PdeSpec, eps: float) -> dict:
@@ -497,8 +492,8 @@ def _gate_model(spec: PdeSpec, eps: float) -> dict:
 
 def _post_select_u_block(spec: PdeSpec, eps: float) -> SolveReport:
     """Solve the lifted system and post-select on its u block."""
-    problem, oracle = lift_hyperbolic(spec)
-    full = solve_eigen(problem, oracle, eps)
+    problem, inversion_cost = lift_hyperbolic(spec)
+    full = solve_eigen(problem, eps)
 
     n_total = spec.N
     u_part = full.output_state[:n_total]
@@ -525,7 +520,7 @@ def _post_select_u_block(spec: PdeSpec, eps: float) -> SolveReport:
         "u_block_norm": nu_part,
         "v_block_norm": float(np.linalg.norm(v_part)),
         "post_selection_factor": post_factor,
-        "inversion_cost": problem.lift_info["inversion_cost"],
+        "inversion_cost": inversion_cost,
         "full_system_report": {
             "success_probability": full.success_probability,
             "error_vs_reference": full.error_vs_reference,
@@ -546,10 +541,8 @@ def solve_pde(spec: PdeSpec, eps: float) -> SolveReport:
     if spec.u0 is None:
         raise ValueError("the problem needs initial data u0")
     if spec.kind in PARABOLIC_KINDS:
-        oracle = eigensystem_of(spec)
-        report = solve_eigen(
-            OdeProblem(oracle.eigen, spec.u0_vector(), spec.T, spec._source()),
-            oracle, eps)
+        report = solve_eigen(OdeProblem(eigensystem_of(spec), spec.u0_vector(),
+                                        spec.T, spec._source()), eps)
     else:
         report = _post_select_u_block(spec, eps)
     report.extras["gate_model"] = _gate_model(spec, eps)

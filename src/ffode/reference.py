@@ -106,14 +106,15 @@ def kernel_f(lam, t: float):
 
 
 def kernel_C(alpha: float, beta: float, T: float) -> float:
-    """Normalization C(α,β,T): T, 2/β, or (e^{αT}-1)/α by case."""
+    """Normalization C(α,β,T): T, 2/β, or (e^{αT}-1)/α by case, the last as
+    ``exp_integral``, which does not cancel at small |αT|."""
     if T <= 0:
         raise ValueError("T must be positive")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     if abs(alpha) <= TOL.zero:
         return T if beta <= TOL.zero else 2.0 / beta
-    return float((np.exp(alpha * T) - 1.0) / alpha)
+    return float(exp_integral(alpha, T))
 
 
 def kernel_fg_complex(lam, T: float, C: float):

@@ -13,7 +13,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import linear_sum_assignment
 
 from ffode import (
-    AmplifierCircuit, EigenOracleSet, EigenSystem, OdeProblem, PdeSpec,
+    AmplifierCircuit, EigenSystem, OdeProblem, PdeSpec,
     SampledSource, amplifier_bound_check, build_dh, build_dh3, build_dh4,
     build_vh, certified_degree_scan, dense_operator, eigensystem_of,
     equilibrium_reduction_check, exact_dilation, invert, lcu_combine,
@@ -152,12 +152,11 @@ def test_criterion_2_eigen_solvers_match_reference():
             u0 = random_unit(rng, n)
             b = random_unit(rng, n)
             T = float(rng.uniform(0.2, 2.0))
-            o = EigenOracleSet.from_eigensystem(es)
-            rep = solve_eigen_constant(OdeProblem(es, u0, T), o)
+            rep = solve_eigen_constant(OdeProblem(es, u0, T))
             ref = solve_reference(OdeProblem(es.matrix, u0, T))
             assert fidelity_defect(rep.output_state, ref) <= 1e-9
             instances += 1
-            rep = solve_eigen_constant(OdeProblem(es, u0, T, b), o)
+            rep = solve_eigen_constant(OdeProblem(es, u0, T, b))
             ref = solve_reference(OdeProblem(es.matrix, u0, T, b))
             assert fidelity_defect(rep.output_state, ref) <= 1e-9
             instances += 1
@@ -168,7 +167,6 @@ def test_criterion_2_eigen_solvers_match_reference():
             q = random_unitary(rng, n)
             lam = rng.uniform(-1, 0, n) + 1j * rng.uniform(-1, 1, n)
             es = EigenSystem(q, lam)
-            o = EigenOracleSet.from_eigensystem(es, variant="nonneg")
             u0 = random_unit(rng, n)
             g = random_unit(rng, n)
             src = SampledSource(
@@ -176,7 +174,7 @@ def test_criterion_2_eigen_solvers_match_reference():
                 derivative=lambda t, g=g: -1.3 * np.sin(1.3 * t) * g)
             T = 0.5
             p = OdeProblem(es, u0, T, src)
-            rep = solve_eigen_timedep(p, o, 1e-4, M=120_000)
+            rep = solve_eigen_timedep(p, 1e-4, M=120_000)
             ref = solve_reference(OdeProblem(es.matrix, u0, T, src))
             assert fidelity_defect(rep.output_state, ref) <= 1e-9
             instances += 1
@@ -244,9 +242,8 @@ def test_criterion_4_success_probability_formulas():
 
     # hand-checked value 5/8
     es = EigenSystem(np.eye(2), [0.0, -1.0])
-    o = EigenOracleSet.from_eigensystem(es)
     u0 = np.array([1.0, 1.0]) / math.sqrt(2)
-    rep = solve_eigen_constant(OdeProblem(es, u0, math.log(2.0)), o)
+    rep = solve_eigen_constant(OdeProblem(es, u0, math.log(2.0)))
     assert abs(rep.success_probability - 5.0 / 8.0) <= 1e-10
     checked += 1
 
@@ -264,18 +261,17 @@ def test_criterion_4_success_probability_formulas():
         q = random_unitary(rng, n)
         lam = rng.uniform(-1, 0, n) + 1j * rng.uniform(-1, 1, n)
         es = EigenSystem(q, lam)
-        o = EigenOracleSet.from_eigensystem(es)
         u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         T = float(rng.uniform(0.3, 2.0))
-        rep = solve_eigen_constant(OdeProblem(es, u0, T), o)
+        rep = solve_eigen_constant(OdeProblem(es, u0, T))
         ref = solve_reference(OdeProblem(es, u0, T))
-        expected = (np.linalg.norm(ref)
-                    / (math.exp(o.alpha_shift * T) * np.linalg.norm(u0))) ** 2
+        expected = (np.linalg.norm(ref) / (math.exp(
+            rep.extras["alpha_shift"] * T) * np.linalg.norm(u0))) ** 2
         assert abs(rep.success_probability - expected) <= 1e-10
         checked += 1
 
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rep = solve_eigen_constant(OdeProblem(es, u0, T, b), o)
+        rep = solve_eigen_constant(OdeProblem(es, u0, T, b))
         ref = solve_reference(OdeProblem(es, u0, T, b))
         w = math.hypot(rep.extras["alpha0"] * np.linalg.norm(u0),
                        rep.extras["alpha1"] * np.linalg.norm(b))
@@ -310,7 +306,6 @@ def test_criterion_6_quadrature_bound():
         q = random_unitary(rng, n)
         lam = rng.uniform(-1, 0, n) + 1j * rng.uniform(-1, 1, n)
         es = EigenSystem(q, lam)
-        o = EigenOracleSet.from_eigensystem(es, variant="nonneg")
         u0 = random_unit(rng, n)
         g1, g2 = random_unit(rng, n), random_unit(rng, n)
         om = float(rng.uniform(0.5, 2.0))
@@ -324,14 +319,14 @@ def test_criterion_6_quadrature_bound():
         ref = solve_reference(p)
         errors = []
         for m in grids:
-            rep = solve_eigen_timedep(p, o, 1.0, M=m)
+            rep = solve_eigen_timedep(p, 1.0, M=m)
             scale = math.exp(rep.extras["alpha_tilde"] * T) * math.sqrt(
                 2 * (np.linalg.norm(u0) ** 2
                      + T ** 2 * rep.extras["avg_square_norm"]))
             u_tilde = rep.output_state * math.sqrt(
                 rep.success_probability) * scale
             err = np.linalg.norm(u_tilde - ref)
-            assert err <= quadrature_error_bound(p, o, m)
+            assert err <= quadrature_error_bound(p, m)
             errors.append(err)
         slope = np.polyfit(np.log(grids), np.log(errors), 1)[0]
         assert -1.15 <= slope <= -0.85
@@ -443,16 +438,16 @@ def test_criterion_10_pde_eigenvalue_formulas():
                        a=np.linspace(0.4, 1.0, d),
                        a_prime=np.linspace(-0.6, 0.6, d), c=-0.2,
                        u0=smooth_u0)
-        oracle = eigensystem_of(spec)
-        assert spectral_norm(oracle.eigen.matrix - dense_operator(spec)) \
-            <= 1e-8
+        es = eigensystem_of(spec)
+        assert spectral_norm(es.matrix - dense_operator(spec)) <= 1e-8
 
     for d, n in [(1, 4), (1, 8), (1, 12), (2, 4), (2, 8), (3, 4)]:
         spec = PdeSpec("wave", d, n, 1.0, c=-0.4, u0=smooth_u0,
                        w0=mean_zero_w0)
-        _, oracle = lift_hyperbolic(spec)
+        problem, _ = lift_hyperbolic(spec)
         dense = dense_operator(spec)
-        assert spectra_match(oracle.eigenvalues, np.linalg.eigvals(dense))
+        assert spectra_match(problem.coefficient.eigenvalues,
+                             np.linalg.eigvals(dense))
         b = hyperbolic_sqrt_operator(spec)
         lap = dense_operator(PdeSpec("heat", d, n, 1.0,
                                      a=np.ones(d), c=-0.4, u0=smooth_u0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from ffode import eigen_solvers
 from ffode import (
     OdeProblem, PdeSpec, build_dh, build_dh3, build_dh4, build_vh,
     dense_operator, eigensystem_of, fast_inversion, lift_hyperbolic,
@@ -83,25 +84,25 @@ def test_dft_diagonalization():
 
 def test_heat_eigensystem_n4():
     spec = PdeSpec("heat", 1, 4, 1.0, u0=smooth_u0)
-    oracle = eigensystem_of(spec)
-    assert spectra_match(oracle.eigenvalues, [0, -32, -64, -32])
-    assert oracle.alpha_shift == 0.0
+    es = eigensystem_of(spec)
+    assert spectra_match(es.eigenvalues, [0, -32, -64, -32])
+    assert eigen_solvers._shift(es.eigenvalues) == 0.0
 
 
 def test_transport_eigensystem_n4():
     spec = PdeSpec("transport", 1, 4, 1.0, a_prime=[1.0], u0=smooth_u0)
-    oracle = eigensystem_of(spec)
-    assert spectra_match(oracle.eigenvalues, [0, 4j, 0, -4j])
-    assert oracle.alpha_shift == 0.0
+    es = eigensystem_of(spec)
+    assert spectra_match(es.eigenvalues, [0, 4j, 0, -4j])
+    assert eigen_solvers._shift(es.eigenvalues) == 0.0
 
 
 def test_advection_diffusion_2d_eigensystem():
     spec = PdeSpec("advection-diffusion", 2, 4, 1.0, a=[1.0, 1.0],
                    a_prime=[1.0, 0.0], u0=smooth_u0)
-    oracle = eigensystem_of(spec)
+    es = eigensystem_of(spec)
     dense = dense_operator(spec)
-    assert spectra_match(oracle.eigenvalues, np.linalg.eigvals(dense))
-    assert spectral_norm(oracle.eigen.matrix - dense) < 1e-8
+    assert spectra_match(es.eigenvalues, np.linalg.eigvals(dense))
+    assert spectral_norm(es.matrix - dense) < 1e-8
 
 
 def test_tensorized_closed_forms_sweep():
@@ -112,16 +113,15 @@ def test_tensorized_closed_forms_sweep():
                        a=np.linspace(0.5, 1.0, d),
                        a_prime=np.linspace(-0.5, 0.5, d), c=-0.3,
                        u0=smooth_u0)
-        oracle = eigensystem_of(spec)  # cross-validates internally at 1e-8
+        es = eigensystem_of(spec)  # cross-validates internally at 1e-8
         dense = dense_operator(spec)
-        assert spectral_norm(oracle.eigen.matrix - dense) < 1e-8
+        assert spectral_norm(es.matrix - dense) < 1e-8
 
 
 def test_airy_eigenvalues_n8():
     assert spectra_match(np.linalg.eigvals(build_dh3(8)), dh3_eigenvalues(8))
     spec = PdeSpec("airy", 1, 8, 1.0, u0=smooth_u0)
-    oracle = eigensystem_of(spec)
-    assert spectra_match(oracle.eigenvalues, -dh3_eigenvalues(8))
+    assert spectra_match(eigensystem_of(spec).eigenvalues, -dh3_eigenvalues(8))
 
 
 def test_beam_eigenvalues_and_sqrt():
@@ -141,10 +141,10 @@ def test_hyperbolic_sqrt_identity():
 
 def test_wave_lifted_spectrum_n4():
     spec = PdeSpec("wave", 1, 4, 1.0, u0=smooth_u0, w0=mean_zero_w0)
-    problem, oracle = lift_hyperbolic(spec)
+    problem, _ = lift_hyperbolic(spec)
     expected = [0.0, 1j * math.sqrt(32), 8j, 1j * math.sqrt(32),
                 0.0, -1j * math.sqrt(32), -8j, -1j * math.sqrt(32)]
-    assert spectra_match(oracle.eigenvalues, expected)
+    assert spectra_match(problem.coefficient.eigenvalues, expected)
     dense = dense_operator(spec)
     assert spectra_match(np.linalg.eigvals(dense), expected)
 
@@ -152,8 +152,7 @@ def test_wave_lifted_spectrum_n4():
 def test_klein_gordon_spectrum_gap():
     spec = PdeSpec("klein-gordon", 1, 8, 1.0, mass=1.0, u0=smooth_u0,
                    w0=mean_zero_w0)
-    _, oracle = lift_hyperbolic(spec)
-    lam = oracle.eigenvalues
+    lam = lift_hyperbolic(spec)[0].coefficient.eigenvalues
     assert np.all(np.abs(lam.imag) >= 1.0 - 1e-12)
     assert np.all(np.abs(lam) > 1e-12)
 
@@ -162,20 +161,20 @@ def test_lifted_spectra_sweep():
     for d, n in [(1, 4), (1, 9), (1, 12), (2, 4), (2, 6), (3, 4)]:
         spec = PdeSpec("wave", d, n, 1.0, c=-0.5, u0=smooth_u0,
                        w0=mean_zero_w0)
-        _, oracle = lift_hyperbolic(spec)
+        problem, _ = lift_hyperbolic(spec)
         dense = dense_operator(spec)
-        assert spectra_match(oracle.eigenvalues, np.linalg.eigvals(dense))
+        assert spectra_match(problem.coefficient.eigenvalues,
+                             np.linalg.eigvals(dense))
 
 
 def test_fast_inversion_residual_and_cost():
     spec = PdeSpec("klein-gordon", 1, 8, 1.0, mass=1.0, u0=smooth_u0,
                    w0=lambda x: 1.0 + np.sin(2 * np.pi * x[0]))
     from ffode.pde import dft_tensor, _hyperbolic_radicand
-    from ffode import EigenOracleSet, EigenSystem
+    from ffode import EigenSystem
     f = dft_tensor(8, 1)
     s = np.sqrt(_hyperbolic_radicand(spec))
-    ib = EigenOracleSet.from_eigensystem(EigenSystem(f, 1j * s),
-                                         variant="nonneg")
+    ib = EigenSystem(f, 1j * s)
     w0 = spec.w0_vector()
     v0, cost = fast_inversion(ib, w0)
     assert np.linalg.norm((f * (1j * s)) @ (f.conj().T @ v0) - w0) < 1e-9
@@ -185,23 +184,20 @@ def test_fast_inversion_residual_and_cost():
 def test_fast_inversion_zero_mode_rejection():
     spec = PdeSpec("wave", 1, 8, 1.0, u0=smooth_u0, w0=mean_zero_w0)
     from ffode.pde import dft_tensor, _hyperbolic_radicand
-    from ffode import EigenOracleSet, EigenSystem
+    from ffode import EigenSystem
     f = dft_tensor(8, 1)
     s = np.sqrt(_hyperbolic_radicand(spec))
-    ib = EigenOracleSet.from_eigensystem(EigenSystem(f, 1j * s),
-                                         variant="nonneg")
+    ib = EigenSystem(f, 1j * s)
     with pytest.raises(ValueError, match="zero modes"):
         fast_inversion(ib, np.ones(8))
 
 
 def test_fast_inversion_single_mode():
-    from ffode import EigenOracleSet, EigenSystem
+    from ffode import EigenSystem
     f = dft_matrix(8)
     s = np.arange(1.0, 9.0)
-    oracle = EigenOracleSet.from_eigensystem(EigenSystem(f, 1j * s),
-                                             variant="nonneg")
     mode = f[:, 3]
-    v0, cost = fast_inversion(oracle, mode)
+    v0, cost = fast_inversion(EigenSystem(f, 1j * s), mode)
     assert np.allclose(v0, mode / (1j * s[3]), atol=1e-12)
     assert cost == pytest.approx(abs(s[3]))
 
@@ -434,3 +430,34 @@ def test_heat_d3_n16_without_dense_matrices():
     ov = np.vdot(uT / np.linalg.norm(uT), rep.output_state)
     assert np.linalg.norm(rep.output_state * abs(ov) / ov
                           - uT / np.linalg.norm(uT)) <= 1e-9
+
+
+def _advdiff_with_source(c, b, b_dt, d=2, n=8, T=1.0):
+    return PdeSpec("advection-diffusion", d, n, T, a=[1.0, 0.7][:d],
+                   a_prime=[1.0, -0.5][:d], c=c, u0=smooth_u0,
+                   b=b, b_dt=b_dt)
+
+
+def test_constant_source_shift_is_the_top_real_part():
+    # a complex spectrum whose largest real part is -0.2: the constant-source
+    # circuit normalizes by e^{αT} with α = -0.2, not by a clamped α = 0
+    spec = _advdiff_with_source(-0.2, lambda x, t: mean_zero_w0(x),
+                                lambda x, t: 0.0)
+    top = float(np.max(eigensystem_of(spec).eigenvalues.real))
+    assert top == pytest.approx(-0.2)
+    report = solve_pde(spec, 1e-6)
+    assert "nodes" not in report.extras
+    assert report.extras["alpha_shift"] == top
+    assert report.error_vs_reference < 1e-12
+
+
+@pytest.mark.parametrize("c", [-0.2, 0.0])
+def test_riemann_shift_is_clamped_at_zero(c):
+    # the Riemann sum normalizes by e^{α̃T}, α̃ = max(0, max Re λ)
+    spec = _advdiff_with_source(
+        c, lambda x, t: mean_zero_w0(x) * math.cos(t),
+        lambda x, t: -mean_zero_w0(x) * math.sin(t), d=1, n=4, T=0.2)
+    top = float(np.max(eigensystem_of(spec).eigenvalues.real))
+    report = solve_pde(spec, 1e-2)
+    assert "nodes" in report.extras
+    assert report.extras["alpha_tilde"] == max(0.0, top)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffode import (
-    EigenOracleSet, EigenSystem, OdeProblem, SampledSource, eigen_solvers,
+    OdeProblem, SampledSource, eigen_solvers,
     exact_dilation, lcs_combine_and_measure, matrix_exponential,
     qsvt_solvers, solve_eigen, solve_negdef, solve_reference,
     solve_sqrt_access, spectral_norm, verify_block_encoding,
@@ -278,7 +278,7 @@ SOLVER_SOURCES = {
 
 def _shared_instance():
     """A = Q diag(-s²) Q† with s in [0.5, 1]: negative definite, -H² for
-    H = Q diag(s) Q†, and normal with a known eigensystem."""
+    H = Q diag(s) Q†, and normal, so the eigen solver diagonalizes it."""
     rng = np.random.default_rng(29)
     q = np.linalg.qr(rng.standard_normal((4, 4))
                      + 1j * rng.standard_normal((4, 4)))[0]
@@ -287,14 +287,13 @@ def _shared_instance():
     h = (h + h.conj().T) / 2.0
     u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return q, s, h, u0, b
+    return h, u0, b
 
 
-def _family_solvers(q, s, h):
+def _family_solvers(h):
     """Per family: (solve(problem), module, name of its Duhamel builder)."""
-    oracle = EigenOracleSet.from_eigensystem(EigenSystem(q, -s ** 2))
     return {
-        "eigen": (lambda p: solve_eigen(p, oracle, 1e-6), eigen_solvers,
+        "eigen": (lambda p: solve_eigen(p, 1e-6), eigen_solvers,
                   "be_duhamel_eigen"),
         "negdef": (lambda p: solve_negdef(p, 0.25, 1e-4), qsvt_solvers,
                    "be_duhamel_negdef"),
@@ -306,8 +305,8 @@ def _family_solvers(q, s, h):
 @pytest.mark.parametrize("solver", ["eigen", "negdef", "sqrt"])
 @pytest.mark.parametrize("source", list(SOLVER_SOURCES))
 def test_constant_source_solve_in_every_family(solver, source, monkeypatch):
-    q, s, h, u0, b = _shared_instance()
-    solve, module, duhamel = _family_solvers(q, s, h)[solver]
+    h, u0, b = _shared_instance()
+    solve, module, duhamel = _family_solvers(h)[solver]
     builds = []
     original = getattr(module, duhamel)
 
@@ -336,7 +335,7 @@ def test_constant_source_solve_in_every_family(solver, source, monkeypatch):
 
 
 def test_qsvt_solvers_reject_a_sampled_source():
-    q, s, h, u0, b = _shared_instance()
+    h, u0, b = _shared_instance()
     src = SampledSource(lambda t: b * math.cos(t),
                         derivative=lambda t: -b * math.sin(t))
     p = OdeProblem(-(h @ h), u0, 2.0, src)

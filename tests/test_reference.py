@@ -72,6 +72,19 @@ def test_kernel_C_cases():
     assert kernel_C(-1.0, 0.3, 1.0) == pytest.approx(1.0 - math.exp(-1.0))
 
 
+@pytest.mark.parametrize("alpha", [1e-11, 1e-8, 1e-6, 4e-5, -1e-8])
+def test_kernel_C_does_not_cancel_at_small_alpha(alpha):
+    # (e^{αT}-1)/α loses ~|log10(αT)| digits; the series is exact to
+    # rounding for |αT| ≤ 1.2e-4
+    for T in (0.5, 1.0, 3.0):
+        z = alpha * T
+        want = T * (1.0 + z / 2.0 + z ** 2 / 6.0 + z ** 3 / 24.0
+                    + z ** 4 / 120.0)
+        assert abs(kernel_C(alpha, 0.0, T) / want - 1.0) < 1e-14
+        # C bounds the kernel of its own top eigenvalue
+        kernel_fg_complex(alpha, T, kernel_C(alpha, 0.0, T))
+
+
 def test_kernel_fg_complex_cases():
     f, g = kernel_fg_complex(0.0, 2.0, kernel_C(0.0, 0.0, 2.0))
     assert (f, g) == (pytest.approx(1.0), pytest.approx(0.0))

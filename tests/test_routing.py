@@ -8,7 +8,7 @@ import pytest
 
 from ffode import eigen_solvers
 from ffode import (
-    EigenOracleSet, EigenSystem, OdeProblem, PdeSpec, SampledSource,
+    EigenSystem, OdeProblem, PdeSpec, SampledSource,
     eigensystem_of, lift_hyperbolic, solve_eigen, solve_eigen_constant,
     solve_eigen_timedep, solve_pde,
 )
@@ -55,12 +55,11 @@ def assert_path(report, path, duhamel_builds):
 # ---------------------------------------------------------------------------
 # solve_eigen on an ODE
 
-def ode_oracle():
+def ode_eigensystem():
     rng = np.random.default_rng(7)
     q = np.linalg.qr(rng.standard_normal((3, 3))
                      + 1j * rng.standard_normal((3, 3)))[0]
-    es = EigenSystem(q, [0.0, -0.5 + 1j, -1.0 - 2j])
-    return es, EigenOracleSet.from_eigensystem(es, variant="nonneg")
+    return EigenSystem(q, [0.0, -0.5 + 1j, -1.0 - 2j])
 
 
 BVEC = np.array([1.0, 0.5j, -0.25])
@@ -77,24 +76,22 @@ ODE_CASES = {
 @pytest.mark.parametrize("source", list(ODE_CASES))
 def test_solve_eigen_routing_table(source, duhamel_builds):
     make, path, direct = ODE_CASES[source]
-    es, o = ode_oracle()
-    p = OdeProblem(es, [1.0, 0.0, 1.0j], 0.5, make())
-    report = solve_eigen(p, o, EPS)
+    p = OdeProblem(ode_eigensystem(), [1.0, 0.0, 1.0j], 0.5, make())
+    report = solve_eigen(p, EPS)
     assert_path(report, path, duhamel_builds)
     if direct is None:
-        want = solve_eigen_timedep(p, o, EPS)
+        want = solve_eigen_timedep(p, EPS)
     else:
-        want = direct(p, o)
+        want = direct(p)
     assert_same_report(report, want)
 
 
 def test_solve_eigen_passes_the_node_count():
-    es, o = ode_oracle()
     src = ODE_CASES["sampled"][0]()
-    p = OdeProblem(es, [1.0, 0.0, 1.0j], 0.5, src)
-    report = solve_eigen(p, o, EPS, M=37)
+    p = OdeProblem(ode_eigensystem(), [1.0, 0.0, 1.0j], 0.5, src)
+    report = solve_eigen(p, EPS, M=37)
     assert report.extras["nodes"] == 37
-    assert_same_report(report, solve_eigen_timedep(p, o, EPS, M=37))
+    assert_same_report(report, solve_eigen_timedep(p, EPS, M=37))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def direct_source(spec, path):
 
 DIRECT = {"homogeneous": solve_eigen_constant,
           "inhomogeneous": solve_eigen_constant,
-          "timedep": lambda p, o: solve_eigen_timedep(p, o, EPS)}
+          "timedep": lambda p: solve_eigen_timedep(p, EPS)}
 
 
 @pytest.mark.parametrize("source", list(SOURCES))
@@ -141,10 +138,9 @@ def test_solve_pde_parabolic_routing(source, duhamel_builds):
     spec = PdeSpec("heat", 1, 4, 0.5, u0=u0, **kwargs)
     report = solve_pde(spec, EPS)
     assert_path(report, path, duhamel_builds)
-    oracle = eigensystem_of(spec)
-    problem = OdeProblem(oracle.eigen, spec.u0_vector(), spec.T,
+    problem = OdeProblem(eigensystem_of(spec), spec.u0_vector(), spec.T,
                          direct_source(spec, path))
-    assert_same_report(report, DIRECT[path](problem, oracle),
+    assert_same_report(report, DIRECT[path](problem),
                        skip_extras=("gate_model",))
 
 
@@ -154,10 +150,11 @@ def test_solve_pde_hyperbolic_routing(source, duhamel_builds):
     spec = PdeSpec("wave", 1, 4, 0.1, u0=u0, w0=w0, **kwargs)
     report = solve_pde(spec, EPS)
     assert_path(report, path, duhamel_builds)
-    problem, oracle = lift_hyperbolic(spec)
+    problem, cost = lift_hyperbolic(spec)
     if path == "timedep":
         assert isinstance(problem.inhomogeneous, SampledSource)
-    full = DIRECT[path](problem, oracle)
+    full = DIRECT[path](problem)
+    assert report.extras["inversion_cost"] == cost
     assert report.ledger == full.ledger
     assert report.extras["full_system_report"] == {
         "success_probability": full.success_probability,
