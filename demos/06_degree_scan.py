@@ -1,8 +1,11 @@
 """The sqrt law behind quadratic fast-forwarding.
 
-e^{-T(1-x)} and e^{-beta x^2} admit certified Chebyshev approximants whose
-minimal degree grows like the square root of the parameter (times log
-factors).  The scan below fits the power law empirically; this degree is
+e^{-T(1-x)} and e^{-beta x^2} admit Chebyshev approximants whose minimal
+degree grows like the square root of the parameter (times log factors).
+Each approximant is the truncated Chebyshev series, whose coefficients are
+scaled Bessel values; all of them take the sign of T_k at one point, so the
+sup error is exactly the tail of the series, and that tail certifies the
+degree.  The scan below fits the power law empirically; this degree is
 exactly what the QSVT-based solvers pay per run.
 """
 

@@ -1,8 +1,17 @@
-"""Central numerical tolerances.
+"""Shared numerical tolerances.
 
-Every verification threshold used across the library lives here, so the
-whole surface can be tightened or relaxed with a single knob (see
-``TOL``, a module-level mutable instance).
+``TOL``, a module-level mutable instance, holds the thresholds named by its
+fields below: unitarity, eigensystem reconstruction, verification slack,
+normality, the kernel series switch, the exact-solver claim, numerical zero
+and the reference quadrature target.  Changing a field changes every check
+that reads it.
+
+Not every threshold lives here.  Local checks keep literal ones and do not
+follow ``TOL``: among them ``eigen_solvers._dilate_diagonal`` (factor
+≤ 1 + 1e-10), ``reference.kernel_fg_complex`` (|f + ig| ≤ 1 + 1e-12),
+``pde.fast_inversion`` (zero modes, zero-mode weight and residual), the input
+checks of the block-encoding and QSVT constructions, the lower-bound
+certificate comparisons, and the rounding allowance of ``poly_approx``.
 """
 
 from __future__ import annotations

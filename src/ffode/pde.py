@@ -301,9 +301,10 @@ def _symbol(spec: PdeSpec, one_d, coeffs) -> np.ndarray:
 
 
 def _spatial_eigenvalues(spec: PdeSpec) -> np.ndarray:
-    """Eigenvalues of a-weighted Laplacian + advection + cI on the k-grid."""
+    """Eigenvalues of a-weighted Laplacian + advection + cI on the k-grid
+    (Airy: -D_{h,3} + cI)."""
     if spec.kind == "airy":
-        return -dh3_eigenvalues(spec.n)  # coefficient matrix is -D_{h,3}
+        return spec.c - dh3_eigenvalues(spec.n)
     return (spec.c + _symbol(spec, dh_eigenvalues(spec.n), spec.a)
             + _symbol(spec, vh_eigenvalues(spec.n), spec.a_prime))
 
@@ -311,12 +312,12 @@ def _spatial_eigenvalues(spec: PdeSpec) -> np.ndarray:
 def dense_operator(spec: PdeSpec) -> np.ndarray:
     """The dense first-order coefficient matrix, built from the stencils.
 
-    Parabolic kinds give A_L^a + A_G^{a'} + cI (Airy: -D_{h,3}); hyperbolic
-    kinds give the lifted 2N block matrix [[0, iB], [iB, 0]].
+    Parabolic kinds give A_L^a + A_G^{a'} + cI (Airy: -D_{h,3} + cI);
+    hyperbolic kinds give the lifted 2N block matrix [[0, iB], [iB, 0]].
     """
     n, d = spec.n, spec.d
     if spec.kind == "airy":
-        return -build_dh3(n)
+        return spec.c * np.eye(n) - build_dh3(n)
     if spec.kind in PARABOLIC_KINDS:
         mat = _tensor_sum(build_dh(n), spec.a, n, d)
         mat += _tensor_sum(build_vh(n), spec.a_prime, n, d)
@@ -400,8 +401,7 @@ def _cross_validated(spec: PdeSpec, eigenvalues) -> EigenSystem:
     fourier = FourierBasis(spec.n, spec.d)
     _probe_axes(spec, stencils, fourier)
     if spec.kind in PARABOLIC_KINDS:
-        shift = 0.0 if spec.kind == "airy" else spec.c
-        mu = shift + sum(_on_axis(spec, np.fft.fft(stencil[:, 0]), j)
+        mu = spec.c + sum(_on_axis(spec, np.fft.fft(stencil[:, 0]), j)
                          for j, (stencil, _) in enumerate(stencils))
         residual = float(np.max(np.abs(lam - mu)))
         basis, label = fourier, "closed-form"

@@ -6,13 +6,25 @@ Three targets on [-1, 1]:
 * ``gaussian``         e^{-beta x^2}
 * ``gaussian-integral``  ∫₀¹ e^{-beta τ x²} dτ  =  (1 - e^{-beta x²})/(beta x²)
 
-Each approximant is a Chebyshev interpolant whose degree is the smallest one
-whose sup error, certified on a dense Chebyshev grid of at least 8d+64
-points, meets the request.  The gaussian variants are explicitly even.
+Each approximant is the target's Chebyshev series cut at the lowest degree
+that meets the request.  The coefficients are closed forms in the scaled
+Bessel values v_k = e^{-z} I_k(z), with ε_0 = 1 and ε_k = 2 otherwise:
+
+* ``exp-shifted``: ε_k v_k on T_k, with z = T (Jacobi–Anger);
+* ``gaussian``: (-1)^k ε_k v_k on T_{2k}, with z = beta/2;
+* ``gaussian-integral``: (-1)^k (ε_k/z) Σ_{i>k} 2(i-k) v_i on T_{2k}, with
+  z = beta/2, from ∫₀^z e^{-s} I_k(s) ds = Σ_{i>k} 2(i-k) e^{-z} I_i(z).
+
+Every coefficient takes the sign of T_k at one point x* (x* = 1 for
+``exp-shifted``, x* = 0 for the gaussians), and f(x*) = 1.  So the series
+has Σ|a_k| = 1, and the sup error of the degree-K cut, attained at x*, is
+exactly its tail 1 - Σ_{k≤K}|a_k|.  That tail is the certificate; the
+gaussian variants are even by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +33,6 @@ from numpy.polynomial.chebyshev import Chebyshev
 from .config import TOL
 
 TARGETS = ("exp-shifted", "gaussian", "gaussian-integral", "constant")
-
-_MAX_DEGREE = 4096
 
 
 @dataclass
@@ -46,7 +56,7 @@ class ApproxPolynomial:
         return self.cheb.coef
 
     def scaled(self, factor: float) -> Chebyshev:
-        """The interpolant times a scalar (used to meet QSVT's |P| ≤ 1/2)."""
+        """The approximant times a scalar (used to meet QSVT's |P| ≤ 1/2)."""
         return self.cheb * factor
 
 
@@ -56,7 +66,10 @@ def chebyshev_grid(num_points: int) -> np.ndarray:
 
 
 def certify_sup_error(f, p, degree: int, density: int = 1) -> float:
-    """Max |f - p| on a grid of density*(8*degree + 64) Chebyshev points."""
+    """Max |f - p| on a grid of density*(8*degree + 64) Chebyshev points.
+
+    A consistency check of the closed-form certificate, not the certificate.
+    """
     x = chebyshev_grid(density * (8 * degree + 64))
     return float(np.max(np.abs(f(x) - p(x))))
 
@@ -99,22 +112,54 @@ def target_function(target: str, parameter: float):
     raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
 
 
-def _even_part(p: Chebyshev) -> Chebyshev:
-    coef = p.coef.copy()
-    coef[1::2] = 0.0
-    return Chebyshev(coef)
+def scaled_bessel_i(z: float) -> np.ndarray:
+    """e^{-z} I_k(z) for k = 0, 1, …, n, by Miller's backward recurrence.
+
+    The ratios r_k = I_k/I_{k-1} obey r_k = 1/(2k/z + r_{k+1}).  Started
+    from r_{n+1} = 0 at n = ⌈√(200z)⌉ + 32, where I_n/I_0 < e^{-100}, they
+    are exact to rounding wherever I_k is representable next to I_0.  Their
+    running products give I_k/I_0, and e^z = I_0 + 2Σ_{k≥1} I_k normalizes
+    them.
+    """
+    if z < np.finfo(float).tiny:
+        return np.ones(1)
+    n = math.ceil(math.sqrt(200.0 * z)) + 32
+    ratios = np.empty(n + 1)
+    ratios[0] = 1.0
+    r = 0.0
+    for k in range(n, 0, -1):
+        r = 1.0 / (2.0 * k / z + r)
+        ratios[k] = r
+    relative = np.cumprod(ratios)
+    return relative / (1.0 + 2.0 * relative[1:].sum())
 
 
-def _fit_minimal(f, eps: float, even: bool) -> tuple[Chebyshev, float]:
-    """Scan degrees from zero until the grid-certified error passes."""
-    for d in range(_MAX_DEGREE + 1):
-        p = Chebyshev.interpolate(f, d)
-        if even:
-            p = _even_part(p)
-        err = certify_sup_error(f, p, d)
-        if err <= eps:
-            return p, err
-    raise RuntimeError(f"no certified approximant up to degree {_MAX_DEGREE}")
+def _tail_sums(a: np.ndarray) -> np.ndarray:
+    """Σ_{i≥j} a_i for every j."""
+    return np.cumsum(a[::-1])[::-1]
+
+
+def chebyshev_series(target: str, parameter: float) -> np.ndarray:
+    """The target's Chebyshev coefficients, until they underflow.
+
+    Every coefficient has the sign of T_k(x*) and f(x*) = 1, so the
+    magnitudes sum to 1 up to rounding.
+    """
+    if target == "constant":
+        return np.ones(1)
+    z = parameter if target == "exp-shifted" else parameter / 2.0
+    v = scaled_bessel_i(z)
+    if target == "gaussian-integral" and v.size > 1:
+        # Σ_{i>k} (i-k) v_i = Σ_{j>k} Σ_{i≥j} v_i: sums of positive terms
+        v = 2.0 * np.append(_tail_sums(_tail_sums(v))[1:], 0.0) / z
+    magnitudes = 2.0 * v
+    magnitudes[0] = v[0]
+    if target == "exp-shifted":
+        return magnitudes
+    series = np.zeros(2 * v.size - 1)
+    series[::2] = magnitudes
+    series[2::4] *= -1.0
+    return series
 
 
 def _build(target: str, parameter: float, eps: float) -> ApproxPolynomial:
@@ -123,9 +168,26 @@ def _build(target: str, parameter: float, eps: float) -> ApproxPolynomial:
     if parameter < 0:
         raise ValueError("parameter must be nonnegative")
     f = target_function(target, parameter)
-    even = target in ("gaussian", "gaussian-integral")
-    cheb, err = _fit_minimal(f, eps, even)
-    return ApproxPolynomial(cheb, target, float(parameter), float(eps), err)
+    series = chebyshev_series(target, parameter)
+    # rounding allowance, 8 ulps of 1 per coefficient: how far the computed
+    # tail may sit below the sup error of the cut series.  Each coefficient
+    # carries the rounding of the recurrence, the running product and the
+    # normalization, and the tail adds up as many coefficients
+    allowance = 8.0 * series.size * np.finfo(float).eps
+    tails = 1.0 - np.cumsum(np.abs(series))
+    meets = np.flatnonzero(tails + allowance <= eps)
+    if meets.size == 0:
+        raise ValueError(f"eps = {eps:g} is below the rounding allowance "
+                         f"{allowance:.1e} of the {target!r} series")
+    degree = int(meets[0])
+    poly = ApproxPolynomial(Chebyshev(series[:degree + 1]), target,
+                            float(parameter), float(eps),
+                            max(float(tails[degree]), 0.0))
+    sampled = certify_sup_error(f, poly, degree)
+    if sampled > poly.achieved_error + allowance:
+        raise RuntimeError(f"sampled error {sampled:.3e} exceeds the "
+                           f"certified {poly.achieved_error:.3e}")
+    return poly
 
 
 def approx_exp_shifted(T: float, eps: float) -> ApproxPolynomial:

@@ -8,7 +8,7 @@ import pytest
 
 from ffode import WitnessPair
 from ffode.cli import (
-    CSV_COLUMNS, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, LB_FAMILIES,
+    CSV_COLUMNS, EXIT_FAIL, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, LB_FAMILIES,
     _print_certified, main,
 )
 
@@ -238,6 +238,23 @@ def test_degree_scan_needs_four_points(capsys):
     assert main(["degree-scan", "--target", "gaussian",
                  "--grid", "16,64"]) == EXIT_SCHEMA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target, grid", [
+    ("gaussian", "16,64,abc,256"),
+    ("cosine", "16,64,256,1024"),
+])
+def test_degree_scan_bad_input_is_a_schema_error(capsys, target, grid):
+    assert main(["degree-scan", "--target", target, "--grid", grid]) \
+        == EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+def test_selftest_uses_a_zero_tolerance_as_given(capsys):
+    assert main(["selftest", "--tolerance", "0"]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "<= 0.0" in out and "<= 1e-09" not in out
 
 
 def test_selftest_deterministic(tmp_path, capsys):

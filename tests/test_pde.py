@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from ffode import eigen_solvers
@@ -461,3 +462,28 @@ def test_riemann_shift_is_clamped_at_zero(c):
     report = solve_pde(spec, 1e-2)
     assert "nodes" in report.extras
     assert report.extras["alpha_tilde"] == max(0.0, top)
+
+
+def test_airy_keeps_its_zeroth_order_term():
+    # u_t = -u_xxx + c·u + b against an expm of the augmented system built
+    # here from the central third difference (½, -1, 0, 1, -½)/h³
+    n, T, c = 8, 1.0, -1.0
+
+    def b(x, t):
+        return np.sin(2 * np.pi * x[0]) + 0.5
+    spec = PdeSpec("airy", 1, n, T, c=c, u0=smooth_u0, b=b,
+                   b_dt=lambda x, t: 0.0)
+    rep = solve_pde(spec, 1e-9)
+    d3 = np.zeros((n, n))
+    for i in range(n):
+        for offset, weight in ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)):
+            d3[i, (i + offset) % n] += weight * n ** 3
+    aug = np.zeros((n + 1, n + 1), dtype=complex)
+    aug[:n, :n] = c * np.eye(n) - d3
+    aug[:n, n] = [b(np.array([j / n]), 0.0) for j in range(n)]
+    u0 = np.array([smooth_u0(np.array([j / n])) for j in range(n)])
+    uT = sla.expm(aug * T) @ np.append(u0, 1.0)
+    want = uT[:n] / np.linalg.norm(uT[:n])
+    ov = np.vdot(want, rep.output_state)
+    assert np.linalg.norm(rep.output_state * abs(ov) / ov - want) <= 1e-9
+    assert rep.error_vs_reference <= 1e-9

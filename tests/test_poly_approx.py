@@ -1,6 +1,8 @@
 """Certified Chebyshev approximants and the degree-scan power law."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ from ffode import (
     approx_exp_shifted, approx_gaussian, approx_gaussian_integral,
     certified_degree_scan,
 )
-from ffode.poly_approx import certify_sup_error, chebyshev_grid, target_function
+from ffode.poly_approx import (
+    certify_sup_error, chebyshev_grid, chebyshev_series, scaled_bessel_i,
+    target_function,
+)
+
+BUILDERS = {"exp-shifted": approx_exp_shifted, "gaussian": approx_gaussian,
+            "gaussian-integral": approx_gaussian_integral}
 
 
 def test_exp_shifted_value_at_one():
@@ -55,10 +63,7 @@ def test_certified_error_survives_denser_resampling():
     # re-certify on a 10x denser grid: the claimed sup-error must stand
     for target, param in (("exp-shifted", 37.0), ("gaussian", 37.0),
                           ("gaussian-integral", 37.0)):
-        builder = {"exp-shifted": approx_exp_shifted,
-                   "gaussian": approx_gaussian,
-                   "gaussian-integral": approx_gaussian_integral}[target]
-        p = builder(param, 1e-6)
+        p = BUILDERS[target](param, 1e-6)
         f = target_function(target, param)
         dense = certify_sup_error(f, p, p.degree(), density=10)
         assert dense <= 1e-6 * (1.0 + 1e-6)
@@ -100,3 +105,93 @@ def test_degree_scan_sqrt_law_exponents():
             f"{target}: exponent {scan.fitted_exponent}"
         degs = list(scan.degrees)
         assert degs == sorted(degs)
+
+
+@pytest.mark.parametrize("target, param", [
+    ("exp-shifted", 1024.0), ("gaussian", 4096.0),
+    ("gaussian-integral", 4096.0),
+])
+def test_truncated_series_error_is_its_tail(target, param):
+    # the sup error sits at x* (1 or 0), which the uniform grid contains.
+    # Both sides are 1 minus a sum near 1, so they agree to a few ulps of 1,
+    # not to ulps of the 1e-6 error itself
+    p = BUILDERS[target](param, 1e-6)
+    x = np.linspace(-1.0, 1.0, 200_001)
+    dense = float(np.max(np.abs(target_function(target, param)(x) - p(x))))
+    assert dense <= 1e-6
+    assert dense == pytest.approx(p.achieved_error, rel=0, abs=1e-13)
+
+
+def test_reported_degrees():
+    # the degree-by-degree interpolation scan gave 160 for the first, and
+    # its degree-442 gaussian fit missed 1e-6
+    assert approx_exp_shifted(1024.0, 1e-6).degree() == 157
+    assert approx_gaussian(4096.0, 1e-6).degree() == 442
+
+
+def test_scaled_bessel_recurrence_matches_scipy():
+    ive = pytest.importorskip("scipy.special").ive
+    for z in np.geomspace(1e-3, 5e5, 25):
+        v = scaled_bessel_i(z)
+        k = np.arange(v.size)
+        want = ive(k, z)
+        kept = want > 1e-30
+        # scipy's own error reaches ~1e-12 at the top of this range
+        assert np.allclose(v[kept], want[kept], rtol=4e-12, atol=0), z
+        # nothing past the recurrence start is representable next to I_0
+        assert ive(np.arange(v.size, v.size + 50), z).max() < 1e-40
+
+
+def test_scaled_bessel_recurrence_against_extended_precision():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    z = 5e5
+    v = scaled_bessel_i(z)
+    for k in (0, 1, 100, 1000, 3000, 5000):
+        want = float(mpmath.besseli(k, z) * mpmath.exp(-z))
+        assert v[k] == pytest.approx(want, rel=1e-14)
+
+
+def test_gaussian_integral_coefficients_match_quadrature():
+    from scipy.integrate import quad
+    ive = pytest.importorskip("scipy.special").ive
+    beta = 30.0
+    z = beta / 2.0
+    series = chebyshev_series("gaussian-integral", beta)
+    for k in range(6):
+        integral = quad(lambda s: ive(k, s), 0.0, z, epsabs=0,
+                        epsrel=1e-13)[0]
+        want = (-1) ** k * (1 if k == 0 else 2) * integral / z
+        assert series[2 * k] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("target", ["exp-shifted", "gaussian",
+                                    "gaussian-integral", "constant"])
+@pytest.mark.parametrize("param", [0.0, 1e-3, 1.0, 37.0, 4096.0, 1e5])
+def test_series_magnitudes_sum_to_one(target, param):
+    series = chebyshev_series(target, param)
+    assert abs(np.abs(series).sum() - 1.0) <= 1e-14
+    if target != "exp-shifted":
+        assert not np.any(series[1::2])
+
+
+def test_unreachable_eps_raises():
+    with pytest.raises(ValueError, match="rounding allowance"):
+        approx_gaussian(4096.0, 1e-15)
+    assert approx_gaussian(4096.0, 1e-11).achieved_error <= 1e-11
+
+
+def test_degree_scan_exponent_to_4096():
+    scan = certified_degree_scan("exp-shifted", [16, 64, 256, 1024, 4096],
+                                 1e-6)
+    assert 0.45 <= scan.fitted_exponent <= 0.55
+
+
+def test_fits_do_not_import_scipy_special():
+    code = ("import sys, ffode\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "ffode.approx_gaussian_integral(4096.0, 1e-6)\n"
+            "ffode.certified_degree_scan('gaussian', [16, 64, 256, 1024], "
+            "1e-6)\n"
+            "assert 'scipy.special' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
