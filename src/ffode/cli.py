@@ -91,7 +91,7 @@ def _sampler_u(spec_json: dict):
         return lambda x: np.sin(2.0 * np.pi * k * x[0])
     if name == "gaussian-bump":
         w = float(spec_json.get("width", 0.1))
-        return lambda x: math.exp(-((x[0] - 0.5) ** 2) / w ** 2)
+        return lambda x: np.exp(-((x[0] - 0.5) ** 2) / w ** 2)
     if name == "constant":
         v = float(spec_json.get("value", 1.0))
         return lambda x: v

@@ -8,10 +8,10 @@ that reads it.
 
 Not every threshold lives here.  Local checks keep literal ones and do not
 follow ``TOL``: among them ``eigen_solvers._dilate_diagonal`` (factor
-≤ 1 + 1e-10), ``reference.kernel_fg_complex`` (|f + ig| ≤ 1 + 1e-12),
-``pde.fast_inversion`` (zero modes, zero-mode weight and residual), the input
-checks of the block-encoding and QSVT constructions, the lower-bound
-certificate comparisons, and the rounding allowance of ``poly_approx``.
+≤ 1 + 1e-10), ``pde.fast_inversion`` (zero-mode weight 1e-10 and residual
+1e-9; its zero-mode test reads ``TOL.zero``), the input checks of the
+block-encoding and QSVT constructions, the lower-bound certificate
+comparisons, and the rounding allowance of ``poly_approx``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,10 @@ class Tolerances:
     kernel_series_switch: float = 1e-6
     #: claimed error attached to zero-error (exact) solver constructions
     exact_solver: float = 1e-9
-    #: generic "numerically zero" threshold
+    #: generic "numerically zero" threshold; also the |f + ig| ≤ 1 allowance
+    #: of ``reference.kernel_fg_complex``, the relative zero-mode test of
+    #: ``pde.fast_inversion`` and the distance from 1 within which
+    #: ``SolveReport`` reports a success probability as exactly 1
     zero: float = 1e-12
     #: absolute refinement target of the reference quadrature
     quadrature: float = 1e-12

@@ -35,7 +35,7 @@ from .block_encoding import (
     O_PROD, O_T, O_U, U_EIG, BlockEncoding, DiagonalEncoding, QueryLedger,
 )
 from .linalg import EigenSystem, as_vector, global_phase_distance
-from .qsvt_solvers import SolveReport, lcs_combine_and_measure, repeat_estimates
+from .qsvt_solvers import SolveReport, lcs_combine_and_measure
 from .reference import (
     OdeProblem, SampledSource, exp_integral, kernel_C, kernel_f,
     kernel_fg_complex, solve_reference,
@@ -300,9 +300,7 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     claimed = eps
     if bound is not None:
         claimed = max(eps, 2.0 * bound / norm_uT + TOL.exact_solver)
-    rep_no, rep_aa = repeat_estimates(prob)
-    report = SolveReport(out, prob, rep_no, rep_aa,
-                         _timedep_ledger(M).charge(O_U, 1), err,
+    report = SolveReport(out, prob, _timedep_ledger(M).charge(O_U, 1), err,
                          min(1.0, claimed))
     report.extras.update({
         "nodes": M, "avg_square_norm": plan.avg_square_norm,

@@ -21,6 +21,13 @@ stencil's first column (parabolic) or one 2×2 block per mode (lifted), plus
 one seeded probe per axis that applies the n×n stencil against the FFT.
 Only the dense Duhamel reference of the hyperbolic kinds builds
 ``dense_operator``.
+
+``_axis_stencils`` is the one description of each kind's operator: a shift
+and one (stencil, closed-form spectrum) pair per axis.  The eigenvalues, the
+root spectrum of the hyperbolic lift, the dense operator and both
+cross-validations are derived from it, so a new kind is one entry there plus
+its stencil's closed forms.  ``PdeSpec`` calls each sampler once per field,
+on the whole grid.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import scipy.linalg as sla
 from .config import TOL
 from .linalg import EigenSystem, FourierBasis, as_vector, global_phase_distance
 from .eigen_solvers import solve_eigen
-from .qsvt_solvers import SolveReport, repeat_estimates
+from .qsvt_solvers import SolveReport
 from .reference import OdeProblem, SampledSource, solve_reference
 
 PARABOLIC_KINDS = ("transport", "heat", "advection-diffusion", "airy",
@@ -50,26 +57,27 @@ _SOURCE_PROBE_TIMES = (0.0, 0.37, 0.71)
 # ---------------------------------------------------------------------------
 # stencils and closed-form spectra
 
-def _circulant(first_column: np.ndarray) -> np.ndarray:
-    return sla.circulant(first_column.astype(complex))
+def _circulant(n: int, taps: dict[int, float], order: int) -> np.ndarray:
+    """The n×n circulant whose first column carries taps[o]/h^order at row
+    o mod n (h = 1/n); taps that wrap onto the same row add.  A stencil
+    reaching r points to each side needs n ≥ r + 2."""
+    reach = max(abs(offset) for offset in taps)
+    if n < reach + 2:
+        raise ValueError(f"the order-{order} stencil needs n ≥ {reach + 2}")
+    col = np.zeros(n)
+    for offset, weight in taps.items():
+        col[offset % n] += weight
+    return sla.circulant((col * n ** order).astype(complex))
 
 
 def build_dh(n: int) -> np.ndarray:
     """1-d discrete Laplacian: (-2, 1, ..., 1)/h² circulant, h = 1/n."""
-    if n < 3:
-        raise ValueError("the second-order stencil needs n ≥ 3")
-    col = np.zeros(n)
-    col[0], col[1], col[-1] = -2.0, 1.0, 1.0
-    return _circulant(col * n ** 2)
+    return _circulant(n, {0: -2.0, 1: 1.0, -1: 1.0}, 2)
 
 
 def build_vh(n: int) -> np.ndarray:
     """1-d central-difference divergence: (0, -1, ..., 1)/(2h) circulant."""
-    if n < 3:
-        raise ValueError("the first-order stencil needs n ≥ 3")
-    col = np.zeros(n)
-    col[1], col[-1] = -1.0, 1.0
-    return _circulant(col * n / 2.0)
+    return _circulant(n, {1: -0.5, -1: 0.5}, 1)
 
 
 def build_dh3(n: int) -> np.ndarray:
@@ -78,27 +86,12 @@ def build_dh3(n: int) -> np.ndarray:
     At n = 4 the ±2 bands wrap onto each other and cancel; the closed-form
     eigenvalues remain valid there because sin(4kπ/n) vanishes identically.
     """
-    if n < 4:
-        raise ValueError("the third-order stencil needs n ≥ 4")
-    col = np.zeros(n)
-    col[1] += 1.0
-    col[2] += -0.5
-    col[-1] += -1.0
-    col[-2] += 0.5
-    return _circulant(col * n ** 3)
+    return _circulant(n, {1: 1.0, 2: -0.5, -1: -1.0, -2: 0.5}, 3)
 
 
 def build_dh4(n: int) -> np.ndarray:
     """1-d fourth-derivative stencil (1, -4, 6, -4, 1)/h⁴, periodic wrap."""
-    if n < 4:
-        raise ValueError("the fourth-order stencil needs n ≥ 4")
-    col = np.zeros(n)
-    col[0] = 6.0
-    col[1] += -4.0
-    col[2] += 1.0
-    col[-1] += -4.0
-    col[-2] += 1.0
-    return _circulant(col * n ** 4)
+    return _circulant(n, {0: 6.0, 1: -4.0, 2: 1.0, -1: -4.0, -2: 1.0}, 4)
 
 
 def dh_eigenvalues(n: int) -> np.ndarray:
@@ -151,9 +144,12 @@ def _grid(n: int, d: int) -> np.ndarray:
 class PdeSpec:
     """A periodic PDE benchmark instance on [0,1]^d with n points per axis.
 
-    Samplers take a length-d coordinate array in [0,1)^d; the source ``b``
-    takes (x, t).  ``b_dt`` is its time derivative, needed for quadrature
-    error bounds on the time-dependent path.
+    Each sampler is called once per field, on every grid point at once: x is
+    the read-only (d, N) array of points in [0,1)^d (x[j] is coordinate j),
+    and the source ``b`` takes (x, t) with a scalar t.  A result has shape
+    (N,) or broadcasts to it, so a constant sampler may return a scalar.
+    ``b_dt`` is the time derivative of ``b``, needed for quadrature error
+    bounds on the time-dependent path.
     """
 
     kind: str
@@ -164,10 +160,10 @@ class PdeSpec:
     a_prime: np.ndarray | None = None  # advection coefficients, length d
     c: float = 0.0                     # zeroth-order coefficient, c ≤ 0
     mass: float = 0.0                  # Klein-Gordon mass
-    u0: Callable[[np.ndarray], complex] | None = None
-    w0: Callable[[np.ndarray], complex] | None = None
-    b: Callable[[np.ndarray, float], complex] | None = None
-    b_dt: Callable[[np.ndarray, float], complex] | None = None
+    u0: Callable[[np.ndarray], np.ndarray] | None = None
+    w0: Callable[[np.ndarray], np.ndarray] | None = None
+    b: Callable[[np.ndarray, float], np.ndarray] | None = None
+    b_dt: Callable[[np.ndarray, float], np.ndarray] | None = None
     #: w0 on the grid, sampled on first use and then reused
     _w0_samples: np.ndarray | None = field(default=None, init=False,
                                            repr=False, compare=False)
@@ -224,8 +220,11 @@ class PdeSpec:
         Built once per (n, d) and shared read-only."""
         return _grid(self.n, self.d)
 
-    def _sample(self, f) -> np.ndarray:
-        return np.array([complex(f(x)) for x in self.grid()])
+    def _sample(self, f, *t) -> np.ndarray:
+        """f(x, *t) in one call on the read-only (d, N) grid array x; a
+        scalar result broadcasts to every point."""
+        values = np.asarray(f(self.grid().T, *t), dtype=complex)
+        return np.array(np.broadcast_to(values, (self.N,)))
 
     def u0_vector(self) -> np.ndarray:
         if self.u0 is None:
@@ -242,12 +241,12 @@ class PdeSpec:
     def b_vector(self, t: float) -> np.ndarray:
         if self.b is None:
             raise ValueError("no source sampler")
-        return self._sample(lambda x: self.b(x, t))
+        return self._sample(self.b, t)
 
     def b_dt_vector(self, t: float) -> np.ndarray:
         if self.b_dt is None:
             raise ValueError("no source time-derivative sampler")
-        return self._sample(lambda x: self.b_dt(x, t))
+        return self._sample(self.b_dt, t)
 
     def time_independent_source(self):
         """Heuristic: b at the first probe time if it agrees there with b at
@@ -280,58 +279,69 @@ class PdeSpec:
         return SampledSource(b, derivative=b_dt)
 
 
-def _tensor_sum(one_d: np.ndarray, coeffs: np.ndarray, n: int,
-                d: int) -> np.ndarray:
-    total = np.zeros((n ** d, n ** d), dtype=complex)
-    for j in range(d):
-        factors = [np.eye(n)] * d
-        factors[j] = one_d
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        total += coeffs[j] * term
-    return total
+def _axis_stencils(spec: PdeSpec) -> tuple[float, list]:
+    """The one description of a kind's operator: a shift and, per axis j,
+    the n×n stencil S_j with its closed-form spectrum.
 
-
-def _symbol(spec: PdeSpec, one_d, coeffs) -> np.ndarray:
-    """Eigenvalues of _tensor_sum(S, coeffs, n, d) on the flattened k-grid
-    (k₀ major), given the 1-d eigenvalues of S."""
-    grids = np.meshgrid(*([np.arange(spec.n)] * spec.d), indexing="ij")
-    return sum(coeffs[j] * one_d[grids[j].ravel()] for j in range(spec.d))
-
-
-def _spatial_eigenvalues(spec: PdeSpec) -> np.ndarray:
-    """Eigenvalues of a-weighted Laplacian + advection + cI on the k-grid
-    (Airy: -D_{h,3} + cI)."""
+    shift·I + Σ_j S_j along axis j is the coefficient A for parabolic kinds
+    and B² for hyperbolic ones.
+    """
+    n = spec.n
     if spec.kind == "airy":
-        return spec.c - dh3_eigenvalues(spec.n)
-    return (spec.c + _symbol(spec, dh_eigenvalues(spec.n), spec.a)
-            + _symbol(spec, vh_eigenvalues(spec.n), spec.a_prime))
+        return spec.c, [(-build_dh3(n), -dh3_eigenvalues(n))]
+    if spec.kind == "beam":
+        return -spec.c, [(build_dh4(n), dh4_eigenvalues(n))]
+    dh, dh_eig = build_dh(n), dh_eigenvalues(n)
+    if spec.kind in HYPERBOLIC_KINDS:
+        return -spec.c, [(-a * dh, -a * dh_eig) for a in spec.a]
+    vh, vh_eig = build_vh(n), vh_eigenvalues(n)
+    return spec.c, [(a * dh + ap * vh, a * dh_eig + ap * vh_eig)
+                    for a, ap in zip(spec.a, spec.a_prime)]
+
+
+def _on_axis(spec: PdeSpec, one_d: np.ndarray, axis: int) -> np.ndarray:
+    """A 1-d spectrum along k-grid axis ``axis``, flattened k₀ major."""
+    shape = [1] * spec.d
+    shape[axis] = spec.n
+    return np.broadcast_to(one_d.reshape(shape), (spec.n,) * spec.d).ravel()
+
+
+def _on_grid(spec: PdeSpec, shift: float, spectra) -> np.ndarray:
+    """shift + Σ_j spectra[j] along axis j, on the flattened k-grid."""
+    return shift + sum(_on_axis(spec, one_d, j)
+                       for j, one_d in enumerate(spectra))
+
+
+def _spectrum(spec: PdeSpec) -> np.ndarray:
+    """Closed-form eigenvalues of A (parabolic) or B² (hyperbolic) on the
+    k-grid."""
+    shift, stencils = _axis_stencils(spec)
+    return _on_grid(spec, shift, [spectrum for _, spectrum in stencils])
+
+
+def _root_spectrum(spec: PdeSpec) -> np.ndarray:
+    """Eigenvalues of the Hermitian B = √(B²) of a hyperbolic kind:
+    B² ≥ 0 by c ≤ 0."""
+    return np.sqrt(_spectrum(spec).real)
 
 
 def dense_operator(spec: PdeSpec) -> np.ndarray:
     """The dense first-order coefficient matrix, built from the stencils.
 
-    Parabolic kinds give A_L^a + A_G^{a'} + cI (Airy: -D_{h,3} + cI);
+    Parabolic kinds give shift·I + Σ_j I ⊗ S_j ⊗ I of ``_axis_stencils``;
     hyperbolic kinds give the lifted 2N block matrix [[0, iB], [iB, 0]].
     """
-    n, d = spec.n, spec.d
-    if spec.kind == "airy":
-        return spec.c * np.eye(n) - build_dh3(n)
     if spec.kind in PARABOLIC_KINDS:
-        mat = _tensor_sum(build_dh(n), spec.a, n, d)
-        mat += _tensor_sum(build_vh(n), spec.a_prime, n, d)
-        return mat + spec.c * np.eye(n ** d)
+        shift, stencils = _axis_stencils(spec)
+        n, d = spec.n, spec.d
+        mat = shift * np.eye(spec.N, dtype=complex)
+        for j, (stencil, _) in enumerate(stencils):
+            mat += np.kron(np.kron(np.eye(n ** j), stencil),
+                           np.eye(n ** (d - 1 - j)))
+        return mat
     b_op = hyperbolic_sqrt_operator(spec)
     zero = np.zeros_like(b_op)
     return np.block([[zero, 1j * b_op], [1j * b_op, zero]])
-
-
-def _hyperbolic_radicand(spec: PdeSpec) -> np.ndarray:
-    """-μ for the second-order spatial operator: nonnegative by c ≤ 0."""
-    if spec.kind == "beam":
-        return np.real(dh4_eigenvalues(spec.n)) - spec.c
-    return -spec.c - _symbol(spec, dh_eigenvalues(spec.n), spec.a)
 
 
 def hyperbolic_sqrt_operator(spec: PdeSpec) -> np.ndarray:
@@ -339,31 +349,7 @@ def hyperbolic_sqrt_operator(spec: PdeSpec) -> np.ndarray:
     if spec.kind not in HYPERBOLIC_KINDS:
         raise ValueError("square-root operator only exists for hyperbolic kinds")
     f = dft_tensor(spec.n, spec.d)
-    s = np.sqrt(_hyperbolic_radicand(spec))
-    return (f * s) @ f.conj().T
-
-
-def _axis_stencils(spec: PdeSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis j, the n×n stencil S_j and its closed-form spectrum.
-
-    Σ_j S_j along axis j plus a multiple of I is the coefficient A for
-    parabolic kinds and B² for hyperbolic ones.
-    """
-    n = spec.n
-    if spec.kind == "airy":
-        return [(-build_dh3(n), -dh3_eigenvalues(n))]
-    if spec.kind == "beam":
-        return [(build_dh4(n), dh4_eigenvalues(n))]
-    dh, dh_eig = build_dh(n), dh_eigenvalues(n)
-    if spec.kind in HYPERBOLIC_KINDS:
-        return [(-a * dh, -a * dh_eig) for a in spec.a]
-    vh, vh_eig = build_vh(n), vh_eigenvalues(n)
-    return [(a * dh + ap * vh, a * dh_eig + ap * vh_eig)
-            for a, ap in zip(spec.a, spec.a_prime)]
-
-
-def _on_axis(spec: PdeSpec, one_d: np.ndarray, axis: int) -> np.ndarray:
-    return _symbol(spec, one_d, np.eye(spec.d)[axis])
+    return (f * _root_spectrum(spec)) @ f.conj().T
 
 
 def _probe_axes(spec: PdeSpec, stencils, basis: FourierBasis) -> None:
@@ -390,23 +376,23 @@ def _cross_validated(spec: PdeSpec, eigenvalues) -> EigenSystem:
 
     The residual is exact and needs no dense matrix.  For parabolic kinds
     U = F^{⊗d} diagonalizes A, so it is max_k |λ_k − μ(k)| with μ assembled
-    by ``_symbol`` from the FFT of each 1-d stencil's first column.  For the
+    by ``_on_grid`` from the FFT of each 1-d stencil's first column.  For the
     lifted system, U = blockdiag(F^{⊗d}, F^{⊗d})·M makes both UΛU† and
     A = [[0, iB], [iB, 0]] block diagonal with one 2×2 block per mode, and the
     residual is the largest block's 2-norm.  ``_probe_axes`` first checks the
     stencils against the FFT apply.
     """
     lam = as_vector(eigenvalues)
-    stencils = _axis_stencils(spec)
+    shift, stencils = _axis_stencils(spec)
     fourier = FourierBasis(spec.n, spec.d)
     _probe_axes(spec, stencils, fourier)
     if spec.kind in PARABOLIC_KINDS:
-        mu = spec.c + sum(_on_axis(spec, np.fft.fft(stencil[:, 0]), j)
-                         for j, (stencil, _) in enumerate(stencils))
+        mu = _on_grid(spec, shift, [np.fft.fft(stencil[:, 0])
+                                    for stencil, _ in stencils])
         residual = float(np.max(np.abs(lam - mu)))
         basis, label = fourier, "closed-form"
     else:
-        s = np.sqrt(_hyperbolic_radicand(spec))
+        s = _root_spectrum(spec)
         mixer = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         pairs = lam.reshape(2, -1).T  # (λ_k, λ_{N+k}) per mode k
         claimed = mixer @ (pairs[:, :, None] * mixer)
@@ -429,20 +415,22 @@ def eigensystem_of(spec: PdeSpec) -> EigenSystem:
     if spec.kind not in PARABOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not in the parabolic family; "
                          "use lift_hyperbolic")
-    return _cross_validated(spec, _spatial_eigenvalues(spec))
+    return _cross_validated(spec, _spectrum(spec))
 
 
 def fast_inversion(eigen: EigenSystem, w0) -> tuple[np.ndarray, float]:
     """Solve O v = w0 by per-mode division for O = U diag(λ) U†.
 
     Requires w0 to have no weight (≤ 1e-10) on the zero modes when O is
-    singular.  Returns (v, ‖w0‖/‖v‖); the cost factor multiplies the query
-    count of any algorithm consuming |v> instead of |w0>.
+    singular; a mode is zero when |λ| ≤ TOL.zero·max(1, max|λ|).  Returns
+    (v, ‖w0‖/‖v‖); the cost factor multiplies the query count of any
+    algorithm consuming |v> instead of |w0>.
     """
     w0 = as_vector(w0)
     lam = eigen.eigenvalues
     w_hat = eigen.apply_adjoint(w0)
-    singular = np.abs(lam) <= 1e-12 * max(1.0, float(np.max(np.abs(lam))))
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    singular = np.abs(lam) <= TOL.zero * scale
     if np.any(singular):
         overlap = float(np.linalg.norm(w_hat[singular]))
         if overlap > 1e-10:
@@ -471,7 +459,7 @@ def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, float]:
     """
     if spec.kind not in HYPERBOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not hyperbolic")
-    s = np.sqrt(_hyperbolic_radicand(spec))
+    s = _root_spectrum(spec)
     # eigen data of iB in the plain Fourier basis, for the initial data solve
     v0, cost = fast_inversion(
         EigenSystem(FourierBasis(spec.n, spec.d), 1j * s), spec.w0_vector())
@@ -509,12 +497,11 @@ def _post_select_u_block(spec: PdeSpec, eps: float) -> SolveReport:
     ref_u = reference[:n_total]
     out = u_part / nu_part
     err = global_phase_distance(out, ref_u / np.linalg.norm(ref_u))
-    rep_no, rep_aa = repeat_estimates(prob)
     # renormalizing the u block inflates the full-state error by at most
     # 2/‖u block‖
     claimed = min(1.0, 2.0 * max(full.claimed_eps, eps) * post_factor
                   + TOL.exact_solver)
-    report = SolveReport(out, prob, rep_no, rep_aa, full.ledger, err, claimed)
+    report = SolveReport(out, prob, full.ledger, err, claimed)
     report.extras.update(full.extras)
     report.extras.update({
         "u_block_norm": nu_part,

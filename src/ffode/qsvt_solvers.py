@@ -40,26 +40,32 @@ class SolveReport:
 
     The ledger counts oracle uses of a *single* circuit execution; multiply by
     a repeat estimate for end-to-end counts.  ``error_vs_reference`` is the
-    global-phase-quotiented 2-norm distance to the normalized reference.
+    global-phase-quotiented 2-norm distance to the normalized reference.  A
+    success probability within ``TOL.zero`` of 1 is reported as exactly 1,
+    and the repeat estimates are derived from the reported probability.
     """
 
     output_state: np.ndarray
     success_probability: float
-    repeats_no_aa: int
-    repeats_aa: int
     ledger: QueryLedger
     error_vs_reference: float
     claimed_eps: float
     extras: dict = field(default_factory=dict)
+    repeats_no_aa: int = field(init=False)
+    repeats_aa: int = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.success_probability <= 1.0 + 1e-12):
+        if abs(self.success_probability - 1.0) <= TOL.zero:
+            self.success_probability = 1.0
+        if not 0.0 < self.success_probability <= 1.0:
             raise ValueError(
                 f"success probability {self.success_probability} out of range")
         if self.error_vs_reference > self.claimed_eps + TOL.verify_slack:
             raise ValueError(
                 f"solver error {self.error_vs_reference:.3e} exceeds its claim "
                 f"{self.claimed_eps:.3e}")
+        self.repeats_no_aa, self.repeats_aa = repeat_estimates(
+            self.success_probability)
 
 
 def _check_negdef(a: np.ndarray, delta: float) -> np.ndarray:
@@ -208,8 +214,7 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
                          "(u(T) vanishes within tolerance)")
     out = success / np.linalg.norm(success)
     err = global_phase_distance(out, reference / np.linalg.norm(reference))
-    rep_no, rep_aa = repeat_estimates(prob)
-    return SolveReport(out, prob, rep_no, rep_aa, ledger, err, eps, extras={
+    return SolveReport(out, prob, ledger, err, eps, extras={
         "alpha0": be0.alpha, "alpha1": alpha1, "theta": theta,
         "branch_weight": weight, "ancilla_qubits": ancillas,
     })

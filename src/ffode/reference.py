@@ -128,7 +128,7 @@ def kernel_fg_complex(lam, T: float, C: float):
         raise ValueError("T and C must be positive")
     val = exp_integral(np.asarray(lam, dtype=complex), T) / C
     mag = np.max(np.abs(val))
-    if mag > 1.0 + 1e-12:
+    if mag > 1.0 + TOL.zero:
         raise ValueError(
             f"|f+ig| = {mag:.6g} > 1: normalization C is inconsistent "
             "with the eigenvalue")

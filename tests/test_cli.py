@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from ffode import WitnessPair
+from ffode import PdeSpec, WitnessPair
 from ffode.cli import (
     CSV_COLUMNS, EXIT_FAIL, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, LB_FAMILIES,
-    _print_certified, main,
+    SELFTEST_CONFIG, _print_certified, _sampler_b, _sampler_u, main,
+    run_campaign,
 )
 
 
@@ -255,6 +256,58 @@ def test_selftest_uses_a_zero_tolerance_as_given(capsys):
     assert main(["selftest", "--tolerance", "0"]) == EXIT_FAIL
     out = capsys.readouterr().out
     assert "<= 0.0" in out and "<= 1e-09" not in out
+
+
+def test_selftest_transport_reports_a_unit_probability():
+    # transport is unitary, so p is 1 up to rounding (0.99999999999999956
+    # before the snap) and one run suffices
+    rows = [row for row in run_campaign(SELFTEST_CONFIG)
+            if row["problem_id"] == "transport-1d"]
+    assert len(rows) == 3
+    for row in rows:
+        assert row["success_prob"] == 1.0
+        assert (row["repeats_noAA"], row["repeats_AA"]) == (1, 2)
+
+
+def _counted(f, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return f(*args)
+    return wrapper
+
+
+SAMPLERS_U = [{"name": "one-plus-cos", "k": 2.0}, {"name": "cos"},
+              {"name": "sin"}, {"name": "gaussian-bump", "width": 0.2},
+              {"name": "constant", "value": 0.5}]
+SAMPLERS_B = [{"name": "constant", "value": 0.5},
+              {"name": "cos-drive", "k": 2.0, "omega": 3.0},
+              {"name": "spatial", "profile": {"name": "gaussian-bump"}}]
+
+
+@pytest.mark.parametrize("field", ["u0", "w0"])
+@pytest.mark.parametrize("sampler", SAMPLERS_U, ids=lambda s: s["name"])
+def test_named_field_sampler_is_called_once_per_field(field, sampler):
+    calls = []
+    f = _sampler_u(sampler)
+    spec = PdeSpec("heat", 2, 4, 1.0, **{"u0": f, field: _counted(f, calls)})
+    got = getattr(spec, f"{field}_vector")()
+    assert len(calls) == 1
+    want = [f(x) for x in spec.grid()]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("sampler", SAMPLERS_B, ids=lambda s: s["name"])
+def test_named_source_sampler_is_called_once_per_field(derivative, sampler):
+    calls = []
+    f = _sampler_b(sampler)[derivative]
+    field = "b_dt" if derivative else "b"
+    spec = PdeSpec("heat", 2, 4, 1.0, u0=_sampler_u({"name": "cos"}),
+                   **{field: _counted(f, calls)})
+    got = getattr(spec, f"{field}_vector")(0.3)
+    assert len(calls) == 1
+    want = [f(x, 0.3) for x in spec.grid()]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
 
 def test_selftest_deterministic(tmp_path, capsys):

@@ -171,10 +171,10 @@ def test_lifted_spectra_sweep():
 def test_fast_inversion_residual_and_cost():
     spec = PdeSpec("klein-gordon", 1, 8, 1.0, mass=1.0, u0=smooth_u0,
                    w0=lambda x: 1.0 + np.sin(2 * np.pi * x[0]))
-    from ffode.pde import dft_tensor, _hyperbolic_radicand
+    from ffode.pde import dft_tensor, _root_spectrum
     from ffode import EigenSystem
     f = dft_tensor(8, 1)
-    s = np.sqrt(_hyperbolic_radicand(spec))
+    s = _root_spectrum(spec)
     ib = EigenSystem(f, 1j * s)
     w0 = spec.w0_vector()
     v0, cost = fast_inversion(ib, w0)
@@ -184,10 +184,10 @@ def test_fast_inversion_residual_and_cost():
 
 def test_fast_inversion_zero_mode_rejection():
     spec = PdeSpec("wave", 1, 8, 1.0, u0=smooth_u0, w0=mean_zero_w0)
-    from ffode.pde import dft_tensor, _hyperbolic_radicand
+    from ffode.pde import dft_tensor, _root_spectrum
     from ffode import EigenSystem
     f = dft_tensor(8, 1)
-    s = np.sqrt(_hyperbolic_radicand(spec))
+    s = _root_spectrum(spec)
     ib = EigenSystem(f, 1j * s)
     with pytest.raises(ValueError, match="zero modes"):
         fast_inversion(ib, np.ones(8))
@@ -201,6 +201,24 @@ def test_fast_inversion_single_mode():
     v0, cost = fast_inversion(EigenSystem(f, 1j * s), mode)
     assert np.allclose(v0, mode / (1j * s[3]), atol=1e-12)
     assert cost == pytest.approx(abs(s[3]))
+
+
+def test_raised_zero_tolerance_moves_both_zero_checks(monkeypatch):
+    # kernel_fg_complex allows |f+ig| ≤ 1 + TOL.zero, and fast_inversion
+    # treats |λ| ≤ TOL.zero·max(1, max|λ|) as a zero mode
+    from ffode import EigenSystem, TOL
+    from ffode.reference import kernel_fg_complex
+    T = 2.0
+    C = T / (1.0 + 5e-12)  # the zero mode's kernel is T/C = 1 + 5e-12
+    inv = EigenSystem(dft_matrix(4), np.array([1e-11j, 1j, 2j, 3j]))
+    w0 = dft_matrix(4)[:, 0] + dft_matrix(4)[:, 1]
+    with pytest.raises(ValueError, match="inconsistent"):
+        kernel_fg_complex(0.0, T, C)
+    fast_inversion(inv, w0)
+    monkeypatch.setattr(TOL, "zero", 1e-10)
+    assert kernel_fg_complex(0.0, T, C)[0] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="zero modes"):
+        fast_inversion(inv, w0)
 
 
 def test_mean_zero_velocity_enforced():
@@ -243,9 +261,9 @@ def test_solve_pde_samples_w0_once():
         calls.append(x)
         return mean_zero_w0(x)
     spec = PdeSpec("wave", 1, 8, 0.5, u0=smooth_u0, w0=w0)
-    assert len(calls) == 8  # the mean-zero check at construction
+    assert len(calls) == 1  # the mean-zero check at construction
     solve_pde(spec, 1e-6)
-    assert len(calls) == 8
+    assert len(calls) == 1
 
 
 def test_solve_pde_heat_conservation():
@@ -282,7 +300,7 @@ def test_solve_pde_time_dependent_source():
 
 def test_solve_pde_wave_with_source():
     spec = PdeSpec("wave", 1, 4, 0.5, u0=smooth_u0, w0=mean_zero_w0,
-                   b=lambda x, t: math.sin(2 * math.pi * x[0]),
+                   b=lambda x, t: np.sin(2 * np.pi * x[0]),
                    b_dt=lambda x, t: 0.0)
     rep = solve_pde(spec, 1e-6)
     assert rep.error_vs_reference <= 1e-6
@@ -350,15 +368,15 @@ def _advdiff_spec(a_prime):
 
 
 def test_cross_validation_rejects_wrong_parabolic_eigenvalues():
-    from ffode.pde import _cross_validated, _spatial_eigenvalues
+    from ffode.pde import _cross_validated, _spectrum
     spec = _advdiff_spec([1.0, -0.5])
-    lam = _spatial_eigenvalues(spec)
+    lam = _spectrum(spec)
     _cross_validated(spec, lam)
     bumped = lam.copy()
     bumped[11] += 1e-6
     with pytest.raises(ValueError, match="residual"):
         _cross_validated(spec, bumped)
-    swapped = _spatial_eigenvalues(_advdiff_spec([-0.5, 1.0]))
+    swapped = _spectrum(_advdiff_spec([-0.5, 1.0]))
     with pytest.raises(ValueError, match="residual"):
         _cross_validated(spec, swapped)
     airy = PdeSpec("airy", 1, 16, 1.0, u0=smooth_u0)
@@ -369,22 +387,22 @@ def test_cross_validation_rejects_wrong_parabolic_eigenvalues():
 
 
 def test_cross_validation_probe_catches_swapped_symbol_axes(monkeypatch):
-    # with the symbol's axes swapped both spectra move together, so only the
+    # with the k-grid axes swapped both spectra move together, so only the
     # stencil probe can tell
     import ffode.pde as pde
-    original = pde._symbol
-    monkeypatch.setattr(pde, "_symbol", lambda spec, one_d, coeffs: original(
-        spec, one_d, np.asarray(coeffs)[::-1]))
+    original = pde._on_axis
+    monkeypatch.setattr(pde, "_on_axis", lambda spec, one_d, axis: original(
+        spec, one_d, spec.d - 1 - axis))
     with pytest.raises(ValueError, match="probe"):
         eigensystem_of(_advdiff_spec([1.0, -0.5]))
 
 
 def test_cross_validation_rejects_wrong_lifted_eigenvalues():
-    from ffode.pde import _cross_validated, _hyperbolic_radicand
+    from ffode.pde import _cross_validated, _root_spectrum
     for spec in (PdeSpec("wave", 2, 6, 1.0, c=-0.5, u0=smooth_u0,
                          w0=mean_zero_w0),
                  PdeSpec("beam", 1, 16, 1.0, u0=smooth_u0, w0=mean_zero_w0)):
-        s = np.sqrt(_hyperbolic_radicand(spec))
+        s = _root_spectrum(spec)
         lam = np.concatenate([1j * s, -1j * s])
         eigen = _cross_validated(spec, lam)
         assert np.allclose(eigen.matrix, dense_operator(spec), atol=1e-8)

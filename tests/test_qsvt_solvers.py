@@ -253,6 +253,17 @@ def test_repeat_estimates_formulas():
     assert rep_no == math.ceil(1 / 0.3)
 
 
+@pytest.mark.parametrize("p, reported, repeats", [
+    (1.0 - 4.4e-16, 1.0, (1, 2)), (1.0 + 5e-13, 1.0, (1, 2)),
+    (1.0 - 1e-9, 1.0 - 1e-9, (2, 3)),
+])
+def test_report_snaps_a_unit_probability(p, reported, repeats):
+    from ffode.block_encoding import QueryLedger
+    rep = qsvt_solvers.SolveReport(np.ones(1), p, QueryLedger(), 0.0, 1e-9)
+    assert rep.success_probability == reported
+    assert (rep.repeats_no_aa, rep.repeats_aa) == repeats
+
+
 def test_solve_negdef_scales_to_n16_with_source():
     # the calculus holds N×N blocks, so 9 ancillas cost no 2^9·N matrices
     rng = np.random.default_rng(16)
