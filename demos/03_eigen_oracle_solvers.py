@@ -51,8 +51,9 @@ print()
 print("=" * 70)
 print("time-dependent source via the Riemann-sum combination of states")
 print("=" * 70)
-src = SampledSource(lambda t: np.array([math.cos(t), 0.0]),
-                    derivative=lambda t: np.array([-math.sin(t), 0.0]))
+# a batched source: t is an (M, 1) column of times, one row b(t_k) each
+src = SampledSource(lambda t: np.cos(t) * [1.0, 0.0],
+                    derivative=lambda t: -np.sin(t) * [1.0, 0.0])
 p = OdeProblem(es2, u0, math.pi / 2, src)
 rep = solve_eigen_timedep(p, 1e-4)
 m = rep.extras["nodes"]

@@ -7,8 +7,6 @@ dense Duhamel reference; hyperbolic problems are lifted to first order and
 post-selected on the u block.
 """
 
-import math
-
 import numpy as np
 
 from ffode import PdeSpec, solve_pde
@@ -52,8 +50,8 @@ print("=" * 70)
 print("inhomogeneous heat with a time-dependent source")
 print("=" * 70)
 spec = PdeSpec("heat", 1, 8, 0.5, u0=u0,
-               b=lambda x, t: np.cos(2 * np.pi * x[0]) * math.cos(3 * t),
-               b_dt=lambda x, t: -3 * np.cos(2 * np.pi * x[0]) * math.sin(3 * t))
+               b=lambda x, t: np.cos(2 * np.pi * x[0]) * np.cos(3 * t),
+               b_dt=lambda x, t: -3 * np.cos(2 * np.pi * x[0]) * np.sin(3 * t))
 rep = solve_pde(spec, 1e-3)
 print(f"error {rep.error_vs_reference:.2e} with M = {rep.extras['nodes']} "
       "Riemann nodes")

@@ -34,11 +34,11 @@ from .block_encoding import (
     GATES, O_BNORM, O_BT, O_EXP, O_F, O_G, O_LAMBDA, O_LAMBDA_I, O_LAMBDA_R,
     O_PROD, O_T, O_U, U_EIG, BlockEncoding, DiagonalEncoding, QueryLedger,
 )
-from .linalg import EigenSystem, as_vector, global_phase_distance
+from .linalg import EigenSystem, global_phase_distance
 from .qsvt_solvers import SolveReport, lcs_combine_and_measure
 from .reference import (
     OdeProblem, SampledSource, exp_integral, kernel_C, kernel_f,
-    kernel_fg_complex, solve_reference,
+    kernel_fg_complex, solve_reference, source_rows, time_batches,
 )
 
 _DRIVE_SAMPLES = 4097  # grid points of the sup drive term
@@ -163,41 +163,46 @@ def solve_eigen_constant(p: OdeProblem) -> SolveReport:
 
 @dataclass
 class RiemannPlan:
-    """Left-Riemann discretization of the Duhamel integral."""
+    """Left-Riemann discretization of the Duhamel integral over M nodes."""
 
     nodes: int
-    times: np.ndarray
-    samples: np.ndarray  # b at each node, one column per node
-    norms: np.ndarray
-    avg_square_norm: float
+    integral: np.ndarray     # (T/M) Σ_k e^{A(T-t_k)} b(t_k)
+    avg_square_norm: float   # (1/M) Σ_k ‖b(t_k)‖²
 
 
-def riemann_plan(b, T: float, M: int) -> RiemannPlan:
-    """Sample b once at the M left-Riemann nodes kT/M and record the norms."""
+def riemann_plan(b, T: float, M: int, eigen: EigenSystem) -> RiemannPlan:
+    """Stream b over the M left-Riemann nodes t_k = kT/M in batches of
+    ``reference.time_batches`` rows, keeping only the running
+    Σ_k e^{Λ(T-t_k)} U†b(t_k) and Σ_k ‖b(t_k)‖²."""
     if M < 1:
         raise ValueError("need at least one node")
     src = b if isinstance(b, SampledSource) else SampledSource(b)
-    times = np.arange(M) * (T / M)
-    values = [src(t) for t in times]
-    norms = np.array([float(np.linalg.norm(v)) for v in values])
-    return RiemannPlan(M, times, np.column_stack(values), norms,
-                       float(np.mean(norms ** 2)))
+    lam = eigen.eigenvalues
+    eigen_sum, square_sum = 0.0, 0.0
+    for t in time_batches(np.arange(M) * (T / M), eigen.dim):
+        rows = source_rows(src, t, eigen.dim)
+        b_hat = eigen.apply_adjoint(rows.T)
+        eigen_sum = eigen_sum + (np.exp(np.outer(lam, T - t[:, 0]))
+                                 * b_hat).sum(axis=1)
+        square_sum += float(np.sum(np.linalg.norm(rows, axis=1) ** 2))
+    return RiemannPlan(M, eigen.apply(eigen_sum) * (T / M), square_sum / M)
 
 
 def _sup_drive_term(p: OdeProblem, lam: np.ndarray) -> float:
-    """sup over [0,T] of ‖A‖·‖b(t)‖ + ‖db/dt‖ on a grid of _DRIVE_SAMPLES."""
+    """sup over [0,T] of ‖A‖·‖b(t)‖ + ‖db/dt‖ on a grid of _DRIVE_SAMPLES,
+    sampled in batches of ``reference.time_batches`` rows."""
     src = p.inhomogeneous
     if not isinstance(src, SampledSource):
         raise ValueError("quadrature bounds need a sampled source")
     if src.derivative is None:
         raise ValueError("quadrature bounds need the source's derivative")
     norm_a = float(np.max(np.abs(lam)))
-    ts = np.linspace(0.0, p.horizon, _DRIVE_SAMPLES)
     best = 0.0
-    for t in ts:
-        term = (norm_a * float(np.linalg.norm(src(t)))
-                + float(np.linalg.norm(as_vector(src.derivative(t)))))
-        best = max(best, term)
+    for t in time_batches(np.linspace(0.0, p.horizon, _DRIVE_SAMPLES), p.dim):
+        terms = (norm_a * np.linalg.norm(source_rows(src, t, p.dim), axis=1)
+                 + np.linalg.norm(source_rows(src.derivative, t, p.dim),
+                                  axis=1))
+        best = max(best, float(np.max(terms)))
     return best
 
 
@@ -281,13 +286,9 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
                 f"cap {MAX_RIEMANN_NODES}")
     bound = None if sup is None else _bound_from_sup(T, alpha_t, M, sup)
 
-    plan = riemann_plan(p.inhomogeneous, T, M)
-    # per-node diagonal factors in the eigenbasis, summed with weight T/M
-    b_hat = eigen.apply_adjoint(plan.samples)
-    phases = np.exp(np.outer(lam, T - plan.times))
-    integral = eigen.apply((phases * b_hat).sum(axis=1)) * (T / M)
+    plan = riemann_plan(p.inhomogeneous, T, M, eigen)
     hom = eigen.apply(np.exp(lam * T) * eigen.apply_adjoint(p.u0))
-    u_tilde = hom + integral
+    u_tilde = hom + plan.integral
 
     nu = float(np.linalg.norm(p.u0))
     denom = math.exp(alpha_t * T) * math.sqrt(

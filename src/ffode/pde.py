@@ -26,8 +26,8 @@ Only the dense Duhamel reference of the hyperbolic kinds builds
 and one (stencil, closed-form spectrum) pair per axis.  The eigenvalues, the
 root spectrum of the hyperbolic lift, the dense operator and both
 cross-validations are derived from it, so a new kind is one entry there plus
-its stencil's closed forms.  ``PdeSpec`` calls each sampler once per field,
-on the whole grid.
+its stencil's closed forms.  ``PdeSpec`` calls each sampler on the whole
+grid: once per field, and for the source once per batch of times.
 """
 
 from __future__ import annotations
@@ -144,12 +144,14 @@ def _grid(n: int, d: int) -> np.ndarray:
 class PdeSpec:
     """A periodic PDE benchmark instance on [0,1]^d with n points per axis.
 
-    Each sampler is called once per field, on every grid point at once: x is
-    the read-only (d, N) array of points in [0,1)^d (x[j] is coordinate j),
-    and the source ``b`` takes (x, t) with a scalar t.  A result has shape
-    (N,) or broadcasts to it, so a constant sampler may return a scalar.
-    ``b_dt`` is the time derivative of ``b``, needed for quadrature error
-    bounds on the time-dependent path.
+    Each sampler is called on every grid point at once: x is the read-only
+    (d, N) array of points in [0,1)^d (x[j] is coordinate j).  ``u0`` and
+    ``w0`` return (N,), once per field.  The source ``b`` takes (x, t) with
+    t a read-only (M, 1) column of times and returns (M, N), one row per
+    time, once per batch of times.  A result need only broadcast to its
+    shape, so a constant sampler may return a scalar and a time-independent
+    source its (N,) field.  ``b_dt`` is the time derivative of ``b``, needed
+    for quadrature error bounds on the time-dependent path.
     """
 
     kind: str
@@ -221,10 +223,12 @@ class PdeSpec:
         return _grid(self.n, self.d)
 
     def _sample(self, f, *t) -> np.ndarray:
-        """f(x, *t) in one call on the read-only (d, N) grid array x; a
-        scalar result broadcasts to every point."""
+        """f(x, *t) in one call on the read-only (d, N) grid array x: (N,)
+        without t, (M, N) for an (M, 1) column t of times.  A result that
+        broadcasts to that shape, a scalar say, is broadcast."""
         values = np.asarray(f(self.grid().T, *t), dtype=complex)
-        return np.array(np.broadcast_to(values, (self.N,)))
+        shape = (t[0].shape[0], self.N) if t else (self.N,)
+        return np.array(np.broadcast_to(values, shape))
 
     def u0_vector(self) -> np.ndarray:
         if self.u0 is None:
@@ -238,45 +242,50 @@ class PdeSpec:
             self._w0_samples = self._sample(self.w0)
         return self._w0_samples.copy()
 
-    def b_vector(self, t: float) -> np.ndarray:
+    def b_vector(self, t: np.ndarray) -> np.ndarray:
+        """b on the grid at each time of the (M, 1) column t, as (M, N)."""
         if self.b is None:
             raise ValueError("no source sampler")
         return self._sample(self.b, t)
 
-    def b_dt_vector(self, t: float) -> np.ndarray:
+    def b_dt_vector(self, t: np.ndarray) -> np.ndarray:
+        """db/dt on the grid at each time of the (M, 1) column t, as (M, N)."""
         if self.b_dt is None:
             raise ValueError("no source time-derivative sampler")
         return self._sample(self.b_dt, t)
 
     def time_independent_source(self):
         """Heuristic: b at the first probe time if it agrees there with b at
-        the other, incommensurate probe times (constant in t), else None."""
+        the other, incommensurate probe times (constant in t), else None.
+        All probe times are sampled in one call."""
         if self.b is None:
             return None
-        ref = self.b_vector(_SOURCE_PROBE_TIMES[0] * self.T)
-        if all(np.allclose(ref, self.b_vector(t * self.T), atol=1e-13)
-               for t in _SOURCE_PROBE_TIMES[1:]):
+        t = np.array(_SOURCE_PROBE_TIMES).reshape(-1, 1) * self.T
+        t.setflags(write=False)
+        ref, *others = self.b_vector(t)
+        if all(np.allclose(ref, row, atol=1e-13) for row in others):
             return ref
         return None
 
     def _source(self, lead: int = 0):
         """The source as an ``OdeProblem`` takes it, after ``lead`` zeros (a
-        lifted u block): None, the constant b(0), or a SampledSource."""
+        lifted u block): None, the constant b(0), or a SampledSource whose
+        rows are [0, b(t)]."""
         if self.b is None:
             return None
-        zero = np.zeros(lead, dtype=complex)
         const = self.time_independent_source()
         if const is not None:
-            return np.concatenate([zero, const])
+            return np.concatenate([np.zeros(lead, dtype=complex), const])
 
-        def b(t):
-            return np.concatenate([zero, self.b_vector(t)])
+        def after_lead(sample):
+            def rows(t):
+                return np.concatenate(
+                    [np.zeros((t.shape[0], lead), dtype=complex), sample(t)],
+                    axis=1)
+            return rows
 
-        b_dt = None
-        if self.b_dt is not None:
-            def b_dt(t):
-                return np.concatenate([zero, self.b_dt_vector(t)])
-        return SampledSource(b, derivative=b_dt)
+        b_dt = None if self.b_dt is None else after_lead(self.b_dt_vector)
+        return SampledSource(after_lead(self.b_vector), derivative=b_dt)
 
 
 def _axis_stencils(spec: PdeSpec) -> tuple[float, list]:

@@ -24,19 +24,49 @@ from .linalg import EigenSystem, as_square, as_vector, hermitian_eigh
 _GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the reference quadrature
 
 
+#: entries (rows × row width) of one batch of source rows: a batched source
+#: call, the Riemann sum and the reference quadrature hold one batch at a time
+_BATCH_ENTRIES = 2 ** 20
+
+
 @dataclass
 class SampledSource:
-    """A time-dependent inhomogeneous term given as a callback.
+    """A time-dependent inhomogeneous term given as a batched callback.
 
-    ``func(t)`` returns the vector b(t); ``derivative(t)`` returns db/dt and
-    is needed by quadrature error bounds.  Callbacks must be reentrant.
+    ``func(t)`` takes a read-only (M, 1) column of times and returns one row
+    b(t_k) per time: an array that broadcasts to (M, dim), so a constant
+    source may return its (dim,) vector.  ``derivative(t)`` returns db/dt
+    the same way and is needed by quadrature error bounds.  Callbacks must
+    be reentrant.
     """
 
-    func: Callable[[float], np.ndarray]
-    derivative: Callable[[float], np.ndarray] | None = None
+    func: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, t: float) -> np.ndarray:
-        return as_vector(self.func(t))
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        return np.asarray(self.func(t), dtype=complex)
+
+
+def batch_rows(width: int) -> int:
+    """Rows of one batch whose rows hold ``width`` entries each: at most
+    _BATCH_ENTRIES entries, and at least one row."""
+    return max(1, _BATCH_ENTRIES // width)
+
+
+def time_batches(times: np.ndarray, width: int):
+    """The 1-d ``times`` as consecutive read-only (m, 1) columns of at most
+    ``batch_rows(width)`` rows."""
+    column = times.reshape(-1, 1)
+    column.setflags(write=False)
+    rows = batch_rows(width)
+    for start in range(0, column.shape[0], rows):
+        yield column[start:start + rows]
+
+
+def source_rows(f, t: np.ndarray, dim: int) -> np.ndarray:
+    """f at the (m, 1) time column t, one call, as an (m, dim) array of rows
+    (read-only when f's result is broadcast)."""
+    return np.broadcast_to(np.asarray(f(t), dtype=complex), (t.shape[0], dim))
 
 
 @dataclass
@@ -152,20 +182,33 @@ def _diagonalize(a: np.ndarray):
     return w, v, (None if cond > 1e8 else np.linalg.inv(v)), cond
 
 
-def _gauss_panels(g, T: float):
+def _gauss_panels(g, T: float, width: int):
     """Composite Gauss-Legendre quadrature of a vector-valued g over [0, T],
-    with panel doubling until the refinement stalls below TOL.quadrature."""
+    with panel doubling until the refinement stalls below TOL.quadrature.
+
+    ``g(s)`` takes a read-only (m, 1) column of nodes and returns one row
+    g(s_i) per node.  A refinement level evaluates its nodes in batches of
+    whole panels, at most ``batch_rows(width)`` rows but one panel at least,
+    where ``width`` counts the entries g holds per node.  The weighted rows
+    are summed panel by panel, then over the panels.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    per_batch = max(1, batch_rows(width) // _GAUSS_ORDER)
     prev = None
     panels = 1
     while panels <= 2 ** 14:
         total = 0.0
-        width = T / panels
-        for k in range(panels):
-            left = k * width
-            s = left + (nodes + 1.0) * width / 2.0
-            w = weights * width / 2.0
-            total = total + sum(wi * g(si) for si, wi in zip(s, w))
+        step = T / panels
+        offsets = ((nodes + 1.0) * step / 2.0)[:, None]
+        w = (weights * step / 2.0)[:, None, None]
+        for first in range(0, panels, per_batch):
+            left = np.arange(first, min(panels, first + per_batch)) * step
+            # node-major: node i of every panel, then node i + 1
+            s = (left + offsets).reshape(-1, 1)
+            s.setflags(write=False)
+            rows = g(s)
+            terms = w * rows.reshape(_GAUSS_ORDER, left.size, -1)
+            total = total + terms.sum(axis=0).sum(axis=0)
         if prev is not None and np.linalg.norm(total - prev) < TOL.quadrature:
             return total
         prev = total
@@ -179,10 +222,11 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
     """u(T) by the Duhamel formula, to ~1e-10 relative accuracy.
 
     Diagonalizable coefficients use closed-form per-eigenvalue kernels
-    (constant b) or adaptive Gauss-Legendre quadrature (sampled b), moving
-    into the eigenbasis by an :class:`EigenSystem`'s ``apply_adjoint`` or the
-    dense ``_diagonalize`` factors; a badly conditioned eigenbasis falls back
-    to expm-based quadrature with a warning.
+    (constant b) or adaptive Gauss-Legendre quadrature (sampled b, called
+    once per batch of whole panels of nodes), moving into the eigenbasis by
+    an :class:`EigenSystem`'s ``apply_adjoint`` or the dense ``_diagonalize``
+    factors; a badly conditioned eigenbasis falls back to expm-based
+    quadrature with a warning, with one propagator per node of a batch.
     """
     T = p.horizon
     src = p.inhomogeneous
@@ -198,9 +242,11 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
         out = from_eigen(np.exp(w * T) * to_eigen(p.u0))
         if isinstance(src, SampledSource):
             def g(s):
-                return from_eigen(np.exp(w * (T - s)) * to_eigen(src(s)))
+                rows = source_rows(src, s, p.dim)
+                phases = np.exp(np.outer(w, T - s[:, 0]))
+                return from_eigen(phases * to_eigen(rows.T)).T
 
-            out = out + _gauss_panels(g, T)
+            out = out + _gauss_panels(g, T, p.dim)
         elif src is not None:
             out = out + from_eigen(exp_integral(w, T) * to_eigen(src))
         return out
@@ -214,7 +260,9 @@ def solve_reference(p: OdeProblem) -> np.ndarray:
         drive = src if isinstance(src, SampledSource) else (lambda s: src)
 
         def g(s):
-            return sla.expm(a * (T - s)) @ drive(s)
+            # one propagator e^{A(T-s_i)} per node: n² entries per row
+            props = sla.expm(a * (T - s)[:, :, None])
+            return (props @ source_rows(drive, s, p.dim)[:, :, None])[:, :, 0]
 
-        out = out + _gauss_panels(g, T)
+        out = out + _gauss_panels(g, T, p.dim ** 2)
     return out

@@ -304,9 +304,10 @@ def test_named_source_sampler_is_called_once_per_field(derivative, sampler):
     field = "b_dt" if derivative else "b"
     spec = PdeSpec("heat", 2, 4, 1.0, u0=_sampler_u({"name": "cos"}),
                    **{field: _counted(f, calls)})
-    got = getattr(spec, f"{field}_vector")(0.3)
+    times = (0.3, 0.7)
+    got = getattr(spec, f"{field}_vector")(np.array(times).reshape(-1, 1))
     assert len(calls) == 1
-    want = [f(x, 0.3) for x in spec.grid()]
+    want = [[f(x, t) for x in spec.grid()] for t in times]
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
 

@@ -12,6 +12,7 @@ from ffode import (
     riemann_plan, solve_eigen, solve_eigen_constant, solve_eigen_timedep,
     solve_reference, spectral_norm, verify_block_encoding,
 )
+from ffode import eigen_solvers, reference
 from ffode.block_encoding import U_EIG
 from ffode.config import MAX_RIEMANN_NODES
 
@@ -183,15 +184,22 @@ def test_shift_covariance():
 
 
 def test_riemann_plan():
-    const = riemann_plan(lambda t: np.array([3.0, 4.0]), 2.0, 7)
+    es = EigenSystem(np.eye(2), [0.0, -1.0])
+    const = riemann_plan(lambda t: np.array([3.0, 4.0]), 2.0, 7, es)
+    assert const.nodes == 7
     assert const.avg_square_norm == pytest.approx(25.0)
-    plan = riemann_plan(lambda t: np.array([math.sin(t), 0.0]), math.pi, 2)
-    assert np.allclose(plan.norms, [0.0, 1.0], atol=1e-12)
+    # λ = 0 sums b over the left nodes exactly: (T/M)·Σ_k 3 = 3T
+    assert const.integral[0] == pytest.approx(6.0)
+    # nodes 0 and π/2: ‖b‖² is 0 and 1, and the λ = 0 sum is (π/2)·1
+    plan = riemann_plan(lambda t: np.sin(t) * [1.0, 0.0], math.pi, 2, es)
     assert plan.avg_square_norm == pytest.approx(0.5)
-    single = riemann_plan(lambda t: np.array([1.0]), 5.0, 1)
-    assert single.times[0] == 0.0
+    assert plan.integral[0] == pytest.approx(math.pi / 2.0)
+    # one node, at t = 0: T·e^{ΛT}·b(0)
+    single = riemann_plan(lambda t: np.cos(t) * [1.0, 1.0], 5.0, 1, es)
+    assert np.allclose(single.integral, 5.0 * np.exp([0.0, -5.0]),
+                       rtol=1e-15, atol=0.0)
     with pytest.raises(ValueError):
-        riemann_plan(lambda t: np.array([1.0]), 1.0, 0)
+        riemann_plan(lambda t: np.array([1.0, 0.0]), 1.0, 0, es)
 
 
 def test_quadrature_error_bound_values():
@@ -204,8 +212,7 @@ def test_quadrature_error_bound_values():
 
     # A = diag(-1), b = sin t on [0,1]: sup(|sin| + |cos|) = sqrt(2) at π/4
     es1 = EigenSystem(np.eye(1), [-1.0])
-    src1 = SampledSource(lambda t: np.array([math.sin(t)]),
-                         derivative=lambda t: np.array([math.cos(t)]))
+    src1 = SampledSource(np.sin, derivative=np.cos)
     p1 = OdeProblem(es1, [0.0], 1.0, src1)
     bound = quadrature_error_bound(p1, 100)
     assert bound == pytest.approx(math.sqrt(2.0) / 200.0, rel=1e-6)
@@ -216,7 +223,7 @@ def test_quadrature_error_bound_values():
 
 def test_quadrature_bound_requires_derivative():
     es = EigenSystem(np.eye(1), [-1.0])
-    src = SampledSource(lambda t: np.array([math.sin(t)]))
+    src = SampledSource(np.sin)
     p = OdeProblem(es, [0.0], 1.0, src)
     with pytest.raises(ValueError):
         quadrature_error_bound(p, 100)
@@ -237,8 +244,8 @@ def test_timedep_matches_constant_solver():
 def test_timedep_error_within_quadrature_budget():
     es = EigenSystem(np.eye(2), [0.0, -1.0])
     u0 = np.array([1.0, 1.0]) / math.sqrt(2)
-    src = SampledSource(lambda t: np.array([math.cos(t), 0.0]),
-                        derivative=lambda t: np.array([-math.sin(t), 0.0]))
+    src = SampledSource(lambda t: np.cos(t) * [1.0, 0.0],
+                        derivative=lambda t: -np.sin(t) * [1.0, 0.0])
     T = math.pi / 2.0
     p = OdeProblem(es, u0, T, src)
     eps = 1e-4
@@ -253,8 +260,8 @@ def test_timedep_error_within_quadrature_budget():
 
 def test_timedep_shift_is_a_positive_top_real_part():
     es = EigenSystem(np.eye(2), [0.3 + 1j, -1.0])
-    src = SampledSource(lambda t: np.array([math.cos(t), 1.0]),
-                        derivative=lambda t: np.array([-math.sin(t), 0.0]))
+    src = SampledSource(lambda t: np.hstack([np.cos(t), np.ones_like(t)]),
+                        derivative=lambda t: -np.sin(t) * [1.0, 0.0])
     rep = solve_eigen_timedep(OdeProblem(es, [1.0, 0.5], 1.0, src), 1e-2)
     assert rep.extras["alpha_tilde"] == 0.3
     assert rep.error_vs_reference <= 1e-2
@@ -276,8 +283,7 @@ def test_timedep_zero_source_reduces_to_homogeneous():
 
 def test_timedep_node_cap():
     es = EigenSystem(np.eye(1), [-1.0])
-    src = SampledSource(lambda t: np.array([math.sin(t)]),
-                        derivative=lambda t: np.array([math.cos(t)]))
+    src = SampledSource(np.sin, derivative=np.cos)
     p = OdeProblem(es, [1.0], 4.0, src)
     with pytest.raises(ValueError, match="exceeds the configured cap"):
         solve_eigen_timedep(p, 1e-12)
@@ -305,9 +311,9 @@ def test_timedep_ledger_independent_of_T_and_M():
 def test_riemann_convergence_order():
     es = EigenSystem(np.eye(2), [0.0, -1.0])
     u0 = np.array([0.3, 0.4])
-    src = SampledSource(lambda t: np.array([math.cos(t), math.sin(2 * t)]),
-                        derivative=lambda t: np.array([-math.sin(t),
-                                                       2 * math.cos(2 * t)]))
+    src = SampledSource(lambda t: np.hstack([np.cos(t), np.sin(2 * t)]),
+                        derivative=lambda t: np.hstack([-np.sin(t),
+                                                        2 * np.cos(2 * t)]))
     T = 1.0
     p = OdeProblem(es, u0, T, src)
     ref = solve_reference(p)
@@ -339,16 +345,16 @@ def test_duhamel_auto_floor_normalizations():
 
 def test_timedep_sweeps_the_drive_term_once():
     es = EigenSystem(np.eye(2), [0.0, -1.0])
-    calls = []
+    sampled = []
 
     def b_dt(t):
-        calls.append(t)
-        return np.array([-math.sin(t), 0.0])
+        sampled.append(t.size)
+        return -np.sin(t) * [1.0, 0.0]
 
-    src = SampledSource(lambda t: np.array([math.cos(t), 0.0]), derivative=b_dt)
+    src = SampledSource(lambda t: np.cos(t) * [1.0, 0.0], derivative=b_dt)
     p = OdeProblem(es, np.array([1.0, 1.0]) / math.sqrt(2), math.pi / 2.0, src)
     rep = solve_eigen_timedep(p, 1e-4)
-    assert len(calls) == 4097
+    assert sum(sampled) == 4097
     # the shared sweep reproduces the public node count and bound exactly
     eps_prime = 1e-4 * np.linalg.norm(solve_reference(p)) / 2.0
     assert rep.extras["nodes"] == quadrature_nodes_for(p, eps_prime)
@@ -358,26 +364,57 @@ def test_timedep_sweeps_the_drive_term_once():
 
 def test_timedep_samples_each_node_once():
     es = EigenSystem(np.eye(2), [0.0, -1.0])
-    calls = []
+    sampled = []
 
     def b(t):
-        calls.append(t)
-        return np.array([math.cos(t), 0.0])
+        sampled.append(t.copy())
+        return np.cos(t) * [1.0, 0.0]
 
-    src = SampledSource(b, derivative=lambda t: np.array([-math.sin(t), 0.0]))
+    src = SampledSource(b, derivative=lambda t: -np.sin(t) * [1.0, 0.0])
     p = OdeProblem(es, np.array([1.0, 1.0]) / math.sqrt(2), 1.0, src)
     counts = []
     for M in (25, 50):
-        calls.clear()
+        sampled.clear()
         solve_eigen_timedep(p, 1.0, M=M)
-        counts.append(len(calls))
-    # the sup sweep and the reference cost the same at both M; each extra
-    # node costs one sample of b
+        counts.append(sum(t.size for t in sampled))
+    # the sup sweep and the reference sample the same times at both M; each
+    # extra node costs one sampled time of b
     assert counts[1] - counts[0] == 25
-    plan = riemann_plan(src, 1.0, 4)
-    assert np.array_equal(plan.samples[:, 1], b(0.25))
-    assert np.allclose(plan.norms, np.linalg.norm(plan.samples, axis=0),
-                       rtol=1e-15, atol=0.0)
+    sampled.clear()
+    riemann_plan(src, 1.0, 4, es)
+    assert [t.shape for t in sampled] == [(4, 1)]
+    assert np.array_equal(sampled[0][:, 0], [0.0, 0.25, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("M", [49, 50])
+def test_timedep_streams_the_nodes_in_batches(monkeypatch, M):
+    # batches of 7 rows: the Riemann sum calls b ⌈M/7⌉ times, each on a
+    # read-only (m, 1) column with m ≤ 7, covering every node once
+    monkeypatch.setattr(reference, "_BATCH_ENTRIES", 7 * 2)
+    es = EigenSystem(np.eye(2), [0.0, -1.0])
+    recording, columns = [True], []
+
+    def b(t):
+        if recording[0]:
+            assert not t.flags.writeable
+            columns.append(t.copy())
+        return np.cos(t) * [1.0, 0.0]
+
+    def unrecorded_reference(p):
+        recording[0] = False
+        try:
+            return solve_reference(p)
+        finally:
+            recording[0] = True
+
+    monkeypatch.setattr(eigen_solvers, "solve_reference", unrecorded_reference)
+    # no derivative: with M given there is no drive sweep
+    p = OdeProblem(es, np.array([1.0, 1.0]) / math.sqrt(2), 1.0,
+                   SampledSource(b))
+    solve_eigen_timedep(p, 1.0, M=M)
+    assert len(columns) == math.ceil(M / 7)
+    assert all(t.shape[1] == 1 and t.shape[0] <= 7 for t in columns)
+    assert np.array_equal(np.vstack(columns)[:, 0], np.arange(M) * (1.0 / M))
 
 
 def _advdiff_eigensystem():

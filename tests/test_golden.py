@@ -6,9 +6,7 @@ floats agree to rtol 1e-12, ledgers and every other column exactly.  The
 one exception is ``error_vs_reference``, which also passes within
 ERROR_FLOOR: it is a difference of two unit states, so its rounding depends
 on the BLAS kernels (forcing other OpenBLAS core types moved it by up to
-3.1e-15, and every other float by at most 1e-14 relative).  Repeat counts
-are exact except on rows whose success probability is 1 to within 1e-12,
-where ceil(1/p) flips with the rounding of p.
+3.1e-15, and every other float by at most 1e-14 relative).
 
 Regenerate the data, only after a deliberate change of outputs, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -72,10 +70,7 @@ def test_cli_rows_match_golden(name):
     assert len(got_rows) == len(want_rows)
     for got, want in zip(got_rows, want_rows):
         where = f"{name}/{want['problem_id']} T={want['T']}"
-        rounding_p = abs(want["success_prob"] - 1.0) <= 1e-12
         for col in COLUMNS:
-            if col in ("repeats_noAA", "repeats_AA") and rounding_p:
-                continue
             if isinstance(want[col], float):
                 floor = ERROR_FLOOR if col == "error_vs_reference" else 0.0
                 assert math.isclose(got[col], want[col], rel_tol=1e-12,

@@ -281,7 +281,7 @@ def test_solve_pde_source_growth():
     spec = PdeSpec("heat", 1, 8, 10.0, u0=smooth_u0,
                    b=lambda x, t: 1.0, b_dt=lambda x, t: 0.0)
     dense = dense_operator(spec)
-    b = spec.b_vector(0.0)
+    b = spec.b_vector(np.zeros((1, 1)))[0]
     psi0 = np.ones(8) / math.sqrt(8)
     for T in (10.0, 20.0):
         ut = solve_reference(OdeProblem(dense, spec.u0_vector(), T, b))
@@ -290,9 +290,9 @@ def test_solve_pde_source_growth():
 
 def test_solve_pde_time_dependent_source():
     spec = PdeSpec("heat", 1, 8, 0.5, u0=smooth_u0,
-                   b=lambda x, t: np.cos(2 * np.pi * x[0]) * math.cos(3 * t),
+                   b=lambda x, t: np.cos(2 * np.pi * x[0]) * np.cos(3 * t),
                    b_dt=lambda x, t: -3 * np.cos(2 * np.pi * x[0])
-                   * math.sin(3 * t))
+                   * np.sin(3 * t))
     rep = solve_pde(spec, 1e-3)
     assert rep.error_vs_reference <= 1e-3
     assert rep.extras["nodes"] >= 1
@@ -442,7 +442,7 @@ def test_heat_d3_n16_without_dense_matrices():
     dh, eye = csr_matrix(build_dh(n).real), identity(n, format="csr")
     lap = (kron(kron(dh, eye), eye) + kron(kron(eye, dh), eye)
            + kron(kron(eye, eye), dh))
-    bvec = spec.b_vector(0.0).real
+    bvec = spec.b_vector(np.zeros((1, 1)))[0].real
     aug = vstack([hstack([lap, csr_matrix(bvec[:, None])]),
                   csr_matrix((1, n ** 3 + 1))]).tocsr()
     uT = expm_multiply(aug * T, np.append(spec.u0_vector().real, 1.0))[:-1]
@@ -474,8 +474,8 @@ def test_constant_source_shift_is_the_top_real_part():
 def test_riemann_shift_is_clamped_at_zero(c):
     # the Riemann sum normalizes by e^{α̃T}, α̃ = max(0, max Re λ)
     spec = _advdiff_with_source(
-        c, lambda x, t: mean_zero_w0(x) * math.cos(t),
-        lambda x, t: -mean_zero_w0(x) * math.sin(t), d=1, n=4, T=0.2)
+        c, lambda x, t: mean_zero_w0(x) * np.cos(t),
+        lambda x, t: -mean_zero_w0(x) * np.sin(t), d=1, n=4, T=0.2)
     top = float(np.max(eigensystem_of(spec).eigenvalues.real))
     report = solve_pde(spec, 1e-2)
     assert "nodes" in report.extras

@@ -347,8 +347,8 @@ def test_constant_source_solve_in_every_family(solver, source, monkeypatch):
 
 def test_qsvt_solvers_reject_a_sampled_source():
     h, u0, b = _shared_instance()
-    src = SampledSource(lambda t: b * math.cos(t),
-                        derivative=lambda t: -b * math.sin(t))
+    src = SampledSource(lambda t: np.cos(t) * b,
+                        derivative=lambda t: -np.sin(t) * b)
     p = OdeProblem(-(h @ h), u0, 2.0, src)
     with pytest.raises(ValueError, match="constant b"):
         solve_negdef(p, 0.25, 1e-4)

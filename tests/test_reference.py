@@ -10,6 +10,7 @@ from ffode import (
     EigenSystem, OdeProblem, SampledSource, kernel_C, kernel_f,
     kernel_fg_complex, matrix_exponential, solve_reference,
 )
+from ffode import reference
 from ffode.reference import exp_integral
 
 
@@ -180,7 +181,7 @@ def test_solve_reference_linearity():
 
 def test_solve_reference_sampled_source():
     # A = diag(0), b(t) = cos(t): u(T) = u0 + sin(T)
-    src = SampledSource(lambda t: np.array([math.cos(t)]))
+    src = SampledSource(np.cos)
     p = OdeProblem(np.zeros((1, 1)), [0.25], math.pi / 2, src)
     out = solve_reference(p)
     assert out[0] == pytest.approx(0.25 + 1.0, abs=1e-11)
@@ -188,7 +189,7 @@ def test_solve_reference_sampled_source():
 
 def test_solve_reference_sampled_source_decay():
     # A = diag(-1), b(t) = (sin t): u(T) = ∫ e^{-(T-s)} sin(s) ds
-    src = SampledSource(lambda t: np.array([math.sin(t)]))
+    src = SampledSource(np.sin)
     T = 2.0
     p = OdeProblem(np.array([[-1.0]]), [0.0], T, src)
     out = solve_reference(p)
@@ -201,13 +202,14 @@ def test_reference_quadrature_halving_stable():
     # moves the sampled-b result by less than 1e-10 at converged resolution
     from ffode.reference import _gauss_panels
     a = np.diag([-0.4, -1.1]).astype(complex)
-    src = SampledSource(lambda t: np.array([math.sin(2 * t), math.cos(t)]))
+    src = SampledSource(lambda t: np.hstack([np.sin(2 * t), np.cos(t)]))
     T = 1.3
     w, v = np.linalg.eigh(a)
     vinv = v.conj().T
 
     def g(s):
-        return v @ (np.exp(w * (T - s)) * (vinv @ src(s)))
+        # one row per node of the (m, 1) column s
+        return (v @ (np.exp(np.outer(w, T - s[:, 0])) * (vinv @ src(s).T))).T
 
     nodes, weights = np.polynomial.legendre.leggauss(12)
 
@@ -216,17 +218,37 @@ def test_reference_quadrature_halving_stable():
         width = T / m
         for k in range(m):
             s = k * width + (nodes + 1.0) * width / 2.0
-            ws = weights * width / 2.0
-            total = total + sum(wi * g(si) for si, wi in zip(s, ws))
+            total = total + (weights * width / 2.0) @ g(s[:, None])
         return total
 
     assert np.linalg.norm(panels(16) - panels(32)) < 1e-10
-    assert np.linalg.norm(_gauss_panels(g, T) - panels(32)) < 1e-10
+    assert np.linalg.norm(_gauss_panels(g, T, 2) - panels(32)) < 1e-10
+
+
+
+def test_reference_samples_whole_panels_per_batch(monkeypatch):
+    # shrunk to 7 rows, a batch still holds one whole 12-node panel: every
+    # call gets a read-only (12, 1) column, and the result keeps its digits
+    shapes = []
+
+    def b(t):
+        assert not t.flags.writeable
+        shapes.append(t.shape)
+        return np.hstack([np.sin(2 * t), np.cos(t)])
+
+    p = OdeProblem(np.diag([-0.4, -1.1 + 2j]), [0.3, 0.2], 1.3,
+                   SampledSource(b))
+    default = solve_reference(p)
+    monkeypatch.setattr(reference, "_BATCH_ENTRIES", 7 * 2)
+    shapes.clear()
+    batched = solve_reference(p)
+    assert shapes and set(shapes) == {(12, 1)}
+    assert np.linalg.norm(batched - default) <= 1e-12 * np.linalg.norm(default)
 
 
 def test_solve_reference_quadrature_self_consistency():
     # explicit Riemann refinement of the sampled-b integral converges to it
-    src = SampledSource(lambda t: np.array([math.sin(3 * t), math.cos(t)]))
+    src = SampledSource(lambda t: np.hstack([np.sin(3 * t), np.cos(t)]))
     a = np.diag([-0.3, -0.8]).astype(complex)
     T = 1.5
     ref = solve_reference(OdeProblem(a, [0.1, 0.2], T, src))
@@ -235,7 +257,8 @@ def test_solve_reference_quadrature_self_consistency():
         out = matrix_exponential(a, T) @ np.array([0.1, 0.2])
         for k in range(m):
             s = k * T / m
-            out = out + (T / m) * (matrix_exponential(a, T - s) @ src(s))
+            b_s = src(np.full((1, 1), s))[0]
+            out = out + (T / m) * (matrix_exponential(a, T - s) @ b_s)
         return out
 
     err_coarse = np.linalg.norm(riemann(200) - ref)
@@ -260,7 +283,7 @@ def test_solve_reference_eigensystem_path():
 def test_solve_reference_nonnormal_fallback_warns():
     # a Jordan-type block is not diagonalizable: sampled b forces quadrature
     a = np.array([[-1.0, 1.0], [0.0, -1.0]])
-    src = SampledSource(lambda t: np.array([0.0, math.sin(t)]))
+    src = SampledSource(lambda t: np.sin(t) * [0.0, 1.0])
     with pytest.warns(UserWarning):
         out = solve_reference(OdeProblem(a, [1.0, 0.0], 1.0, src))
     exact, _ = quad(
