@@ -6,6 +6,16 @@ diagonal kernels f(λ,t), C(α,β,T) and the complex split f+ig used by the
 eigen-oracle solvers.  The solvers are tested against ``solve_reference``,
 which builds no encoding or approximant; the solvers do import its kernels,
 so a kernel error would reach both sides.
+
+The hyperbolic PDE kinds have a reference of their own,
+``second_order_problem``: the u block of u'' = −B²u + iB·b solved mode by
+mode.  It builds each per-axis stencil from its finite-difference formula,
+diagonalizes it by ``eigh`` and applies the tensor eigenbasis one axis at a
+time (O(d·n³ + d·N·n)).  It shares none of these with the solver:
+``pde``'s stencil table, the FFT, the closed-form spectra, the lift's mixer,
+``FourierBasis`` and the fast inversion of the initial velocity; u0, w0 and
+b are read from the ``PdeSpec``.  A wrong root eigenvalue that passes the
+lifted cross-validation therefore shows up in ``error_vs_reference``.
 """
 
 from __future__ import annotations
@@ -13,13 +23,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.linalg as sla
 
 from .config import TOL
 from .linalg import EigenSystem, as_square, as_vector, hermitian_eigh
+
+if TYPE_CHECKING:
+    from .pde import PdeSpec
 
 _GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the reference quadrature
 
@@ -218,16 +231,132 @@ def _gauss_panels(g, T: float, width: int):
     return prev
 
 
-def solve_reference(p: OdeProblem) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# second order in time: the u block of a lifted hyperbolic PDE
+
+#: periodic central differences, offset -> weight times h^-order (h = 1/n),
+#: written out from their formulas here and shared with no solver
+_SECOND_DIFFERENCE = {-1: 1.0, 0: -2.0, 1: 1.0}
+
+
+def _periodic_difference(n: int, taps: dict[int, float],
+                         order: int) -> np.ndarray:
+    """The real n×n periodic stencil with (S x)_i = Σ_o taps[o]·x_{i+o}/h^order;
+    taps that wrap onto the same entry add."""
+    mat = np.zeros((n, n))
+    rows = np.arange(n)
+    for offset, weight in taps.items():
+        np.add.at(mat, (rows, (rows + offset) % n), weight * float(n) ** order)
+    return mat
+
+
+@dataclass
+class SecondOrderProblem:
+    """u'' = −B²u + iB·b(t) on [0, T] with u(0) = u0 and u'(0) = w0.
+
+    B² = shift·I + Σ_j S_j^power, where ``stencils[j]`` is a real symmetric
+    n×n matrix acting along axis j of the row-major n^d grid, and B ≥ 0 is
+    its square root.  This is the u block of the first-order system
+    (u, v)' = [[0, iB], [iB, 0]](u, v) + (0, b) with iB·v(0) = w0.
+    ``inhomogeneous`` is None, a constant (N,) vector or a
+    :class:`SampledSource`.
+    """
+
+    shift: float
+    stencils: list[np.ndarray]
+    u0: np.ndarray
+    w0: np.ndarray
+    horizon: float
+    inhomogeneous: np.ndarray | SampledSource | None = None
+    power: int = 1
+
+
+def second_order_problem(spec: PdeSpec) -> SecondOrderProblem:
+    """The u block of a hyperbolic ``pde.PdeSpec``, from its finite-difference
+    formula: shift = −c, and S_j = −a_j·D2 on each axis for wave and
+    Klein-Gordon.  The beam's periodic D4 = (1, −4, 6, −4, 1)/h⁴ is D2², so
+    it is given as S = D2 with power 2: ``eigh`` of D4 itself would carry an
+    absolute error ~1e-16·16n⁴ onto the low modes (a 1e-7 floor on u(T) at
+    n = 512, T = 1).  u0, w0 and b are sampled from the spec."""
+    d2 = _periodic_difference(spec.n, _SECOND_DIFFERENCE, 2)
+    if spec.kind == "beam":
+        stencils, power = [d2], 2
+    elif spec.kind in ("wave", "klein-gordon"):
+        stencils, power = [-a * d2 for a in spec.a], 1
+    else:
+        raise ValueError(f"{spec.kind} is not second order in time")
+    return SecondOrderProblem(-spec.c, stencils, spec.u0_vector(),
+                              spec.w0_vector(), spec.T, spec._source(), power)
+
+
+def _along_axes(mats, x: np.ndarray) -> np.ndarray:
+    """mats[j] applied along axis j of the trailing len(mats) axes of x."""
+    lead = x.ndim - len(mats)
+    for j, mat in enumerate(mats):
+        x = np.moveaxis(np.tensordot(mat, x, axes=(1, lead + j)), 0, lead + j)
+    return x
+
+
+def _solve_second_order(p: SecondOrderProblem) -> np.ndarray:
+    """u(T) mode by mode on the tensor eigenbasis of the per-axis stencils.
+
+    Each S_j is diagonalized by ``eigh`` and the basis is applied one axis at
+    a time, at O(d·n³ + d·N·n) cost.  With μ the eigenvalue of B² and
+    s = √μ, each mode evolves as
+    û(T) = cos(sT)·û0 + (sin(sT)/s)·ŵ0 + ∫₀ᵀ i·sin(s(T−τ))·b̂(τ) dτ,
+    where the integral is i·2sin²(sT/2)/s·b̂ for a constant b and composite
+    Gauss-Legendre quadrature for a sampled one.  A mode with
+    |μ| ≤ TOL.zero·max(1, max|μ|) is taken as s = 0, and both kernels are
+    evaluated through ``np.sinc``, so s = 0 divides by nothing.
+    """
+    d = len(p.stencils)
+    n = p.stencils[0].shape[0]
+    shape = (n,) * d
+    pairs = [np.linalg.eigh(stencil) for stencil in p.stencils]
+    mu = p.shift + sum(
+        lam.reshape([n if k == j else 1 for k in range(d)]) ** p.power
+        for j, (lam, _) in enumerate(pairs))
+    floor = TOL.zero * max(1.0, float(np.max(np.abs(mu))))
+    if np.any(mu < -floor):
+        raise ValueError(f"B² has a negative eigenvalue {np.min(mu):.3e}")
+    s = np.where(mu <= floor, 0.0, np.sqrt(np.maximum(mu, 0.0)))
+    to_modes = [v.T for _, v in pairs]
+    T = p.horizon
+
+    def modal(x):
+        return _along_axes(to_modes, np.asarray(x, dtype=complex).reshape(
+            (-1,) + shape))
+
+    u_hat = (np.cos(s * T) * modal(p.u0)[0]
+             + T * np.sinc(s * T / np.pi) * modal(p.w0)[0])
+    src = p.inhomogeneous
+    if isinstance(src, SampledSource):
+        def g(t):
+            kernel = 1j * np.sin(s * (T - t.reshape((-1,) + (1,) * d)))
+            return (kernel * modal(source_rows(src, t, n ** d))).reshape(
+                t.shape[0], -1)
+
+        u_hat = u_hat + _gauss_panels(g, T, n ** d).reshape(shape)
+    elif src is not None:
+        # 2sin²(sT/2)/s = (sT²/2)·sinc²(sT/2π)
+        u_hat = u_hat + (1j * s * T * T / 2.0 * np.sinc(s * T / (2 * np.pi)) ** 2
+                         * modal(src)[0])
+    return _along_axes([v for _, v in pairs], u_hat).ravel()
+
+
+def solve_reference(p: OdeProblem | SecondOrderProblem) -> np.ndarray:
     """u(T) by the Duhamel formula, to ~1e-10 relative accuracy.
 
-    Diagonalizable coefficients use closed-form per-eigenvalue kernels
+    A :class:`SecondOrderProblem` is solved mode by mode on its per-axis
+    eigenbases (``_solve_second_order``).  Diagonalizable coefficients use closed-form per-eigenvalue kernels
     (constant b) or adaptive Gauss-Legendre quadrature (sampled b, called
     once per batch of whole panels of nodes), moving into the eigenbasis by
     an :class:`EigenSystem`'s ``apply_adjoint`` or the dense ``_diagonalize``
     factors; a badly conditioned eigenbasis falls back to expm-based
     quadrature with a warning, with one propagator per node of a batch.
     """
+    if isinstance(p, SecondOrderProblem):
+        return _solve_second_order(p)
     T = p.horizon
     src = p.inhomogeneous
     if isinstance(p.coefficient, EigenSystem):

@@ -193,7 +193,7 @@ def test_criterion_2_eigen_solvers_match_reference():
                 ) <= 1e-9
                 instances += 1
 
-    # hyperbolic kinds: u-block against the dense lifted reference
+    # hyperbolic kinds: u-block against the per-axis modal reference
     for kind, kwargs, dims in (
             ("wave", {}, (1, 2)),
             ("klein-gordon", {"mass": 1.0}, (1, 2)),

@@ -246,7 +246,7 @@ def test_solve_pde_transport_unit_probability():
 def test_solve_pde_wave_u_block():
     spec = PdeSpec("wave", 1, 8, 1.0, u0=smooth_u0, w0=mean_zero_w0)
     rep = solve_pde(spec, 1e-8)
-    # the error is already measured against the dense lifted reference
+    # the error is already measured against the per-axis modal reference
     assert rep.error_vs_reference < 1e-7
     assert rep.extras["u_block_norm"] > 0
     assert rep.extras["post_selection_factor"] >= 1.0
@@ -353,13 +353,21 @@ def test_grid_is_built_once_per_shape():
 ])
 def test_solve_pde_builds_dense_operator_only_for_the_reference(
         monkeypatch, spec, calls):
+    # no kind builds a dense operator, root or DFT any more: the hyperbolic
+    # kinds are checked by ``calls`` per-axis modal reference solves
     import ffode.pde as pde
+    from ffode.reference import SecondOrderProblem
     built = []
-    original = pde.dense_operator
-    monkeypatch.setattr(pde, "dense_operator",
-                        lambda s: built.append(s) or original(s))
+    for name in ("dense_operator", "hyperbolic_sqrt_operator", "dft_tensor"):
+        monkeypatch.setattr(pde, name,
+                            lambda *args, name=name: built.append(name))
+    modal = []
+    original = pde.solve_reference
+    monkeypatch.setattr(pde, "solve_reference", lambda p: modal.append(
+        isinstance(p, SecondOrderProblem)) or original(p))
     solve_pde(spec, 1e-8)
-    assert len(built) == calls
+    assert built == []
+    assert sum(modal) == calls
 
 
 def _advdiff_spec(a_prime):
@@ -505,3 +513,52 @@ def test_airy_keeps_its_zeroth_order_term():
     ov = np.vdot(want, rep.output_state)
     assert np.linalg.norm(rep.output_state * abs(ov) / ov - want) <= 1e-9
     assert rep.error_vs_reference <= 1e-9
+
+
+def test_wrong_root_eigenvalue_is_caught_by_the_reference(monkeypatch):
+    # the lifted cross-validation derives its target from _root_spectrum
+    # too, so a root eigenvalue off by 1e-6 passes it; the modal reference
+    # builds its own spectrum from the stencil and must catch it
+    import ffode.pde as pde
+    original = pde._root_spectrum
+
+    def bumped(spec):
+        s = original(spec)
+        s[1] += 1e-6  # k = 1 carries both u0 and w0
+        return s
+    monkeypatch.setattr(pde, "_root_spectrum", bumped)
+    spec = PdeSpec("wave", 1, 8, 1.0, u0=smooth_u0, w0=mean_zero_w0)
+    pde.lift_hyperbolic(spec)  # the cross-validation passes
+    try:
+        report = solve_pde(spec, 1e-8)
+    except ValueError as exc:
+        assert "exceeds its claim" in str(exc)
+    else:
+        assert report.error_vs_reference > report.claimed_eps
+
+
+@pytest.mark.parametrize("kind, d, n, kwargs", [
+    ("wave", 2, 64, {"a": [1.0, 0.5]}),
+    ("wave", 3, 32, {}),
+    ("klein-gordon", 2, 64, {"mass": 2.0}),
+])
+def test_hyperbolic_scale_without_dense_matrices(kind, d, n, kwargs):
+    # wave d=2 n=64 has 2N = 8192: the dense lifted matrix alone would take
+    # 1 GiB, and wave d=3 n=32 (2N = 65,536) 64 GiB
+    import tracemalloc
+
+    def u0(x):
+        return 1.0 + 0.5 * np.cos(2 * np.pi * x[0]) * np.sin(2 * np.pi * x[1])
+
+    def w0(x):
+        return np.sin(2 * np.pi * (x[0] + x[-1]))
+
+    spec = PdeSpec(kind, d, n, 1.0, u0=u0, w0=w0, **kwargs)
+    tracemalloc.start()
+    try:
+        rep = solve_pde(spec, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.error_vs_reference <= 1e-9
+    assert peak < 32 * 2 ** 20
