@@ -316,21 +316,18 @@ def identity_encoding(system_dim: int, ancilla_qubits: int = 0) -> BlockEncoding
     return BlockEncoding(eye, 1.0, 0.0, ancilla_qubits, QueryLedger(), eye)
 
 
-def exact_dilation(a, alpha: float, *,
-                   ledger: QueryLedger | None = None) -> BlockEncoding:
+def exact_dilation(a, alpha: float) -> BlockEncoding:
     """One-ancilla (alpha, 1, 0)-block-encoding of ``a``: the block a/alpha.
 
     Requires ‖a‖ ≤ alpha, so that a/alpha is a contraction and has the
-    one-ancilla dilation of :attr:`BlockEncoding.unitary`.  By default the
-    ledger charges a single use of U_A (the dilation *is* the primitive
-    oracle); pass an explicit ledger when dilating a derived matrix.
+    one-ancilla dilation of :attr:`BlockEncoding.unitary`.  The ledger
+    charges a single use of U_A: the dilation *is* the primitive oracle.
     """
     m = as_square(a)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if ledger is None:
-        ledger = QueryLedger({U_A: 1})
-    return BlockEncoding(m / alpha, float(alpha), 0.0, 1, ledger, m)
+    return BlockEncoding(m / alpha, float(alpha), 0.0, 1,
+                         QueryLedger({U_A: 1}), m)
 
 
 @dataclass

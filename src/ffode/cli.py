@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .block_encoding import LEDGER_KEYS, QueryLedger
+from .block_encoding import LEDGER_KEYS
 from .linalg import EigenSystem
 from .eigen_solvers import solve_eigen
 from .lower_bounds import (
@@ -54,7 +54,7 @@ CSV_COLUMNS = (
     + ["wall_time_ms"]
 )
 
-SOLVERS = ("negdef", "sqrt", "eigen", "eigen-td", "reference-only")
+SOLVERS = ("negdef", "sqrt", "eigen", "eigen-td")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -274,17 +274,12 @@ def _run_point(cfg: dict, prob: dict, T: float, eps: float,
 
     if prob["type"] == "pde":
         spec = _build_pde_spec(prob, n, d, T)
-        if solver == "reference-only":
-            report = None
-        else:
-            report = solve_pde(spec, eps)
+        report = solve_pde(spec, eps)
         n_out, d_out = spec.n, spec.d
     else:
         problem, aux = _build_ode_problem(prob, T, rng)
         n_out, d_out = problem.dim, 1
-        if solver == "reference-only":
-            report = None
-        elif solver == "negdef":
+        if solver == "negdef":
             report = solve_negdef(problem, aux["delta"], eps)
         elif solver == "sqrt":
             u_h = exact_dilation(aux["h"], 1.0)
@@ -314,20 +309,14 @@ def _run_point(cfg: dict, prob: dict, T: float, eps: float,
         "eps": float(eps),
         "wall_time_ms": elapsed_ms,
     }
-    if report is None:
-        row.update({"success_prob": 1.0, "repeats_noAA": 1, "repeats_AA": 1,
-                    "error_vs_reference": 0.0})
-        ledger = QueryLedger()
-    else:
-        row.update({
-            "success_prob": report.success_probability,
-            "repeats_noAA": report.repeats_no_aa,
-            "repeats_AA": report.repeats_aa,
-            "error_vs_reference": report.error_vs_reference,
-        })
-        ledger = report.ledger
+    row.update({
+        "success_prob": report.success_probability,
+        "repeats_noAA": report.repeats_no_aa,
+        "repeats_AA": report.repeats_aa,
+        "error_vs_reference": report.error_vs_reference,
+    })
     for key in LEDGER_KEYS:
-        row[f"q_{key}"] = ledger[key]
+        row[f"q_{key}"] = report.ledger[key]
     return row
 
 

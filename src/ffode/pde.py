@@ -30,7 +30,8 @@ and one (stencil, closed-form spectrum) pair per axis.  The eigenvalues, the
 root spectrum of the hyperbolic lift, the dense operator and both
 cross-validations are derived from it, so a new kind is one entry there plus
 its stencil's closed forms.  ``PdeSpec`` calls each sampler on the whole
-grid: once per field, and for the source once per batch of times.
+grid: once per field, and for the source once at t = 0, whose result's shape
+declares whether b depends on time, then once per batch of times if it does.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ PARABOLIC_KINDS = ("transport", "heat", "advection-diffusion", "airy",
                    "generic-parabolic")
 HYPERBOLIC_KINDS = ("wave", "klein-gordon", "beam")
 KINDS = PARABOLIC_KINDS + HYPERBOLIC_KINDS
-#: fractions of T at which ``time_independent_source`` compares b
-_SOURCE_PROBE_TIMES = (0.0, 0.37, 0.71)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +152,13 @@ class PdeSpec:
     ``w0`` return (N,), once per field.  The source ``b`` takes (x, t) with
     t a read-only (M, 1) column of times and returns (M, N), one row per
     time, once per batch of times.  A result need only broadcast to its
-    shape, so a constant sampler may return a scalar and a time-independent
-    source its (N,) field.  ``b_dt`` is the time derivative of ``b``, needed
-    for quadrature error bounds on the time-dependent path.
+    shape, so a constant sampler may return a scalar.
+
+    The shape of b's result declares its time dependence: a result with no
+    time axis (a scalar or an (N,) field) declares b constant in time, and
+    the solvers take the constant-source route; any other result, even one
+    whose rows agree, is sampled on the Riemann path.  ``b_dt`` is the time
+    derivative of ``b``, needed for quadrature error bounds on that path.
     """
 
     kind: str
@@ -227,59 +230,56 @@ class PdeSpec:
         return _grid(self.n, self.d)
 
     def _sample(self, f, *t) -> np.ndarray:
-        """f(x, *t) in one call on the read-only (d, N) grid array x: (N,)
-        without t, (M, N) for an (M, 1) column t of times.  A result that
-        broadcasts to that shape, a scalar say, is broadcast."""
-        values = np.asarray(f(self.grid().T, *t), dtype=complex)
+        """f(x, *t) in one call on the read-only (d, N) grid array x, as a
+        complex array of the shape f returns."""
+        return np.asarray(f(self.grid().T, *t), dtype=complex)
+
+    def _sampled(self, f, *t) -> np.ndarray:
+        """``_sample`` broadcast to a new array: (N,) without t, (M, N) for
+        an (M, 1) column t of times."""
         shape = (t[0].shape[0], self.N) if t else (self.N,)
-        return np.array(np.broadcast_to(values, shape))
+        return np.array(np.broadcast_to(self._sample(f, *t), shape))
 
     def u0_vector(self) -> np.ndarray:
         if self.u0 is None:
             raise ValueError("no initial data sampler")
-        return self._sample(self.u0)
+        return self._sampled(self.u0)
 
     def w0_vector(self) -> np.ndarray:
         if self.w0 is None:
             raise ValueError("no velocity sampler")
         if self._w0_samples is None:
-            self._w0_samples = self._sample(self.w0)
+            self._w0_samples = self._sampled(self.w0)
         return self._w0_samples.copy()
 
     def b_vector(self, t: np.ndarray) -> np.ndarray:
         """b on the grid at each time of the (M, 1) column t, as (M, N)."""
         if self.b is None:
             raise ValueError("no source sampler")
-        return self._sample(self.b, t)
+        return self._sampled(self.b, t)
 
     def b_dt_vector(self, t: np.ndarray) -> np.ndarray:
         """db/dt on the grid at each time of the (M, 1) column t, as (M, N)."""
         if self.b_dt is None:
             raise ValueError("no source time-derivative sampler")
-        return self._sample(self.b_dt, t)
-
-    def time_independent_source(self):
-        """Heuristic: b at the first probe time if it agrees there with b at
-        the other, incommensurate probe times (constant in t), else None.
-        All probe times are sampled in one call."""
-        if self.b is None:
-            return None
-        t = np.array(_SOURCE_PROBE_TIMES).reshape(-1, 1) * self.T
-        t.setflags(write=False)
-        ref, *others = self.b_vector(t)
-        if all(np.allclose(ref, row, atol=1e-13) for row in others):
-            return ref
-        return None
+        return self._sampled(self.b_dt, t)
 
     def _source(self, lead: int = 0):
         """The source as an ``OdeProblem`` takes it, after ``lead`` zeros (a
-        lifted u block): None, the constant b(0), or a SampledSource whose
-        rows are [0, b(t)]."""
+        lifted u block): None, a constant vector, or a SampledSource whose
+        rows are [0, b(t)].
+
+        One call of b on the read-only (1, 1) column t = 0 decides: a result
+        with fewer than two dimensions has no time axis, so b is constant
+        and that call supplies it; any other result makes b sampled."""
         if self.b is None:
             return None
-        const = self.time_independent_source()
-        if const is not None:
-            return np.concatenate([np.zeros(lead, dtype=complex), const])
+        t = np.zeros((1, 1))
+        t.setflags(write=False)
+        first = self._sample(self.b, t)
+        if first.ndim < 2:
+            return np.concatenate([np.zeros(lead, dtype=complex),
+                                   np.broadcast_to(first, (self.N,))])
 
         def after_lead(sample):
             def rows(t):

@@ -38,8 +38,9 @@ _GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the reference quadrature
 
 
 #: entries (rows × row width) of one batch of source rows: a batched source
-#: call, the Riemann sum and the reference quadrature hold one batch at a time
-_BATCH_ENTRIES = 2 ** 20
+#: call, the Riemann sum and the reference quadrature hold one batch at a
+#: time, so a batch's temporaries stay near 2¹⁵ · 16 B = 512 KiB each
+_BATCH_ENTRIES = 2 ** 15
 
 
 @dataclass

@@ -71,6 +71,15 @@ def test_solve_bad_version(tmp_path):
     assert main(["solve", "--config", cfg]) == EXIT_SCHEMA
 
 
+def test_unknown_solver_is_a_schema_error(tmp_path):
+    # no solver skips the solve: a config naming one is rejected
+    bad = dict(HEAT_CAMPAIGN, solver="reference-only")
+    cfg = write_config(tmp_path, bad)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_SCHEMA
+    assert not (tmp_path / "demo-heat.csv").exists()
+
+
 def test_solver_problem_mismatch(tmp_path):
     bad = {
         "version": 1, "campaign": "bad", "solver": "eigen", "seed": 0,
@@ -119,10 +128,6 @@ def test_solve_negdef_campaign(tmp_path):
 
 def test_solve_other_solver_paths(tmp_path):
     campaigns = [
-        {"version": 1, "campaign": "ref", "solver": "reference-only",
-         "seed": 1, "sweep": {"T": [0.5]},
-         "problems": [{"id": "h", "type": "pde", "kind": "heat", "n": 4,
-                       "u0": {"name": "one-plus-cos"}}]},
         {"version": 1, "campaign": "sq", "solver": "sqrt", "seed": 2,
          "sweep": {"T": [1.0], "eps": [1e-4]},
          "problems": [{"id": "s", "type": "ode", "family": "random-sqrt",

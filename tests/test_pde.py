@@ -298,6 +298,64 @@ def test_solve_pde_time_dependent_source():
     assert rep.extras["nodes"] >= 1
 
 
+def _heat_with_polynomial_drive(coeffs, eps):
+    """Heat d=1 n=8, T=1 under b = cos(2πx)·Σ_k coeffs[k]·t^k: the report
+    and u(T) from one expm of the system augmented by the monomials
+    z_k = t^k (z_k' = k·z_{k-1}), with the Laplacian built here."""
+    n, T, K = 8, 1.0, len(coeffs)
+    spec = PdeSpec("heat", 1, n, T, u0=smooth_u0,
+                   b=lambda x, t: np.cos(2 * np.pi * x[0])
+                   * np.polynomial.polynomial.polyval(t, coeffs),
+                   b_dt=lambda x, t: np.cos(2 * np.pi * x[0])
+                   * np.polynomial.polynomial.polyval(
+                       t, np.polynomial.polynomial.polyder(coeffs)))
+    rep = solve_pde(spec, eps)
+    x = np.arange(n) / n
+    aug = np.zeros((n + K, n + K))
+    aug[:n, :n] = n ** 2 * (np.roll(np.eye(n), 1, axis=0)
+                            + np.roll(np.eye(n), -1, axis=0) - 2 * np.eye(n))
+    aug[:n, n:] = np.outer(np.cos(2 * np.pi * x), coeffs)
+    for k in range(1, K):
+        aug[n + k, n + k - 1] = k
+    start = np.concatenate([1.0 + np.cos(2 * np.pi * x), [1.0], np.zeros(K - 1)])
+    uT = (sla.expm(aug * T) @ start)[:n]
+    want = uT / np.linalg.norm(uT)
+    ov = np.vdot(want, rep.output_state)
+    return rep, float(np.linalg.norm(rep.output_state * abs(ov) / ov - want))
+
+
+@pytest.mark.parametrize("coeffs, eps", [
+    # 20·τ(τ−0.37)(τ−0.71): zero at t = 0, 0.37 and 0.71
+    (20 * np.polynomial.polynomial.polyfromroots([0.0, 0.37, 0.71]), 1e-2),
+    # every row within 1e-5 relative of b(0)
+    (np.array([1.0, 1e-5]), 1e-3),
+], ids=["vanishing-at-probe-times", "slow-drift"])
+def test_time_dependent_source_takes_the_riemann_path(coeffs, eps):
+    # the source returns one row per time, so it is sampled, however its
+    # rows compare
+    rep, err = _heat_with_polynomial_drive(coeffs, eps)
+    assert rep.extras["nodes"] >= 1
+    assert err <= rep.claimed_eps
+    assert rep.error_vs_reference <= rep.claimed_eps
+
+
+def test_riemann_path_memory_is_bounded_by_the_batch():
+    # M = 181,011 nodes: the sum streams b in batches of ≤ 2¹⁵ entries
+    import tracemalloc
+    spec = PdeSpec("heat", 1, 8, 1.0, u0=smooth_u0,
+                   b=lambda x, t: np.cos(2 * np.pi * x[0]) * np.cos(t),
+                   b_dt=lambda x, t: -np.cos(2 * np.pi * x[0]) * np.sin(t))
+    tracemalloc.start()
+    try:
+        rep = solve_pde(spec, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.extras["nodes"] > 10 ** 5
+    assert rep.error_vs_reference <= 1e-3
+    assert peak < 8 * 2 ** 20
+
+
 def test_solve_pde_wave_with_source():
     spec = PdeSpec("wave", 1, 4, 0.5, u0=smooth_u0, w0=mean_zero_w0,
                    b=lambda x, t: np.sin(2 * np.pi * x[0]),

@@ -109,8 +109,13 @@ def g(x):
 
 SOURCES = {
     "none": ({}, "homogeneous"),
+    "scalar": ({"b": lambda x, t: 0.5, "b_dt": lambda x, t: 0.0},
+               "inhomogeneous"),
     "constant": ({"b": lambda x, t: g(x), "b_dt": lambda x, t: 0.0},
                  "inhomogeneous"),
+    # one row per time, equal in value: the shape, not the values, decides
+    "constant-rows": ({"b": lambda x, t: g(x) + 0 * t,
+                       "b_dt": lambda x, t: 0 * t}, "timedep"),
     "time-dependent": ({"b": lambda x, t: g(x) * np.cos(t),
                         "b_dt": lambda x, t: -g(x) * np.sin(t)},
                        "timedep"),
@@ -163,6 +168,26 @@ def test_solve_pde_hyperbolic_routing(source, duhamel_builds):
                           u_block / float(np.linalg.norm(u_block)))
     for key, value in full.extras.items():
         assert report.extras[key] == value
+
+
+@pytest.mark.parametrize("source", ["scalar", "constant", "constant-rows",
+                                    "time-dependent"])
+def test_the_first_sample_declares_the_route(source, duhamel_builds):
+    # b is called once on a read-only (1, 1) column at t = 0; a result with
+    # no time axis is the constant source, and no other call is made
+    kwargs, path = SOURCES[source]
+    calls = []
+
+    def b(x, t):
+        calls.append(t)
+        return kwargs["b"](x, t)
+    spec = PdeSpec("heat", 1, 4, 0.5, u0=u0, b=b, b_dt=kwargs["b_dt"])
+    report = solve_pde(spec, EPS)
+    assert_path(report, path, duhamel_builds)
+    first = calls[0]
+    assert first.shape == (1, 1) and first[0, 0] == 0.0
+    assert not first.flags.writeable
+    assert (len(calls) == 1) == (path == "inhomogeneous")
 
 
 def test_lifted_source_is_zero_on_the_u_block():
