@@ -190,6 +190,11 @@ def _build_pde_spec(prob: dict, n: int | None, d: int | None,
         raise SchemaError(f"bad PDE problem {prob['id']}: {exc}") from exc
 
 
+def _with_time_axis(f):
+    """f(x, t) as (M, N) rows, which declare a source sampled (``PdeSpec``)."""
+    return lambda x, t: np.broadcast_to(f(x, t), (t.shape[0], x.shape[1]))
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -274,6 +279,10 @@ def _run_point(cfg: dict, prob: dict, T: float, eps: float,
 
     if prob["type"] == "pde":
         spec = _build_pde_spec(prob, n, d, T)
+        if solver == "eigen-td" and spec.b is not None:
+            # the Riemann-sum path, also for a constant b (as on an ODE)
+            spec.b = _with_time_axis(spec.b)
+            spec.b_dt = _with_time_axis(spec.b_dt)
         report = solve_pde(spec, eps)
         n_out, d_out = spec.n, spec.d
     else:

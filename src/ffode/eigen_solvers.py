@@ -35,7 +35,7 @@ from .block_encoding import (
     O_PROD, O_T, O_U, U_EIG, BlockEncoding, DiagonalEncoding, QueryLedger,
 )
 from .linalg import EigenSystem, global_phase_distance
-from .qsvt_solvers import SolveReport, lcs_combine_and_measure
+from .qsvt_solvers import SolveReport, _solve_lcs
 from .reference import (
     OdeProblem, SampledSource, exp_integral, kernel_C, kernel_f,
     kernel_fg_complex, solve_reference, source_rows, time_batches,
@@ -140,23 +140,18 @@ def be_duhamel_eigen(eigen: EigenSystem, T: float) -> BlockEncoding:
 
 
 def solve_eigen_constant(p: OdeProblem) -> SolveReport:
-    """LCS combination of the e^{AT} encoding and, for a constant b, the
-    Duhamel encoding.
+    """The shared LCS driver ``qsvt_solvers._solve_lcs`` on the e^{AT} and,
+    for a constant b, the Duhamel encoding.
 
-    With b None the control qubit never rotates and the circuit is the
-    homogeneous post-selection, with success probability exactly
-    (‖u(T)‖/(e^{αT}‖u0‖))².  Both encodings are zero-error, so the output
-    equals the normalized reference.
+    Both are zero-error, so the encoders ignore their ε budget and the output
+    equals the normalized reference, claimed to ``TOL.exact_solver``.  With
+    b None the circuit is the homogeneous post-selection, with success
+    probability exactly (‖u(T)‖/(e^{αT}‖u0‖))².
     """
-    b = p.inhomogeneous
-    if isinstance(b, SampledSource):
-        raise ValueError("needs a constant inhomogeneous term or none")
     eigen = _eigensystem(p)
-    be0 = be_exp_eigen(eigen, p.horizon)
-    be1 = None if b is None else be_duhamel_eigen(eigen, p.horizon)
-    reference = solve_reference(p)
-    rep = lcs_combine_and_measure(p.u0, b, be0, be1, reference,
-                                  TOL.exact_solver)
+    rep = _solve_lcs(p, TOL.exact_solver,
+                     lambda eps0: be_exp_eigen(eigen, p.horizon),
+                     lambda eps1: be_duhamel_eigen(eigen, p.horizon))
     rep.extras["alpha_shift"] = _shift(eigen.eigenvalues)
     return rep
 

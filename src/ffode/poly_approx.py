@@ -4,7 +4,9 @@ Three targets on [-1, 1]:
 
 * ``exp-shifted``      e^{-T(1-x)}
 * ``gaussian``         e^{-beta x^2}
-* ``gaussian-integral``  ∫₀¹ e^{-beta τ x²} dτ  =  (1 - e^{-beta x²})/(beta x²)
+* ``gaussian-integral``  ∫₀¹ e^{-beta τ x²} dτ  =  (1 - e^{-beta x²})/(beta x²),
+  evaluated by ``reference.exp_integral`` at λ = -beta x², t = 1, the same
+  Duhamel kernel the solvers and the reference use
 
 Each approximant is the target's Chebyshev series cut at the lowest degree
 that meets the request.  The coefficients are closed forms in the scaled
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .config import TOL
+from .reference import exp_integral
 
 TARGETS = ("exp-shifted", "gaussian", "gaussian-integral", "constant")
 
@@ -65,12 +67,12 @@ def chebyshev_grid(num_points: int) -> np.ndarray:
     return np.cos(np.pi * (np.arange(num_points) + 0.5) / num_points)
 
 
-def certify_sup_error(f, p, degree: int, density: int = 1) -> float:
-    """Max |f - p| on a grid of density*(8*degree + 64) Chebyshev points.
+def certify_sup_error(f, p, degree: int) -> float:
+    """Max |f - p| on a grid of 8*degree + 64 Chebyshev points.
 
     A consistency check of the closed-form certificate, not the certificate.
     """
-    x = chebyshev_grid(density * (8 * degree + 64))
+    x = chebyshev_grid(8 * degree + 64)
     return float(np.max(np.abs(f(x) - p(x))))
 
 
@@ -87,16 +89,10 @@ def _gaussian(beta: float):
 
 
 def _gaussian_integral(beta: float):
-    # closed form (1 - e^{-beta x^2})/(beta x^2); the removable singularity at
-    # x = 0 is filled by a 3-term series to avoid cancellation
+    # (1 - e^{-beta x^2})/(beta x^2) = ∫₀¹ e^{-beta x² (1-s)} ds, the Duhamel
+    # kernel at λ = -beta x², t = 1
     def f(x):
-        z = beta * np.asarray(x, dtype=float) ** 2
-        small = np.abs(z) < TOL.kernel_series_switch
-        zs = np.where(small, 0.0, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exact = -np.expm1(-zs) / zs
-        series = 1.0 - z / 2.0 + z ** 2 / 6.0
-        return np.where(small, series, exact)
+        return exp_integral(-beta * np.asarray(x, dtype=float) ** 2, 1.0)
     return f
 
 

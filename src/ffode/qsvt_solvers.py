@@ -1,11 +1,12 @@
-"""Quadratically fast-forwarded solvers and the shared LCS combiner.
+"""Quadratically fast-forwarded solvers and the shared LCS driver.
 
 Two solver families: bounded negative-definite Hermitian coefficients
 (spectrum in [-1, -δ]) and negative semi-definite A = -H² given through a
 block-encoding of H.  Both produce block-encodings of e^{AT} and of the
 Duhamel integral ∫₀ᵀ e^{A(T-s)} ds, then run an amplitude-level simulation of
 the linear-combination-of-states circuit with exact success probabilities and
-per-run query ledgers.
+per-run query ledgers.  ``_solve_lcs`` is the one constant-source LCS driver,
+also of ``eigen_solvers.solve_eigen_constant``.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
 
 def _solve_lcs(p: OdeProblem, eps: float, encode_exp,
                encode_duhamel) -> SolveReport:
-    """The constant-source LCS solve of both QSVT families.
+    """The constant-source LCS solve of every family (negdef, sqrt, eigen).
 
     Checks that u(T) does not vanish, splits ε into the component budgets
     ε₀ = ε‖u(T)‖/(2‖u0‖) without b, or ε₀ = ε‖u(T)‖/(4‖u0‖) and
@@ -232,7 +233,8 @@ def _solve_lcs(p: OdeProblem, eps: float, encode_exp,
     """
     b = p.inhomogeneous
     if isinstance(b, SampledSource):
-        raise ValueError("the QSVT solvers need a constant b or none")
+        raise ValueError("the constant-source LCS solve needs a constant b "
+                         "or none")
     reference = solve_reference(p)
     norm_uT = float(np.linalg.norm(reference))
     if norm_uT <= TOL.zero:

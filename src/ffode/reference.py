@@ -3,18 +3,21 @@
 Implements the Duhamel formula u(T) = e^{AT} u(0) + ∫₀ᵀ e^{A(T-s)} b(s) ds
 through eigendecomposition with closed-form per-eigenvalue kernels, plus the
 diagonal kernels f(λ,t), C(α,β,T) and the complex split f+ig used by the
-eigen-oracle solvers.  The solvers are tested against ``solve_reference``,
-which builds no encoding or approximant; the solvers do import its kernels,
-so a kernel error would reach both sides.
+eigen-oracle solvers; ``exp_integral`` is the one Duhamel kernel, which
+``poly_approx``'s gaussian-integral target evaluates too.  The solvers are
+tested against ``solve_reference``, which builds no encoding or
+approximant; the solvers do import its kernels, so a kernel error would
+reach both sides.
 
 The hyperbolic PDE kinds have a reference of their own,
 ``second_order_problem``: the u block of u'' = −B²u + iB·b solved mode by
 mode.  It builds each per-axis stencil from its finite-difference formula,
-diagonalizes it by ``eigh`` and applies the tensor eigenbasis one axis at a
-time (O(d·n³ + d·N·n)).  It shares none of these with the solver:
-``pde``'s stencil table, the FFT, the closed-form spectra, the lift's mixer,
-``FourierBasis`` and the fast inversion of the initial velocity; u0, w0 and
-b are read from the ``PdeSpec``.  A wrong root eigenvalue that passes the
+takes its eigenbasis from ``eigh`` and each mode's eigenvalue from its
+Rayleigh quotient in difference form (``_modes``), and applies the tensor
+eigenbasis one axis at a time (O(d·n³ + d·N·n)).  It shares none of these
+with the solver: ``pde``'s stencil table, the FFT, the closed-form spectra,
+the lift's mixer, ``FourierBasis`` and the fast inversion of the initial
+velocity; u0, w0 and b are read from the ``PdeSpec``.  A wrong root eigenvalue that passes the
 lifted cross-validation therefore shows up in ``error_vs_reference``.
 """
 
@@ -276,9 +279,8 @@ def second_order_problem(spec: PdeSpec) -> SecondOrderProblem:
     """The u block of a hyperbolic ``pde.PdeSpec``, from its finite-difference
     formula: shift = −c, and S_j = −a_j·D2 on each axis for wave and
     Klein-Gordon.  The beam's periodic D4 = (1, −4, 6, −4, 1)/h⁴ is D2², so
-    it is given as S = D2 with power 2: ``eigh`` of D4 itself would carry an
-    absolute error ~1e-16·16n⁴ onto the low modes (a 1e-7 floor on u(T) at
-    n = 512, T = 1).  u0, w0 and b are sampled from the spec."""
+    it is given as S = D2 with power 2, whose modes' −n²‖Δv‖² squares to μ
+    without D4's cancellation.  u0, w0 and b are sampled from the spec."""
     d2 = _periodic_difference(spec.n, _SECOND_DIFFERENCE, 2)
     if spec.kind == "beam":
         stencils, power = [d2], 2
@@ -298,11 +300,23 @@ def _along_axes(mats, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _modes(stencil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(λ, V): the eigenbasis V of the real symmetric S by ``eigh`` and each
+    λ = vᵀSv = Σ_i r_i v_i² − ½ Σ_ik S_ik (v_i − v_k)², r the row sums of S.
+    A periodic difference has r = 0, so S = −a·D2 = a·n²ΔᵀΔ gives the sum of
+    squares a·n²‖Δv‖², accurate relative to λ, where ``eigh``'s eigenvalues
+    carry an absolute error ~1e-16·‖S‖ onto the low modes."""
+    _, v = np.linalg.eigh(stencil)
+    i, k = np.nonzero(stencil)
+    return (stencil.sum(axis=1) @ v ** 2
+            - 0.5 * stencil[i, k] @ (v[i] - v[k]) ** 2), v
+
+
 def _solve_second_order(p: SecondOrderProblem) -> np.ndarray:
     """u(T) mode by mode on the tensor eigenbasis of the per-axis stencils.
 
-    Each S_j is diagonalized by ``eigh`` and the basis is applied one axis at
-    a time, at O(d·n³ + d·N·n) cost.  With μ the eigenvalue of B² and
+    Each S_j gives its modes by ``_modes`` and the basis is applied one axis
+    at a time, at O(d·n³ + d·N·n) cost.  With μ the eigenvalue of B² and
     s = √μ, each mode evolves as
     û(T) = cos(sT)·û0 + (sin(sT)/s)·ŵ0 + ∫₀ᵀ i·sin(s(T−τ))·b̂(τ) dτ,
     where the integral is i·2sin²(sT/2)/s·b̂ for a constant b and composite
@@ -313,7 +327,7 @@ def _solve_second_order(p: SecondOrderProblem) -> np.ndarray:
     d = len(p.stencils)
     n = p.stencils[0].shape[0]
     shape = (n,) * d
-    pairs = [np.linalg.eigh(stencil) for stencil in p.stencils]
+    pairs = [_modes(stencil) for stencil in p.stencils]
     mu = p.shift + sum(
         lam.reshape([n if k == j else 1 for k in range(d)]) ** p.power
         for j, (lam, _) in enumerate(pairs))

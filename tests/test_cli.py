@@ -147,6 +147,23 @@ def test_solve_other_solver_paths(tmp_path):
         assert err <= float(cfg_obj["sweep"].get("eps", [1e-6])[0])
 
 
+def test_eigen_td_takes_the_riemann_path_for_every_constant_source():
+    # a constant b under eigen-td: the Riemann sum (one O_bt query), on a
+    # PDE as on an ODE, not the constant-source circuit (one O_b query)
+    rows = run_campaign({
+        "version": 1, "campaign": "td-const", "solver": "eigen-td", "seed": 0,
+        "sweep": {"T": [1.0], "eps": [1e-3]},
+        "problems": [
+            {"id": "heat-const", "type": "pde", "kind": "heat", "d": 1,
+             "n": 4, "b": {"name": "constant"}},
+            {"id": "normal-b", "type": "ode", "family": "random-normal",
+             "N": 4},
+        ]})
+    for row in rows:
+        assert (row["q_O_bt"], row["q_O_b"]) == (1, 0), row["problem_id"]
+        assert row["error_vs_reference"] <= 1e-3
+
+
 def test_solve_tolerance_gate(tmp_path):
     cfg_obj = {
         "version": 1, "campaign": "tg", "solver": "eigen-td", "seed": 4,

@@ -12,6 +12,7 @@ from ffode import (
     solve_sqrt_access, spectral_norm, verify_block_encoding,
 )
 from ffode.block_encoding import U_A
+from ffode.config import TOL
 from ffode.qsvt_solvers import (
     be_duhamel_negdef, be_exp_negdef, duhamel_integral_negdef, repeat_estimates,
 )
@@ -345,12 +346,21 @@ def test_constant_source_solve_in_every_family(solver, source, monkeypatch):
         assert rep.ledger == want.ledger
 
 
-def test_qsvt_solvers_reject_a_sampled_source():
+@pytest.mark.parametrize("solver", ["eigen", "negdef", "sqrt"])
+def test_every_constant_source_family_runs_the_shared_lcs_checks(solver):
+    # the eigen, negdef and sqrt constant-source solves share one LCS driver,
+    # so each rejects a sampled b and a vanishing u(T) the same way
     h, u0, b = _shared_instance()
+    solve = {
+        "eigen": eigen_solvers.solve_eigen_constant,
+        "negdef": lambda p: solve_negdef(p, 0.25, 1e-4),
+        "sqrt": lambda p: solve_sqrt_access(p, exact_dilation(h, 1.0), 1e-4),
+    }[solver]
     src = SampledSource(lambda t: np.cos(t) * b,
                         derivative=lambda t: -np.sin(t) * b)
-    p = OdeProblem(-(h @ h), u0, 2.0, src)
-    with pytest.raises(ValueError, match="constant b"):
-        solve_negdef(p, 0.25, 1e-4)
-    with pytest.raises(ValueError, match="constant b"):
-        solve_sqrt_access(p, exact_dilation(h, 1.0), 1e-4)
+    with pytest.raises(ValueError, match="constant b or none"):
+        solve(OdeProblem(-(h @ h), u0, 2.0, src))
+    tiny = OdeProblem(-(h @ h), 1e-13 * u0 / np.linalg.norm(u0), 0.1)
+    assert 5e-14 < np.linalg.norm(solve_reference(tiny)) <= TOL.zero
+    with pytest.raises(ValueError, match=r"u\(T\) vanishes"):
+        solve(tiny)

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffode import PdeSpec, solve_reference
+from ffode import PdeSpec, solve_pde, solve_reference
 from ffode.reference import SecondOrderProblem, second_order_problem
 
 #: offset -> weight times n^order of each periodic central difference
@@ -130,3 +130,19 @@ def test_parabolic_kinds_have_no_second_order_form():
     spec = PdeSpec("heat", 1, 8, 1.0, u0=lambda x: 1.0)
     with pytest.raises(ValueError, match="second order"):
         second_order_problem(spec)
+
+
+@pytest.mark.parametrize("kind, d, n, T, bound", [
+    ("klein-gordon", 2, 64, 1.0, 1e-13),
+    ("klein-gordon", 1, 256, 10.0, 1e-12),
+    ("beam", 1, 512, 1.0, 2e-12),
+])
+def test_reference_floor_is_relative_to_each_mode(kind, d, n, T, bound):
+    # each mode's μ is a sum of squared differences, so the low modes are not
+    # buried under eigh's absolute error ~1e-16·‖S‖ (1.2e-12, 5.8e-11 and
+    # 1.6e-11 when μ came from eigh's eigenvalues)
+    kwargs = {"mass": 2.0} if kind == "klein-gordon" else {}
+    spec = PdeSpec(kind, d, n, T,
+                   u0=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x[0]),
+                   w0=lambda x: np.sin(2 * np.pi * x[0]), **kwargs)
+    assert solve_pde(spec, 1e-6).error_vs_reference <= bound
