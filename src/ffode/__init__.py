@@ -45,8 +45,6 @@ from .reference import (
     OdeProblem,
     SampledSource,
     kernel_C,
-    kernel_f,
-    kernel_fg_complex,
     solve_reference,
 )
 from .qsvt_solvers import (

@@ -207,11 +207,6 @@ def _build_ode_problem(prob: dict, T: float, rng: np.random.Generator):
     """Returns (OdeProblem, aux) where aux carries solver-specific pieces."""
     family = prob["family"]
     N = int(prob.get("N", 4))
-    if family == "nonnormal":
-        delta = float(prob.get("delta", 0.5))
-        a = np.array([[1j, 1j / delta, 0], [0, 2j, 0], [0, 0, 3j]])
-        u0 = np.array([0.0, 0.0, 1.0], dtype=complex)
-        return OdeProblem(a, u0, T), {}
     q = _random_unitary(rng, N)
     if family == "random-negdef":
         delta = float(prob.get("delta", 0.25))

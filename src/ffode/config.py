@@ -37,7 +37,7 @@ class Tolerances:
     #: claimed error attached to zero-error (exact) solver constructions
     exact_solver: float = 1e-9
     #: generic "numerically zero" threshold; also the |f + ig| ≤ 1 allowance
-    #: of ``reference.kernel_fg_complex``, the relative zero-mode tests of
+    #: of ``eigen_solvers.be_duhamel_eigen``, the relative zero-mode tests of
     #: ``pde.fast_inversion`` and of the second-order reference (which
     #: takes such a mode as s = 0), and the distance from 1 within which
     #: ``SolveReport`` reports a success probability as exactly 1

@@ -7,7 +7,8 @@ case, 10 in the general complex case, plus 2 uses of U), independent of T,
 ‖A‖ and the dimension.  A Riemann-sum linear combination of states extends
 this to time-dependent inhomogeneous terms.  ``solve_eigen`` is the one
 place that picks between the two solvers: ``solve_eigen_constant`` for no
-source or a constant one, ``solve_eigen_timedep`` for a sampled source.
+source or a constant one, ``solve_eigen_timedep`` for a sampled source; both
+end in ``qsvt_solvers``' LCS measurement and post-selection steps.
 
 Every solver takes the :class:`OdeProblem` alone: its coefficient is the
 eigensystem (a dense normal matrix is diagonalized by
@@ -34,11 +35,12 @@ from .block_encoding import (
     GATES, O_BNORM, O_BT, O_EXP, O_F, O_G, O_LAMBDA, O_LAMBDA_I, O_LAMBDA_R,
     O_PROD, O_T, O_U, U_EIG, BlockEncoding, DiagonalEncoding, QueryLedger,
 )
-from .linalg import EigenSystem, global_phase_distance
-from .qsvt_solvers import SolveReport, _solve_lcs
+from .linalg import EigenSystem
+from .qsvt_solvers import SolveReport, _solve_lcs, lcs_branches, \
+    post_selected_report
 from .reference import (
-    OdeProblem, SampledSource, exp_integral, kernel_C, kernel_f,
-    kernel_fg_complex, solve_reference, source_rows, time_batches,
+    OdeProblem, SampledSource, exp_integral, kernel_C, solve_reference,
+    source_rows, time_batches,
 )
 
 _DRIVE_SAMPLES = 4097  # grid points of the sup drive term
@@ -118,24 +120,27 @@ def be_exp_eigen(eigen: EigenSystem, T: float) -> BlockEncoding:
 def be_duhamel_eigen(eigen: EigenSystem, T: float) -> BlockEncoding:
     """Zero-error block-encoding of ∫₀ᵀ e^{A(T-s)} ds.
 
-    Normalization T with the real kernel f(λ,T) for real nonpositive
-    spectra; C(α,β,T) with the complex split f+ig otherwise (α the largest
-    real part, β the spectrum's ``_beta_floor``).
+    Factors ``exp_integral`` over T for real nonpositive spectra (f, at
+    min(Re λ, 0)), else over C(α,β,T) (f+ig; α the largest real part, β the
+    spectrum's ``_beta_floor``).  |f+ig| > 1 + ``TOL.zero`` raises.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     lam = eigen.eigenvalues
     target = exp_integral(lam, T)
     if _real_nonpositive(lam):
-        factors = kernel_f(lam.real, T).astype(complex)
         norm = T
+        factors = exp_integral(np.minimum(lam.real, 0.0), T) / T
         ledger = QueryLedger({O_T: 2, O_LAMBDA: 2, O_F: 2, U_EIG: 2, GATES: 1})
     else:
         norm = kernel_C(float(np.max(lam.real)), _beta_floor(lam), T)
-        factors = np.empty(lam.shape, dtype=complex)
-        factors.real, factors.imag = kernel_fg_complex(lam, T, norm)
+        factors = target / norm
         ledger = QueryLedger({O_T: 2, O_LAMBDA_R: 2, O_LAMBDA_I: 2, O_F: 2,
                               O_G: 2, U_EIG: 2, GATES: 4})
+    mag = float(np.max(np.abs(factors)))
+    if mag > 1.0 + TOL.zero:
+        raise ValueError(f"|f+ig| = {mag:.6g} > 1: normalization C is "
+                         "inconsistent with the eigenvalue")
     return _dilate_diagonal(eigen, factors, norm, target, ledger)
 
 
@@ -266,13 +271,11 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     if norm_uT <= TOL.zero:
         raise ValueError("u(T) vanishes; nothing to post-select")
 
-    # one sweep of the drive term serves both the node count and the bound
-    try:
+    # one drive sweep serves node count and bound; a given M with no
+    # derivative skips it and reports no bound
+    sup = None
+    if M is None or p.inhomogeneous.derivative is not None:
         sup = _sup_drive_term(p, lam)
-    except ValueError:
-        if M is None:
-            raise
-        sup = None  # no derivative data when M was supplied explicitly
     if M is None:
         M = _nodes_from_sup(T, alpha_t, eps * norm_uT / 2.0, sup)
         if M > MAX_RIEMANN_NODES:
@@ -285,22 +288,20 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     hom = eigen.apply(np.exp(lam * T) * eigen.apply_adjoint(p.u0))
     u_tilde = hom + plan.integral
 
-    nu = float(np.linalg.norm(p.u0))
-    denom = math.exp(alpha_t * T) * math.sqrt(
-        2.0 * (nu ** 2 + T ** 2 * plan.avg_square_norm))
-    prob = (float(np.linalg.norm(u_tilde)) / denom) ** 2
-    if prob <= 1e-28:
-        raise ValueError("degenerate instance: success probability is zero")
-    out = u_tilde / np.linalg.norm(u_tilde)
-    err = global_phase_distance(out, reference / norm_uT)
+    scale = math.exp(alpha_t * T)
+    success, theta, weight = lcs_branches(
+        scale * float(np.linalg.norm(p.u0)),
+        scale * T * math.sqrt(plan.avg_square_norm), u_tilde)
     claimed = eps
     if bound is not None:
         claimed = max(eps, 2.0 * bound / norm_uT + TOL.exact_solver)
-    report = SolveReport(out, prob, _timedep_ledger(M).charge(O_U, 1), err,
-                         min(1.0, claimed))
+    report = post_selected_report(success, 1.0, reference,
+                                  _timedep_ledger(M).charge(O_U, 1),
+                                  min(1.0, claimed))
     report.extras.update({
         "nodes": M, "avg_square_norm": plan.avg_square_norm,
-        "alpha_tilde": alpha_t, "quadrature_bound": bound,
+        "alpha_tilde": alpha_t, "quadrature_bound": bound, "theta": theta,
+        "branch_weight": weight,
     })
     return report
 

@@ -151,7 +151,7 @@ def renormalization_error_bounds(a, a_tilde) -> tuple[float, float]:
     For nonzero vectors with ``eps = ‖a - ã‖`` returns the pair
     ``(‖a‖ - eps, 2 eps / ‖a‖)``: a lower bound on ``‖ã‖`` and an upper bound
     on ``‖a/‖a‖ - ã/‖ã‖‖``.  Both are re-verified numerically before
-    returning.
+    returning; a bound that fails raises ``ValueError``.
     """
     av = as_vector(a)
     tv = as_vector(a_tilde)
@@ -161,8 +161,10 @@ def renormalization_error_bounds(a, a_tilde) -> tuple[float, float]:
     eps = float(np.linalg.norm(av - tv))
     lower = float(na - eps)
     bound = float(2.0 * eps / na)
-    assert nt >= lower - 1e-12
-    assert np.linalg.norm(av / na - tv / nt) <= bound + 1e-12
+    gap = float(np.linalg.norm(av / na - tv / nt))
+    if not (nt >= lower - 1e-12 and gap <= bound + 1e-12):  # NaN fails too
+        raise ValueError(f"renormalization bounds fail: ‖ã‖ {nt:.6g} vs "
+                         f"{lower:.6g}, distance {gap:.6g} vs {bound:.6g}")
     return lower, bound
 
 

@@ -45,9 +45,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import TOL
-from .linalg import EigenSystem, FourierBasis, as_vector, global_phase_distance
+from .linalg import EigenSystem, FourierBasis, as_vector
 from .eigen_solvers import solve_eigen
-from .qsvt_solvers import SolveReport
+from .qsvt_solvers import SolveReport, post_selected_report
 from .reference import (OdeProblem, SampledSource, second_order_problem,
                         solve_reference)
 
@@ -504,16 +504,14 @@ def _post_select_u_block(spec: PdeSpec, eps: float) -> SolveReport:
     if nu_part <= 1e-14:
         raise ValueError("u block vanished; cannot post-select")
     post_factor = 1.0 / nu_part  # = sqrt(‖u‖²+‖v‖²)/‖u‖ on the unit state
-    prob = full.success_probability * nu_part ** 2
 
     ref_u = solve_reference(second_order_problem(spec))
-    out = u_part / nu_part
-    err = global_phase_distance(out, ref_u / np.linalg.norm(ref_u))
     # renormalizing the u block inflates the full-state error by at most
     # 2/‖u block‖
     claimed = min(1.0, 2.0 * max(full.claimed_eps, eps) * post_factor
                   + TOL.exact_solver)
-    report = SolveReport(out, prob, full.ledger, err, claimed)
+    report = post_selected_report(u_part, full.success_probability, ref_u,
+                                  full.ledger, claimed)
     report.extras.update(full.extras)
     report.extras.update({
         "u_block_norm": nu_part,

@@ -6,7 +6,8 @@ block-encoding of H.  Both produce block-encodings of e^{AT} and of the
 Duhamel integral ∫₀ᵀ e^{A(T-s)} ds, then run an amplitude-level simulation of
 the linear-combination-of-states circuit with exact success probabilities and
 per-run query ledgers.  ``_solve_lcs`` is the one constant-source LCS driver,
-also of ``eigen_solvers.solve_eigen_constant``.
+also of ``eigen_solvers.solve_eigen_constant``.  Every solver ends in
+``post_selected_report``, and every two-branch circuit in ``lcs_branches``.
 """
 
 from __future__ import annotations
@@ -161,6 +162,33 @@ def be_duhamel_negdef(u_a: BlockEncoding, T: float, delta: float,
     return prod.reattached(duhamel_integral_negdef(a, T), eps)
 
 
+def lcs_branches(w0: float, w1: float,
+                 weighted_sum: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The two-branch LCS measurement: (amplitudes, θ, ‖w‖) for the control
+    angle θ = -2·arcsin(w₁/‖w‖) and the final Hadamard, which leaves
+    (w₀v₀ + w₁v₁)/(√2‖w‖) on |0> for ``weighted_sum`` = w₀v₀ + w₁v₁."""
+    weight = math.hypot(w0, w1)
+    theta = -2.0 * math.asin(w1 / weight)
+    return weighted_sum / (math.sqrt(2.0) * weight), theta, weight
+
+
+def post_selected_report(amplitudes: np.ndarray, prior_p: float,
+                         reference: np.ndarray, ledger: QueryLedger,
+                         claimed_eps: float) -> SolveReport:
+    """Post-selected amplitudes as a :class:`SolveReport`: p =
+    ``prior_p``·‖amplitudes‖² (``prior_p`` of an earlier post-selection, else
+    1; p ≤ 1e-28 raises), the normalized output and its global-phase distance
+    to the normalized reference."""
+    norm = np.linalg.norm(amplitudes)
+    prob = prior_p * float(norm ** 2)
+    if prob <= 1e-28:
+        raise ValueError("degenerate instance: success probability is zero "
+                         "(u(T) vanishes within tolerance)")
+    out = amplitudes / norm
+    err = global_phase_distance(out, reference / np.linalg.norm(reference))
+    return SolveReport(out, prob, ledger, err, claimed_eps)
+
+
 def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
                             be1: BlockEncoding | None,
                             reference: np.ndarray, eps: float) -> SolveReport:
@@ -168,9 +196,8 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
 
     A control qubit is rotated to weights (α₀‖u0‖, α₁‖b‖), the controlled
     state preparations and controlled encodings are applied, a final Hadamard
-    recombines the branches, and control+ancilla are post-selected on zero.
-    The reported angle is θ = -2·arcsin(α₁‖b‖/sqrt(α₀²‖u0‖² + α₁²‖b‖²)); the
-    simulation realizes the branch weights directly.  Returns the exact
+    recombines the branches (``lcs_branches``), and control+ancilla are
+    post-selected on zero (``post_selected_report``).  Returns the exact
     post-selected state and success probability.
 
     With b absent (or zero) the control qubit degenerates to the
@@ -188,7 +215,6 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
         # degenerate θ = 0 branch: the control stays |0> and only U₀ acts
         success = be0.apply(u0 / nu)
         ancillas = be0.ancilla_qubits
-        prob = float(np.linalg.norm(success) ** 2)
         ledger = be0.ledger.charge(O_U, 1)
         alpha1 = 0.0
         theta = 0.0
@@ -200,25 +226,19 @@ def lcs_combine_and_measure(u0, b, be0: BlockEncoding,
         ancillas = max(be0.ancilla_qubits, be1.ancilla_qubits) + 1
         w0 = be0.alpha * nu
         w1 = be1.alpha * nb
-        weight = math.hypot(w0, w1)
-        theta = -2.0 * math.asin(w1 / weight)
         v0 = be0.apply(u0 / nu)
         v1 = be1.apply(as_vector(b) / nb)
-        success = (w0 * v0 + w1 * v1) / (math.sqrt(2.0) * weight)
-        prob = float(np.linalg.norm(success) ** 2)
+        success, theta, weight = lcs_branches(w0, w1, w0 * v0 + w1 * v1)
         ledger = (be0.ledger + be1.ledger).charge(O_U, 1).charge(O_B, 1) \
             .charge(GATES, 4)
         alpha1 = be1.alpha
 
-    if prob <= 1e-28:
-        raise ValueError("degenerate instance: success probability is zero "
-                         "(u(T) vanishes within tolerance)")
-    out = success / np.linalg.norm(success)
-    err = global_phase_distance(out, reference / np.linalg.norm(reference))
-    return SolveReport(out, prob, ledger, err, eps, extras={
+    report = post_selected_report(success, 1.0, reference, ledger, eps)
+    report.extras.update({
         "alpha0": be0.alpha, "alpha1": alpha1, "theta": theta,
         "branch_weight": weight, "ancilla_qubits": ancillas,
     })
+    return report
 
 
 def _solve_lcs(p: OdeProblem, eps: float, encode_exp,

@@ -1,13 +1,13 @@
 """Exact/high-accuracy classical reference for every solver.
 
 Implements the Duhamel formula u(T) = e^{AT} u(0) + ∫₀ᵀ e^{A(T-s)} b(s) ds
-through eigendecomposition with closed-form per-eigenvalue kernels, plus the
-diagonal kernels f(λ,t), C(α,β,T) and the complex split f+ig used by the
-eigen-oracle solvers; ``exp_integral`` is the one Duhamel kernel, which
-``poly_approx``'s gaussian-integral target evaluates too.  The solvers are
-tested against ``solve_reference``, which builds no encoding or
-approximant; the solvers do import its kernels, so a kernel error would
-reach both sides.
+through eigendecomposition with closed-form per-eigenvalue kernels.
+``exp_integral`` is the one Duhamel kernel: the eigen-oracle solver's
+factors f and f+ig are it over T or C(α,β,T) (``kernel_C``), and
+``poly_approx``'s gaussian-integral target evaluates it too.  The solvers
+are tested against ``solve_reference``, which builds no encoding or
+approximant; the solvers do import ``exp_integral`` and ``kernel_C``, so an
+error in either would reach both sides.
 
 The hyperbolic PDE kinds have a reference of their own,
 ``second_order_problem``: the u block of u'' = −B²u + iB·b solved mode by
@@ -140,18 +140,6 @@ def exp_integral(lam, t: float):
                     np.expm1(z) / np.where(small, 1.0, lam))[()]
 
 
-def kernel_f(lam, t: float):
-    """f(λ,t) = (1/t)∫₀ᵗ e^{λ(t-s)} ds, elementwise over real λ ≤ 0: 1 at
-    λ=0, in (0,1]."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam > TOL.zero):
-        raise ValueError("kernel_f requires a nonpositive eigenvalue")
-    lam = np.minimum(lam, 0.0)
-    return np.where(lam == 0.0, 1.0, exp_integral(lam, t) / t)[()]
-
-
 def kernel_C(alpha: float, beta: float, T: float) -> float:
     """Normalization C(α,β,T): T, 2/β, or (e^{αT}-1)/α by case, the last as
     ``exp_integral``, which does not cancel at small |αT|."""
@@ -162,24 +150,6 @@ def kernel_C(alpha: float, beta: float, T: float) -> float:
     if abs(alpha) <= TOL.zero:
         return T if beta <= TOL.zero else 2.0 / beta
     return float(exp_integral(alpha, T))
-
-
-def kernel_fg_complex(lam, T: float, C: float):
-    """Real/imaginary split (f, g) of C⁻¹ ∫₀ᵀ e^{λ(T-s)} ds, elementwise over
-    λ; every magnitude must be ≤ 1.
-
-    A magnitude above 1 signals that the (α, β) pair used to compute C is
-    inconsistent with λ, and raises.
-    """
-    if T <= 0 or C <= 0:
-        raise ValueError("T and C must be positive")
-    val = exp_integral(np.asarray(lam, dtype=complex), T) / C
-    mag = np.max(np.abs(val))
-    if mag > 1.0 + TOL.zero:
-        raise ValueError(
-            f"|f+ig| = {mag:.6g} > 1: normalization C is inconsistent "
-            "with the eigenvalue")
-    return np.real(val)[()], np.imag(val)[()]
 
 
 def _diagonalize(a: np.ndarray):

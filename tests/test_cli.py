@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import ffode.cli
 from ffode import PdeSpec, WitnessPair
 from ffode.cli import (
     CSV_COLUMNS, EXIT_FAIL, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, LB_FAMILIES,
@@ -86,6 +87,29 @@ def test_solver_problem_mismatch(tmp_path):
         "sweep": {"T": [1.0]},
         "problems": [{"id": "nn", "type": "ode", "family": "nonnormal"}],
     }
+    cfg = write_config(tmp_path, bad)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("solver, problem", [
+    ("negdef", {"id": "heat", "type": "pde", "kind": "heat", "n": 4}),
+    ("sqrt", {"id": "heat", "type": "pde", "kind": "heat", "n": 4}),
+    ("negdef", {"id": "rs", "type": "ode", "family": "random-sqrt"}),
+    ("negdef", {"id": "nn", "type": "ode", "family": "nonnormal"}),
+    ("sqrt", {"id": "rn", "type": "ode", "family": "random-normal"}),
+    ("sqrt", {"id": "nn", "type": "ode", "family": "nonnormal"}),
+    ("eigen-td", {"id": "nn", "type": "ode", "family": "nonnormal"}),
+])
+def test_every_solver_problem_mismatch_exits_before_solving(
+        tmp_path, monkeypatch, solver, problem):
+    # each mismatch is found before any problem is built or solved
+    def unreachable(*args):
+        raise AssertionError("a mismatched campaign reached _run_point")
+
+    monkeypatch.setattr(ffode.cli, "_run_point", unreachable)
+    bad = {"version": 1, "campaign": "bad", "solver": solver, "seed": 0,
+           "sweep": {"T": [1.0]}, "problems": [problem]}
     cfg = write_config(tmp_path, bad)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
         == EXIT_MISMATCH

@@ -482,3 +482,34 @@ def test_diagonal_encodings_reject_bad_factors_and_claims():
     DiagonalEncoding(dense, ones, 2.0, 1e-9, QueryLedger(), 2.0 * ones)
     with pytest.raises(ValueError, match="one entry per eigenvalue"):
         DiagonalEncoding(dense, ones[1:], 2.0, 1e-9, QueryLedger(), ones[1:])
+
+
+def test_timedep_raises_on_a_broken_derivative_with_M_given():
+    # the drive sweep is skipped only for a source without a derivative; one
+    # whose rows do not broadcast to (M, N) raises, with or without M
+    es = EigenSystem(np.eye(2), [-1.0, -2.0])
+    src = SampledSource(lambda t: np.cos(t) * [1.0, 0.0],
+                        derivative=lambda t: np.zeros((t.shape[0], 3)))
+    p = OdeProblem(es, [1.0, 1.0], 1.0, src)
+    for M in (None, 5000):
+        with pytest.raises(ValueError, match="broadcast"):
+            solve_eigen_timedep(p, 1e-2, M=M)
+
+
+def _degenerate_problem(source):
+    # ‖u(T)‖ = 1e7·e^{-40} ≈ 4e-11 > TOL.zero, but p ≈ (e^{-40})² ≤ 1e-28
+    return OdeProblem(EigenSystem(np.eye(2), [-40.0, -41.0]), [1e7, 0.0], 1.0,
+                      source)
+
+
+@pytest.mark.parametrize("source", [
+    None,
+    SampledSource(lambda t: 1e-30 * np.cos(t) * [1.0, 1.0],
+                  derivative=lambda t: -1e-30 * np.sin(t) * [1.0, 1.0]),
+], ids=["constant", "riemann"])
+def test_degenerate_probability_raises_from_the_shared_step(source):
+    p = _degenerate_problem(source)
+    assert np.linalg.norm(solve_reference(p)) > 1e-12
+    with pytest.raises(ValueError, match="success probability is zero") as exc:
+        solve_eigen(p, 1e-3)
+    assert exc.traceback[-1].name == "post_selected_report"

@@ -1,6 +1,7 @@
 """Matrix-core utilities: norms, distances, exponentials, perturbation lemmas."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from ffode import (
     schatten1_distance, spectral_norm,
 )
 from ffode.pde import build_dh, dft_tensor
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def random_unit(rng, n):
@@ -235,6 +239,24 @@ def test_renormalization_bounds_collinear():
 def test_renormalization_bounds_zero_vector():
     with pytest.raises(ValueError):
         renormalization_error_bounds([0.0, 0.0], [1.0, 0.0])
+
+
+def test_renormalization_bounds_check_survives_optimized_mode():
+    # a NaN bound fails the re-verification, also under python -O, which
+    # strips assert statements
+    import subprocess
+    import sys
+    code = ("import warnings; warnings.simplefilter('ignore')\n"
+            "from ffode import renormalization_error_bounds as r\n"
+            "try:\n"
+            "    r([float('nan'), 0.0], [1.0, 0.0])\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert done.returncode == 0, flags
 
 
 def test_fidelity_perturbation_identity_and_swap():

@@ -204,19 +204,23 @@ def test_fast_inversion_single_mode():
 
 
 def test_raised_zero_tolerance_moves_both_zero_checks(monkeypatch):
-    # kernel_fg_complex allows |f+ig| ≤ 1 + TOL.zero, and fast_inversion
+    # be_duhamel_eigen allows |f+ig| ≤ 1 + TOL.zero, and fast_inversion
     # treats |λ| ≤ TOL.zero·max(1, max|λ|) as a zero mode
-    from ffode import EigenSystem, TOL
-    from ffode.reference import kernel_fg_complex
+    from ffode import EigenSystem, TOL, be_duhamel_eigen
+    from ffode import eigen_solvers
     T = 2.0
-    C = T / (1.0 + 5e-12)  # the zero mode's kernel is T/C = 1 + 5e-12
+    # the zero mode's factor is T/C = 1 + 1.5e-12: above 1 + TOL.zero, and
+    # clamped to 1 its claim error T - C stays within the encoding's slack
+    monkeypatch.setattr(eigen_solvers, "kernel_C",
+                        lambda alpha, beta, T: T / (1.0 + 1.5e-12))
+    duh = EigenSystem(np.eye(2), np.array([0.0, 1j]))
     inv = EigenSystem(dft_matrix(4), np.array([1e-11j, 1j, 2j, 3j]))
     w0 = dft_matrix(4)[:, 0] + dft_matrix(4)[:, 1]
     with pytest.raises(ValueError, match="inconsistent"):
-        kernel_fg_complex(0.0, T, C)
+        be_duhamel_eigen(duh, T)
     fast_inversion(inv, w0)
     monkeypatch.setattr(TOL, "zero", 1e-10)
-    assert kernel_fg_complex(0.0, T, C)[0] == pytest.approx(1.0)
+    assert be_duhamel_eigen(duh, T).factors[0] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="zero modes"):
         fast_inversion(inv, w0)
 

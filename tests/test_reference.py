@@ -1,4 +1,6 @@
-"""The Duhamel reference oracle and its diagonal kernels."""
+"""The Duhamel reference oracle, its kernel ``exp_integral`` and the
+eigen-oracle Duhamel factors f and f+ig, which ``be_duhamel_eigen`` takes
+from it."""
 
 import math
 
@@ -7,29 +9,41 @@ import pytest
 from scipy.integrate import quad
 
 from ffode import (
-    EigenSystem, OdeProblem, SampledSource, kernel_C, kernel_f,
-    kernel_fg_complex, matrix_exponential, solve_reference,
+    EigenSystem, OdeProblem, SampledSource, be_duhamel_eigen, kernel_C,
+    matrix_exponential, solve_reference,
 )
-from ffode import reference
+from ffode import eigen_solvers, reference
+from ffode.block_encoding import O_G
 from ffode.reference import exp_integral
+
+
+def _duhamel(lam, t):
+    """``be_duhamel_eigen`` of the spectrum lam in the standard basis."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    return be_duhamel_eigen(EigenSystem(np.eye(lam.size), lam), t)
+
+
+def _factors(lam, t):
+    return _duhamel(lam, t).factors
 
 
 def test_kernel_f_zero_eigenvalue():
     for t in (0.1, 1.0, 50.0):
-        assert kernel_f(0.0, t) == 1.0
+        assert _factors(0.0, t)[0] == 1.0
 
 
 def test_kernel_f_closed_form_vs_quadrature():
-    val = kernel_f(-1.0, 1.0)
-    assert val == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    val = _factors(-1.0, 1.0)[0]
+    assert val.imag == 0.0
+    assert val.real == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
     # independent quadrature of (1/t)∫₀ᵗ e^{λ(t-s)} ds
     numeric, _ = quad(lambda s: math.exp(-(1.0 - s)), 0.0, 1.0)
-    assert val == pytest.approx(numeric, abs=1e-10)
+    assert val.real == pytest.approx(numeric, abs=1e-10)
 
 
 def test_kernel_f_series_branch():
     lam = -1e-9
-    val = kernel_f(lam, 1.0)
+    val = _factors(lam, 1.0)[0].real
     assert val == pytest.approx(1.0 - 5e-10, abs=1e-15)
     numeric, _ = quad(lambda s: math.exp(lam * (1.0 - s)), 0.0, 1.0)
     assert val == pytest.approx(numeric, abs=1e-13)
@@ -61,10 +75,14 @@ def test_exp_integral_accurate_above_series_switch(direction):
 
 
 def test_kernel_f_rejects_bad_args():
-    with pytest.raises(ValueError):
-        kernel_f(0.5, 1.0)
-    with pytest.raises(ValueError):
-        kernel_f(-1.0, 0.0)
+    with pytest.raises(ValueError, match="T must be positive"):
+        _duhamel(-1.0, 0.0)
+    # the real kernel cannot be handed a positive λ: ``_real_nonpositive``
+    # routes such a spectrum to the complex split, and clamps one within
+    # TOL.zero of 0 to f = 1
+    assert O_G in _duhamel(1e-6, 1.0).ledger.counts
+    assert O_G not in _duhamel(5e-13, 1.0).ledger.counts
+    assert _factors(5e-13, 1.0)[0] == 1.0
 
 
 def test_kernel_C_cases():
@@ -82,57 +100,71 @@ def test_kernel_C_does_not_cancel_at_small_alpha(alpha):
         want = T * (1.0 + z / 2.0 + z ** 2 / 6.0 + z ** 3 / 24.0
                     + z ** 4 / 120.0)
         assert abs(kernel_C(alpha, 0.0, T) / want - 1.0) < 1e-14
-        # C bounds the kernel of its own top eigenvalue
-        kernel_fg_complex(alpha, T, kernel_C(alpha, 0.0, T))
+        # C bounds the kernel of its own top eigenvalue, which the second
+        # eigenvalue sends through the complex split
+        enc = _duhamel([alpha, alpha + 1j], T)
+        assert enc.alpha == kernel_C(alpha, 0.0, T)
+        assert np.max(np.abs(enc.factors)) <= 1.0 + 1e-12
 
 
 def test_kernel_fg_complex_cases():
-    f, g = kernel_fg_complex(0.0, 2.0, kernel_C(0.0, 0.0, 2.0))
-    assert (f, g) == (pytest.approx(1.0), pytest.approx(0.0))
-    # e^{iβT} - 1 vanishes at βT = 2π
-    f, g = kernel_fg_complex(1j * math.pi, 2.0, kernel_C(0.0, math.pi, 2.0))
-    assert abs(complex(f, g)) == pytest.approx(0.0, abs=1e-12)
-    f, g = kernel_fg_complex(-1.0, 1.0, 1.0 - math.exp(-1.0))
-    assert (f, g) == (pytest.approx(1.0), pytest.approx(0.0, abs=1e-12))
+    # C = T: top real part 0, and the -1+i mode keeps β at 0
+    enc = _duhamel([0.0, -1.0 + 1j], 2.0)
+    assert enc.alpha == kernel_C(0.0, 0.0, 2.0)
+    assert enc.factors[0] == pytest.approx(1.0)
+    # e^{iβT} - 1 vanishes at βT = 2π; C = 2/β on a purely imaginary spectrum
+    enc = _duhamel(1j * math.pi, 2.0)
+    assert enc.alpha == kernel_C(0.0, math.pi, 2.0)
+    assert abs(enc.factors[0]) == pytest.approx(0.0, abs=1e-12)
+    # C = 1 - e^{-1}: top real part -1
+    enc = _duhamel([-1.0, -1.0 + 1j], 1.0)
+    assert enc.alpha == pytest.approx(1.0 - math.exp(-1.0))
+    assert enc.factors[0].real == pytest.approx(1.0)
+    assert enc.factors[0].imag == pytest.approx(0.0, abs=1e-12)
 
 
-def test_kernel_fg_flags_inconsistent_normalization():
-    with pytest.raises(ValueError):
-        kernel_fg_complex(0.0, 10.0, 1.0)  # integral T = 10 with C = 1
+def _inconsistent_C(monkeypatch, value):
+    monkeypatch.setattr(eigen_solvers, "kernel_C", lambda a, b, T: value)
 
 
-def test_kernels_elementwise_match_scalar_calls():
+def test_kernel_fg_flags_inconsistent_normalization(monkeypatch):
+    _inconsistent_C(monkeypatch, 1.0)  # integral T = 10 with C = 1
+    with pytest.raises(ValueError, match="inconsistent"):
+        _duhamel([0.0, 1j], 10.0)
+
+
+def test_kernels_elementwise_match_scalar_calls(monkeypatch):
     rng = np.random.default_rng(47)
     lam = np.concatenate([[0.0, 5e-13, -1e-9], rng.uniform(-50.0, 0.0, 64)])
-    f = kernel_f(lam, 0.7)
-    assert np.array_equal(f, [kernel_f(float(z), 0.7) for z in lam])
+    f = _factors(lam, 0.7)
+    assert np.array_equal(f, [_factors(z, 0.7)[0] for z in lam])
     assert f[0] == f[1] == 1.0
-    with pytest.raises(ValueError, match="nonpositive"):
-        kernel_f(np.append(lam, 1e-6), 0.7)
+    # a positive λ cannot reach the real kernel: see
+    # test_kernel_f_rejects_bad_args
     lam = lam + 1j * rng.uniform(-20.0, 20.0, lam.size)
-    c = kernel_C(0.0, 0.0, 0.7)
-    f, g = kernel_fg_complex(lam, 0.7, c)
-    pairs = [kernel_fg_complex(complex(z), 0.7, c) for z in lam]
-    assert np.array_equal(f, [pair[0] for pair in pairs])
-    assert np.array_equal(g, [pair[1] for pair in pairs])
+    enc = _duhamel(lam, 0.7)
+    assert enc.alpha == kernel_C(0.0, 0.0, 0.7)
+    assert np.array_equal(enc.factors,
+                          [exp_integral(z, 0.7) / 0.7 for z in lam])
+    _inconsistent_C(monkeypatch, 1.0)
     with pytest.raises(ValueError, match="inconsistent"):
-        kernel_fg_complex(np.append(lam, 0.0), 10.0, 1.0)
+        _duhamel(np.append(lam, 0.0), 10.0)
 
 
 def test_kernel_magnitudes_bounded_randomized():
+    # 200 spectra of 50 eigenvalues each; a complex spectrum shares one real
+    # part, so its C is the tightest C of each of its eigenvalues
     rng = np.random.default_rng(41)
-    for _ in range(10_000):
-        lam = rng.uniform(-3.0, 0.0)
+    for _ in range(200):
         t = rng.uniform(0.01, 20.0)
-        assert 0.0 <= kernel_f(lam, t) <= 1.0
-    for _ in range(10_000):
+        f = _factors(rng.uniform(-3.0, 0.0, 50), t)
+        assert np.all(f.imag == 0.0)
+        assert np.all((0.0 < f.real) & (f.real <= 1.0))
+    for _ in range(200):
         alpha = rng.uniform(-2.0, 1.0)
-        beta_im = rng.uniform(-3.0, 3.0)
         t = rng.uniform(0.05, 5.0)
-        lam = complex(alpha, beta_im)
-        c = kernel_C(alpha if abs(alpha) > 1e-12 else 0.0, 0.0, t)
-        f, g = kernel_fg_complex(lam, t, c)
-        assert abs(complex(f, g)) <= 1.0 + 1e-12
+        f = _factors(alpha + 1j * rng.uniform(-3.0, 3.0, 50), t)
+        assert np.max(np.abs(f)) <= 1.0 + 1e-12
 
 
 def test_solve_reference_degenerate_duhamel():
