@@ -22,7 +22,14 @@ Conventions
   while the ledger charges the query cost of the corresponding circuit.
 * :class:`DiagonalEncoding` is the exception to storing the block: for a
   block U diag(f) U† it keeps the eigenbasis, f and the target's diagonal,
-  applies the block through ``apply`` and builds it only on demand.
+  applies the block through ``apply`` and builds it only on demand.  It
+  takes any ancilla count, and the calculus keeps it: when every operand
+  is a DiagonalEncoding on the same :class:`EigenSystem`, each rule
+  (``lcu_combine``, ``multiply``, ``invert``, ``polynomial_transform``,
+  ``reattached``, ``padded``) combines the factor and target diagonals
+  entrywise and checks them in O(N).  ``exact_dilation`` of a Hermitian or
+  skew-Hermitian matrix is the usual source of such operands; any dense
+  operand sends a rule down the dense path.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from .config import INVERSE_QUERY_CONSTANT, TOL
 from .linalg import (
-    EigenSystem, as_square, as_vector, spectral_norm,
+    EigenSystem, as_square, as_vector, hermitian_eigh, spectral_norm,
     unitary_with_first_column,
 )
 
@@ -251,7 +258,7 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
 
 
 class DiagonalEncoding(BlockEncoding):
-    """A one-ancilla encoding whose block is U diag(factors) U†.
+    """An encoding whose block is U diag(factors) U†.
 
     Holds the eigensystem's basis U, the factors and the target's diagonal g
     (target = U diag(g) U†) instead of two dense N×N products; ``block``,
@@ -264,7 +271,8 @@ class DiagonalEncoding(BlockEncoding):
     """
 
     def __init__(self, eigen: EigenSystem, factors, alpha: float,
-                 epsilon_claim: float, ledger: QueryLedger, target_diagonal):
+                 epsilon_claim: float, ancilla_qubits: int,
+                 ledger: QueryLedger, target_diagonal):
         self.eigen = eigen
         self.factors = as_vector(factors)
         self.target_diagonal = as_vector(target_diagonal)
@@ -273,7 +281,7 @@ class DiagonalEncoding(BlockEncoding):
                              "eigenvalue")
         self.alpha = float(alpha)
         self.epsilon_claim = float(epsilon_claim)
-        self.ancilla_qubits = 1
+        self.ancilla_qubits = int(ancilla_qubits)
         self.ledger = ledger
         self._validate()
 
@@ -287,6 +295,12 @@ class DiagonalEncoding(BlockEncoding):
     def _claim_bound(self) -> float:
         return self._widened_max(self.target_diagonal
                                  - self.alpha * self.factors)
+
+    def eigenvalue_spread(self) -> float:
+        """δ_U·max|g|: every eigenvalue of the target lies this close to an
+        entry of g (Bauer–Fike on diag(g)·U†U, which shares its spectrum)."""
+        return self.eigen.unitarity_defect * float(
+            np.max(np.abs(self.target_diagonal)))
 
     @property
     def block(self) -> np.ndarray:
@@ -302,6 +316,56 @@ class DiagonalEncoding(BlockEncoding):
 
     def apply(self, v) -> np.ndarray:
         return self.eigen.apply(self.factors * self.eigen.apply_adjoint(v))
+
+    def reattached(self, target, epsilon_claim: float,
+                   alpha: float | None = None) -> BlockEncoding:
+        """A 1-d ``target`` is a new target diagonal on this eigenbasis; a
+        matrix takes the dense path."""
+        target = np.asarray(target, dtype=complex)
+        if target.ndim != 1:
+            return super().reattached(target, epsilon_claim, alpha)
+        return DiagonalEncoding(self.eigen, self.factors,
+                                self.alpha if alpha is None else float(alpha),
+                                float(epsilon_claim), self.ancilla_qubits,
+                                self.ledger, target)
+
+    def padded(self, extra_ancillas: int) -> "DiagonalEncoding":
+        if extra_ancillas < 0:
+            raise ValueError("cannot remove ancillas")
+        if extra_ancillas == 0:
+            return self
+        return DiagonalEncoding(self.eigen, self.factors, self.alpha,
+                                self.epsilon_claim,
+                                self.ancilla_qubits + extra_ancillas,
+                                self.ledger, self.target_diagonal)
+
+
+def _shared_eigen(encodings) -> EigenSystem | None:
+    """The one :class:`EigenSystem` of a list of DiagonalEncodings, or None
+    when an operand is dense or they sit on different eigensystems."""
+    first = encodings[0]
+    if all(isinstance(e, DiagonalEncoding) and e.eigen is first.eigen
+           for e in encodings):
+        return first.eigen
+    return None
+
+
+def require_hermitian_target(be: BlockEncoding, missing: str,
+                             not_hermitian: str) -> None:
+    """Raise ``ValueError(missing)`` without a target and
+    ``ValueError(not_hermitian)`` when ‖target − target†‖ > 1e-10.
+
+    A DiagonalEncoding passes on (1+δ_U)·max|g − ḡ| ≤ 1e-10; otherwise the
+    dense spectral norm decides."""
+    if isinstance(be, DiagonalEncoding):
+        g = be.target_diagonal
+        if be._widened_max(g - g.conj()) <= 1e-10:
+            return
+    elif be.target is None:
+        raise ValueError(missing)
+    tgt = be.target
+    if spectral_norm(tgt - tgt.conj().T) > 1e-10:
+        raise ValueError(not_hermitian)
 
 
 def ry(theta: float) -> np.ndarray:
@@ -322,12 +386,28 @@ def exact_dilation(a, alpha: float) -> BlockEncoding:
     Requires ‖a‖ ≤ alpha, so that a/alpha is a contraction and has the
     one-ancilla dilation of :attr:`BlockEncoding.unitary`.  The ledger
     charges a single use of U_A: the dilation *is* the primitive oracle.
+
+    A Hermitian or skew-Hermitian ``a`` is diagonalized once, by
+    ``linalg.hermitian_eigh``, into a :class:`DiagonalEncoding` on that
+    dense :class:`EigenSystem` (factors Λ/alpha, target diagonal Λ), on
+    which the calculus stays diagonal.  Its zero claim is measured, not
+    assumed: ‖UΛU† − a‖_F must be within ``TOL.verify_slack``·max(1, alpha).
+    Any other ``a``, or one that misses that bound, is held as its dense
+    block.
     """
     m = as_square(a)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return BlockEncoding(m / alpha, float(alpha), 0.0, 1,
-                         QueryLedger({U_A: 1}), m)
+    ledger = QueryLedger({U_A: 1})
+    pair = hermitian_eigh(m)
+    if pair is not None:
+        w, v = pair
+        eigen = EigenSystem(v, w)
+        slack = TOL.verify_slack * max(1.0, alpha)
+        if np.linalg.norm(eigen.matrix - m) <= slack:
+            return DiagonalEncoding(eigen, w / alpha, float(alpha), 0.0, 1,
+                                    ledger, w)
+    return BlockEncoding(m / alpha, float(alpha), 0.0, 1, ledger, m)
 
 
 @dataclass
@@ -408,14 +488,20 @@ def lcu_combine(prep: StatePreparationPair,
             raise ValueError("LCU requires a common normalization alpha")
     k = prep.size.bit_length() - 1
     weights = prep.left[:, 0].conj() * prep.right[:, 0]
-    block = sum(w * b.block for w, b in zip(weights, blocks))
     y = prep.target_vector
-    target = None
-    if all(b.target is not None for b in blocks):
-        target = sum(yj * b.target for yj, b in zip(y, blocks))
     alpha = first.alpha * prep.beta
     eps = alpha * max(b.epsilon_claim for b in blocks)
     ledger = QueryLedger().merged(*[b.ledger for b in blocks]).charge(PREP_PAIR, 1)
+    eigen = _shared_eigen(blocks)
+    if eigen is not None:
+        return DiagonalEncoding(
+            eigen, sum(w * b.factors for w, b in zip(weights, blocks)), alpha,
+            eps, first.ancilla_qubits + k, ledger,
+            sum(yj * b.target_diagonal for yj, b in zip(y, blocks)))
+    block = sum(w * b.block for w, b in zip(weights, blocks))
+    target = None
+    if all(b.target is not None for b in blocks):
+        target = sum(yj * b.target for yj, b in zip(y, blocks))
     return BlockEncoding(block, alpha, eps, first.ancilla_qubits + k, ledger,
                          target)
 
@@ -431,38 +517,57 @@ def multiply(u_a: BlockEncoding, u_b: BlockEncoding) -> BlockEncoding:
         raise ValueError("system dimensions do not match")
     alpha = u_a.alpha * u_b.alpha
     eps = u_a.alpha * u_b.epsilon_claim + u_b.alpha * u_a.epsilon_claim
+    ancillas = u_a.ancilla_qubits + u_b.ancilla_qubits
+    eigen = _shared_eigen([u_a, u_b])
+    if eigen is not None:
+        return DiagonalEncoding(eigen, u_a.factors * u_b.factors, alpha, eps,
+                                ancillas, u_a.ledger + u_b.ledger,
+                                u_a.target_diagonal * u_b.target_diagonal)
     target = None
     if u_a.target is not None and u_b.target is not None:
         target = u_a.target @ u_b.target
-    return BlockEncoding(u_a.block @ u_b.block, alpha, eps,
-                         u_a.ancilla_qubits + u_b.ancilla_qubits,
+    return BlockEncoding(u_a.block @ u_b.block, alpha, eps, ancillas,
                          u_a.ledger + u_b.ledger, target)
 
 
 def invert(u_a: BlockEncoding, delta: float, epsilon: float) -> BlockEncoding:
     """(4/(3δ), n_A+1, ε)-encoding of A⁻¹ for a gapped Hermitian target.
 
-    The inverse itself is computed by exact eigendecomposition; the ledger
+    The inverse itself is computed by exact eigendecomposition (on the
+    target diagonal of a DiagonalEncoding, whose gap is checked with its
+    ``eigenvalue_spread`` before ``eigvalsh`` is consulted); the ledger
     charges ceil(c·(1/δ)·ln(1/(δε))) uses of the input encoding with
     c = INVERSE_QUERY_CONSTANT.
     """
-    if u_a.target is None:
-        raise ValueError("inversion needs an attached Hermitian target")
-    a = u_a.target
-    if spectral_norm(a - a.conj().T) > 1e-10:
-        raise ValueError("inversion target must be Hermitian")
+    require_hermitian_target(u_a, "inversion needs an attached Hermitian target",
+                             "inversion target must be Hermitian")
     if not (0 < delta <= 1):
         raise ValueError("need 0 < delta <= 1")
-    w, v = np.linalg.eigh(a)
-    if np.min(np.abs(w)) < delta * (1.0 - 1e-12) or np.max(np.abs(w)) > 1.0 + 1e-12:
-        raise ValueError(
-            f"spectrum {w} violates the gap [-1,-δ]∪[δ,1] with δ = {delta}")
-    inv = (v * (1.0 / w)) @ v.conj().T
+
+    def gapped(w, spread):
+        return (np.min(np.abs(w)) - spread >= delta * (1.0 - 1e-12)
+                and np.max(np.abs(w)) + spread <= 1.0 + 1e-12)
+
     alpha = 4.0 / (3.0 * delta)
     queries = max(1, math.ceil(
         INVERSE_QUERY_CONSTANT * (1.0 / delta) * math.log(1.0 / (delta * epsilon))))
+    ledger = u_a.ledger.scaled(queries)
+    if isinstance(u_a, DiagonalEncoding):
+        w = u_a.target_diagonal.real
+        if not (gapped(w, u_a.eigenvalue_spread())
+                or gapped(np.linalg.eigvalsh(u_a.target), 0.0)):
+            raise ValueError(
+                f"spectrum {w} violates the gap [-1,-δ]∪[δ,1] with δ = {delta}")
+        inv = (1.0 / w).astype(complex)
+        return DiagonalEncoding(u_a.eigen, inv / alpha, alpha, float(epsilon),
+                                u_a.ancilla_qubits + 1, ledger, inv)
+    w, v = np.linalg.eigh(u_a.target)
+    if not gapped(w, 0.0):
+        raise ValueError(
+            f"spectrum {w} violates the gap [-1,-δ]∪[δ,1] with δ = {delta}")
+    inv = (v * (1.0 / w)) @ v.conj().T
     return BlockEncoding(inv / alpha, alpha, float(epsilon),
-                         u_a.ancilla_qubits + 1, u_a.ledger.scaled(queries), inv)
+                         u_a.ancilla_qubits + 1, ledger, inv)
 
 
 def _poly_degree(p) -> int:
@@ -489,28 +594,32 @@ def polynomial_transform(u_a: BlockEncoding, p) -> BlockEncoding:
     polynomial classes and ApproxPolynomial both do).  The sup-norm
     requirement is certified on a Chebyshev grid of 4·deg points; the
     transform is applied by exact spectral calculus on the actual encoded
-    block, and the ledger charges deg applications of the encoding plus one
-    controlled use and O((n_A+1)·d) one/two-qubit gates.
+    block (on the factor and target diagonals of a DiagonalEncoding, whose
+    Hermitian parts are their real parts), and the ledger charges deg
+    applications of the encoding plus one controlled use and O((n_A+1)·d)
+    one/two-qubit gates.
     """
-    if u_a.target is None:
-        raise ValueError("polynomial transform needs an attached Hermitian target")
-    tgt = u_a.target
-    if spectral_norm(tgt - tgt.conj().T) > 1e-10:
-        raise ValueError("polynomial transform target must be Hermitian")
+    require_hermitian_target(
+        u_a, "polynomial transform needs an attached Hermitian target",
+        "polynomial transform target must be Hermitian")
     d = _poly_degree(p)
     _assert_poly_bounded(p, d)
 
-    def apply_poly(mat):
-        herm = (mat + mat.conj().T) / 2.0
-        w, v = np.linalg.eigh(herm)
-        w = np.clip(w, -1.0, 1.0)
-        vals = np.real(p(w)).astype(complex)
-        return (v * vals) @ v.conj().T
+    def apply_poly(w):
+        return np.real(p(np.clip(w, -1.0, 1.0))).astype(complex)
 
-    block_poly = apply_poly(u_a.block)
-    target_poly = apply_poly(tgt / u_a.alpha)
+    def apply_poly_dense(mat):
+        w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+        return (v * apply_poly(w)) @ v.conj().T
+
     claim = 4.0 * d * math.sqrt(u_a.epsilon_claim / u_a.alpha)
     gates = (u_a.ancilla_qubits + 1) * d
     ledger = u_a.ledger.scaled(d + 1).charge(GATES, gates)
-    return BlockEncoding(block_poly, 1.0, claim, u_a.ancilla_qubits + 2, ledger,
-                         target_poly)
+    if isinstance(u_a, DiagonalEncoding):
+        return DiagonalEncoding(
+            u_a.eigen, apply_poly(u_a.factors.real), 1.0, claim,
+            u_a.ancilla_qubits + 2, ledger,
+            apply_poly(u_a.target_diagonal.real / u_a.alpha))
+    return BlockEncoding(apply_poly_dense(u_a.block), 1.0, claim,
+                         u_a.ancilla_qubits + 2, ledger,
+                         apply_poly_dense(u_a.target / u_a.alpha))

@@ -7,10 +7,9 @@ and the reference quadrature target.  Changing a field changes every check
 that reads it.
 
 Not every threshold lives here.  Local checks keep literal ones and do not
-follow ``TOL``: among them ``eigen_solvers._dilate_diagonal`` (factor
-≤ 1 + 1e-10), ``pde.fast_inversion`` (zero-mode weight 1e-10 and residual
-1e-9; its zero-mode test reads ``TOL.zero``), the input checks of the
-block-encoding and QSVT constructions, the lower-bound certificate
+follow ``TOL``: among them ``pde.fast_inversion`` (zero-mode weight 1e-10
+and residual 1e-9; its zero-mode test reads ``TOL.zero``), the input checks
+of the block-encoding and QSVT constructions, the lower-bound certificate
 comparisons, and the rounding allowance of ``poly_approx``.
 """
 
@@ -37,7 +36,8 @@ class Tolerances:
     #: claimed error attached to zero-error (exact) solver constructions
     exact_solver: float = 1e-9
     #: generic "numerically zero" threshold; also the |f + ig| ≤ 1 allowance
-    #: of ``eigen_solvers.be_duhamel_eigen``, the relative zero-mode tests of
+    #: of ``eigen_solvers.be_duhamel_eigen`` and of the factor clamp in
+    #: ``eigen_solvers._dilate_diagonal``, the relative zero-mode tests of
     #: ``pde.fast_inversion`` and of the second-order reference (which
     #: takes such a mode as s = 0), and the distance from 1 within which
     #: ``SolveReport`` reports a success probability as exactly 1

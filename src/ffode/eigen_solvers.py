@@ -85,13 +85,19 @@ def _beta_floor(lam: np.ndarray) -> float:
 def _dilate_diagonal(eigen: EigenSystem, factors: np.ndarray, alpha: float,
                      target: np.ndarray,
                      ledger: QueryLedger) -> DiagonalEncoding:
-    """U diag(factors) U† encoding U diag(target) U†, both as diagonals."""
+    """U diag(factors) U† encoding U diag(target) U†, both as diagonals.
+
+    A factor within ``TOL.zero`` above 1 in magnitude is clamped to 1, and
+    the claim grows by the clamp's displacement alpha·(max|f| − 1)₊.
+    """
     mags = np.abs(factors)
-    if np.max(mags) > 1.0 + 1e-10:
+    excess = max(0.0, float(np.max(mags)) - 1.0)
+    if excess > TOL.zero:
         raise ValueError(f"diagonal factor exceeds 1: {np.max(mags)}")
     factors = factors / np.where(mags > 1.0, mags, 1.0)
-    return DiagonalEncoding(eigen, factors, float(alpha),
-                            TOL.verify_slack * max(1.0, alpha), ledger, target)
+    claim = TOL.verify_slack * max(1.0, alpha) + alpha * excess
+    return DiagonalEncoding(eigen, factors, float(alpha), claim, 1, ledger,
+                            target)
 
 
 def be_exp_eigen(eigen: EigenSystem, T: float) -> BlockEncoding:

@@ -19,12 +19,11 @@ import numpy as np
 
 from .config import AA_CONSTANT, TOL
 from .block_encoding import (
-    GATES, O_B, O_U, BlockEncoding, QueryLedger, StatePreparationPair,
-    exact_dilation, identity_encoding, lcu_combine, invert, multiply,
-    polynomial_transform, ry,
+    GATES, O_B, O_U, BlockEncoding, DiagonalEncoding, QueryLedger,
+    StatePreparationPair, exact_dilation, identity_encoding, lcu_combine,
+    invert, multiply, polynomial_transform, require_hermitian_target, ry,
 )
-from .linalg import as_vector, global_phase_distance, matrix_exponential, \
-    spectral_norm
+from .linalg import as_vector, global_phase_distance, spectral_norm
 from .poly_approx import approx_exp_shifted, approx_gaussian, \
     approx_gaussian_integral
 from .reference import OdeProblem, SampledSource, exp_integral, solve_reference
@@ -70,21 +69,48 @@ class SolveReport:
             self.success_probability)
 
 
-def _check_negdef(a: np.ndarray, delta: float) -> np.ndarray:
-    if spectral_norm(a - a.conj().T) > 1e-10:
-        raise ValueError("coefficient must be Hermitian")
-    w = np.linalg.eigvalsh(a)
-    if w[-1] > -delta + 1e-12 or w[0] < -1.0 - 1e-12:
+def _check_negdef(u_a: BlockEncoding, delta: float) -> None:
+    """Raise unless u_a's target is Hermitian with its spectrum in [-1, -δ].
+
+    A DiagonalEncoding's spectrum is its target diagonal, each eigenvalue
+    within its ``eigenvalue_spread``; ``eigvalsh`` of the dense target
+    decides when that does not prove the check, and for a dense encoding.
+    """
+    require_hermitian_target(u_a, "needs an encoding with an attached target",
+                             "coefficient must be Hermitian")
+
+    def inside(w, spread):
+        return np.max(w) + spread <= -delta + 1e-12 \
+            and np.min(w) - spread >= -1.0 - 1e-12
+
+    if isinstance(u_a, DiagonalEncoding):
+        if inside(u_a.target_diagonal.real, u_a.eigenvalue_spread()):
+            return
+    w = np.linalg.eigvalsh(u_a.target)
+    if not inside(w, 0.0):
         raise ValueError(
             f"spectrum {w} is not inside [-1, -δ] with δ = {delta}")
-    return w
 
 
-def duhamel_integral_negdef(a: np.ndarray, T: float) -> np.ndarray:
-    """Exact ∫₀ᵀ e^{A(T-s)} ds for Hermitian A, via eigendecomposition."""
-    w, v = np.linalg.eigh(a)
-    kern = exp_integral(w, T)
-    return (v * kern) @ v.conj().T
+def _spectral_targets(u_a: BlockEncoding):
+    """(w, lift) for u_a's Hermitian target: its eigenvalues w, and the map
+    from per-eigenvalue values f(w) to the target f(target).  On a
+    DiagonalEncoding w is the real target diagonal and lift is the identity
+    (a target diagonal); otherwise both come from ``eigh`` of the target."""
+    if isinstance(u_a, DiagonalEncoding):
+        return u_a.target_diagonal.real, lambda values: values
+    w, v = np.linalg.eigh(u_a.target)
+    return w, lambda values: (v * values) @ v.conj().T
+
+
+def _identity_like(be: BlockEncoding) -> BlockEncoding:
+    """A (1, be's ancillas, 0)-encoding of I with an empty ledger, on be's
+    eigenbasis when be is a DiagonalEncoding."""
+    if isinstance(be, DiagonalEncoding):
+        ones = np.ones(be.system_dim, dtype=complex)
+        return DiagonalEncoding(be.eigen, ones, 1.0, 0.0, be.ancilla_qubits,
+                                QueryLedger(), ones)
+    return identity_encoding(be.system_dim, be.ancilla_qubits)
 
 
 def _half_shift(u_a: BlockEncoding) -> BlockEncoding:
@@ -92,9 +118,14 @@ def _half_shift(u_a: BlockEncoding) -> BlockEncoding:
 
     The circuit (H ⊗ I) c-U_A (H ⊗ I) has the leading block (I + block)/2.
     """
+    ledger = u_a.ledger.charge(GATES, 2)
+    if isinstance(u_a, DiagonalEncoding):
+        return DiagonalEncoding(u_a.eigen, (1.0 + u_a.factors) / 2.0, 1.0, 0.0,
+                                u_a.ancilla_qubits + 1, ledger,
+                                (1.0 + u_a.target_diagonal) / 2.0)
     n = u_a.system_dim
     return BlockEncoding((np.eye(n) + u_a.block) / 2.0, 1.0, 0.0,
-                         u_a.ancilla_qubits + 1, u_a.ledger.charge(GATES, 2),
+                         u_a.ancilla_qubits + 1, ledger,
                          (np.eye(n) + u_a.target) / 2.0)
 
 
@@ -110,14 +141,17 @@ def be_exp_negdef(u_a: BlockEncoding, T: float, delta: float,
     ε/2 and the amplification ε₁ = (ε/(24d))² so the QSVT term 12d·sqrt(ε₁)
     also stays below ε/2.
     """
+    _check_negdef(u_a, delta)
+    return _exp_negdef(u_a, T, delta, eps)
+
+
+def _exp_negdef(u_a: BlockEncoding, T: float, delta: float,
+                eps: float) -> BlockEncoding:
+    """``be_exp_negdef`` on an encoding ``_check_negdef`` has passed."""
     if abs(u_a.alpha - 1.0) > 1e-12:
         raise ValueError("the negative-definite pipeline expects alpha = 1")
-    if u_a.target is None:
-        raise ValueError("needs an encoding with an attached target")
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    a = u_a.target
-    _check_negdef(a, delta)
     v2 = _half_shift(u_a)
 
     # uniform amplification to (1, n_A+2, ε₁)-encoding of I+A; the block is
@@ -126,12 +160,19 @@ def be_exp_negdef(u_a: BlockEncoding, T: float, delta: float,
     d = poly.degree()
     eps1 = (eps / (24.0 * max(d, 1))) ** 2
     q_amp = max(1, math.ceil((1.0 / delta) * math.log(1.0 / eps1)))
-    amplified = BlockEncoding(2.0 * v2.encoded, 1.0, eps1,
-                              v2.ancilla_qubits + 1, v2.ledger.scaled(q_amp),
-                              np.eye(u_a.system_dim) + a)
+    ledger = v2.ledger.scaled(q_amp)
+    if isinstance(v2, DiagonalEncoding):
+        amplified = DiagonalEncoding(v2.eigen, 2.0 * v2.alpha * v2.factors,
+                                     1.0, eps1, v2.ancilla_qubits + 1, ledger,
+                                     1.0 + u_a.target_diagonal)
+    else:
+        amplified = BlockEncoding(2.0 * v2.encoded, 1.0, eps1,
+                                  v2.ancilla_qubits + 1, ledger,
+                                  np.eye(u_a.system_dim) + u_a.target)
 
     out = polynomial_transform(amplified, poly.scaled(1.0 / 3.0))
-    return out.reattached(matrix_exponential(a, T), eps, alpha=3.0)
+    w, lift = _spectral_targets(u_a)
+    return out.reattached(lift(np.exp(w * T)), eps, alpha=3.0)
 
 
 def be_duhamel_negdef(u_a: BlockEncoding, T: float, delta: float,
@@ -143,23 +184,24 @@ def be_duhamel_negdef(u_a: BlockEncoding, T: float, delta: float,
     The error budget puts ε/2 on each factor of the product rule
     4ε″ + 16ε′/(9δ), i.e. ε′ = 9δε/32 and ε″ = ε/8.
     """
+    _check_negdef(u_a, delta)
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     eps_exp = 9.0 * delta * eps / 32.0
     eps_inv = eps / 8.0
-    n = u_a.system_dim
-    a = u_a.target
+    w, lift = _spectral_targets(u_a)
 
-    u_exp = be_exp_negdef(u_a, T, delta, eps_exp)
+    u_exp = _exp_negdef(u_a, T, delta, eps_exp)
     # view the (3,·,ε′)-encoding of e^{AT} as a (1,·,ε′/3)-encoding of e^{AT}/3
-    u_exp_unit = u_exp.reattached(u_exp.target / 3.0, eps_exp / 3.0, alpha=1.0)
-    ident = identity_encoding(n, u_exp.ancilla_qubits)
+    u_exp_unit = u_exp.reattached(lift(np.exp(w * T) / 3.0), eps_exp / 3.0,
+                                  alpha=1.0)
+    ident = _identity_like(u_exp)
     pair = StatePreparationPair(ry(math.pi / 3.0), ry(-math.pi / 3.0), 4.0)
     shifted = lcu_combine(pair, [u_exp_unit, ident])
 
     u_inv = invert(u_a, delta, eps_inv)
     prod = multiply(shifted, u_inv)
-    return prod.reattached(duhamel_integral_negdef(a, T), eps)
+    return prod.reattached(lift(exp_integral(w, T)), eps)
 
 
 def lcs_branches(w0: float, w1: float,
@@ -272,11 +314,11 @@ def solve_negdef(p: OdeProblem, delta: float, eps: float) -> SolveReport:
 
     Builds the e^{AT} and Duhamel encodings at the LCS error budgets, then
     simulates the combination circuit.  The per-run ledger follows the
-    sqrt(T)/δ · polylog shape of the underlying constructions.
+    sqrt(T)/δ · polylog shape of the underlying constructions.  A Hermitian
+    A is diagonalized once by ``exact_dilation``, and every construction
+    and check stays on that eigenbasis.
     """
-    a = p.matrix
-    _check_negdef(a, delta)
-    u_a = exact_dilation(a, 1.0)
+    u_a = exact_dilation(p.matrix, 1.0)
     T = p.horizon
     return _solve_lcs(
         p, eps, lambda eps0: be_exp_negdef(u_a, T, delta, eps0),
@@ -289,21 +331,20 @@ def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
 
     e^{AT} comes from the even gaussian approximant of e^{-βx²} with
     β = T·α_H² (normalization 3); the Duhamel integral from the integrated
-    gaussian (normalization 3T).  Constant b or none.
+    gaussian (normalization 3T).  Constant b or none.  On a DiagonalEncoding
+    of H (``exact_dilation`` of a Hermitian H) every transform stays on its
+    eigenbasis.
     """
-    if u_h.target is None:
-        raise ValueError("needs an encoding of H with an attached target")
+    require_hermitian_target(u_h, "needs an encoding of H with an attached "
+                             "target", "H must be Hermitian")
     h = u_h.target
-    if spectral_norm(h - h.conj().T) > 1e-10:
-        raise ValueError("H must be Hermitian")
-    a = -(h @ h)
-    if spectral_norm(a - p.matrix) > 1e-9:
+    if spectral_norm(-(h @ h) - p.matrix) > 1e-9:
         raise ValueError("problem coefficient does not equal -H²")
 
     T = p.horizon
     beta = T * u_h.alpha ** 2
-    hw, hv = np.linalg.eigh(h)
-    exp_target = (hv * np.exp(-T * hw ** 2)) @ hv.conj().T
+    hw, lift = _spectral_targets(u_h)
+    exp_target = lift(np.exp(-T * hw ** 2))
     fits = []
 
     def encode(poly, target, tol, alpha):
@@ -313,9 +354,8 @@ def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
 
     def encode_duhamel(eps1):
         eps1 = min(eps1, 0.24)
-        duh_target = (hv * exp_integral(-hw ** 2, T)) @ hv.conj().T
-        return encode(approx_gaussian_integral(beta, eps1 / T), duh_target,
-                      eps1, 3.0 * T)
+        return encode(approx_gaussian_integral(beta, eps1 / T),
+                      lift(exp_integral(-hw ** 2, T)), eps1, 3.0 * T)
 
     rep = _solve_lcs(p, eps, lambda eps0: encode(
         approx_gaussian(beta, eps0), exp_target, eps0, 3.0), encode_duhamel)

@@ -236,7 +236,6 @@ def test_criterion_3_ledger_constants():
 
 def test_criterion_4_success_probability_formulas():
     from ffode import lcs_combine_and_measure
-    from ffode.qsvt_solvers import duhamel_integral_negdef
     rng = np.random.default_rng(400)
     checked = 0
 
@@ -250,7 +249,7 @@ def test_criterion_4_success_probability_formulas():
     # hand-checked value 1/4
     a = np.array([[-1.0 + 0j]])
     e0 = exact_dilation(matrix_exponential(a, 1.0), 1.0)
-    e1 = exact_dilation(duhamel_integral_negdef(a, 1.0), 1.0)
+    e1 = exact_dilation(np.array([[1.0 - math.exp(-1.0)]]), 1.0)
     ref = solve_reference(OdeProblem(a, [1.0], 1.0, [1.0]))
     rep = lcs_combine_and_measure([1.0], [1.0], e0, e1, ref, 1e-9)
     assert abs(rep.success_probability - 0.25) <= 1e-10

@@ -1,0 +1,225 @@
+"""The calculus on DiagonalEncodings against the dense calculus.
+
+Every operand here is ``exact_dilation`` of a random Hermitian matrix, so
+each rule combines factor and target diagonals on one ``EigenSystem``.  The
+same rule applied to the operands wrapped as plain ``BlockEncoding``s takes
+the dense path; block, target, alpha, claim, ancillas and ledger must agree
+to 1e-12.  Spectra include zero modes, repeated eigenvalues and the edges of
+[−1, −δ] (and of the inversion gap ±[δ, 1]).  The second half pins the O(N)
+checks: no rule calls ``spectral_norm`` on the way, and a factor pushed 1e-9
+past its claim in any construction a rule makes raises.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import Chebyshev
+
+import ffode.block_encoding as bem
+from ffode import (
+    BlockEncoding, DiagonalEncoding, StatePreparationPair, exact_dilation,
+    invert, lcu_combine, multiply, polynomial_transform, spectral_norm,
+)
+from ffode.config import TOL
+from ffode.qsvt_solvers import _half_shift, be_duhamel_negdef, be_exp_negdef
+
+DELTA = 0.25
+
+
+def _eigenvalues(lo, hi, edges):
+    value = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+    return st.lists(value, min_size=1, max_size=8)
+
+
+#: spectra by the rules that need them: any contraction, [−1, −δ], ±[δ, 1]
+SPECTRA = {
+    "hermitian": _eigenvalues(-1.0, 1.0, [-1.0, 0.0, 1.0, 0.5]),
+    "negdef": _eigenvalues(-1.0, -DELTA, [-1.0, -DELTA]),
+    "gapped": st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.one_of(
+        st.sampled_from([DELTA, 1.0]), st.floats(DELTA, 1.0))),
+        min_size=1, max_size=8).map(lambda pairs: [s * m for s, m in pairs]),
+}
+
+
+def _operand(eigenvalues, seed):
+    n = len(eigenvalues)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    a = (q * np.asarray(eigenvalues)) @ q.conj().T
+    u = exact_dilation((a + a.conj().T) / 2.0, 1.0)
+    assert isinstance(u, DiagonalEncoding)
+    return u, rng
+
+
+def dense(be):
+    return BlockEncoding(be.block, be.alpha, be.epsilon_claim,
+                         be.ancilla_qubits, be.ledger, be.target)
+
+
+def _bounded_poly(rng):
+    """A real Chebyshev series with Σ|c| = 1/2, so |p| ≤ 1/2 on [−1, 1]."""
+    c = rng.standard_normal(int(rng.integers(1, 7)))
+    return Chebyshev(0.5 * c / np.abs(c).sum())
+
+
+def _pair(rng):
+    return StatePreparationPair.from_vector(
+        rng.standard_normal(2) + 1j * rng.standard_normal(2))
+
+
+def _same(be):
+    return be
+
+
+def _rule_half_shift(u, rng, wrap):
+    return _half_shift(wrap(u))
+
+
+def _rule_exp(u, rng, wrap):
+    T, eps = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-8, -2)
+    return be_exp_negdef(wrap(u), T, DELTA, eps)
+
+
+def _rule_duhamel(u, rng, wrap):
+    T, eps = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-8, -2)
+    return be_duhamel_negdef(wrap(u), T, DELTA, eps)
+
+
+def _rule_polynomial(u, rng, wrap):
+    return polynomial_transform(wrap(u), _bounded_poly(rng))
+
+
+def _rule_lcu(u, rng, wrap):
+    pair = _pair(rng)
+    v = polynomial_transform(u, _bounded_poly(rng))
+    return lcu_combine(pair, [wrap(u).padded(2), wrap(v)])
+
+
+def _rule_multiply(u, rng, wrap):
+    v = polynomial_transform(u, _bounded_poly(rng))
+    return multiply(wrap(u), wrap(v))
+
+
+def _rule_invert(u, rng, wrap):
+    return invert(wrap(u), DELTA, 10.0 ** rng.uniform(-8, -2))
+
+
+def _rule_reattached(u, rng, wrap):
+    # a target off the block by a known diagonal error, within the claim
+    err = 1e-3 * rng.uniform(-1.0, 1.0, u.system_dim)
+    target = u.target_diagonal + err
+    claim = float(np.max(np.abs(err))) + 1e-12
+    if wrap is dense:
+        target = u.eigen.apply_function(lambda _: target)
+    return wrap(u).reattached(target, claim, alpha=1.0)
+
+
+def _rule_padded(u, rng, wrap):
+    return wrap(u).padded(int(rng.integers(1, 4)))
+
+
+#: rule -> (spectrum of its operand, the rule on wrap(operands))
+RULES = {
+    "half_shift": ("hermitian", _rule_half_shift),
+    "exp_negdef": ("negdef", _rule_exp),
+    "duhamel_negdef": ("negdef", _rule_duhamel),
+    "polynomial_transform": ("hermitian", _rule_polynomial),
+    "lcu_combine": ("hermitian", _rule_lcu),
+    "multiply": ("hermitian", _rule_multiply),
+    "invert": ("gapped", _rule_invert),
+    "reattached": ("hermitian", _rule_reattached),
+    "padded": ("hermitian", _rule_padded),
+}
+
+
+def _close(x, y) -> bool:
+    return np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_diagonal_rule_matches_the_dense_rule(rule, data, seed):
+    spectrum, apply_rule = RULES[rule]
+    u, rng = _operand(data.draw(SPECTRA[spectrum]), seed)
+    draws = int(rng.integers(2 ** 32))
+    diag = apply_rule(u, np.random.default_rng(draws), _same)
+    full = apply_rule(u, np.random.default_rng(draws), dense)
+    assert isinstance(diag, DiagonalEncoding)
+    assert not isinstance(full, DiagonalEncoding)
+    assert _close(diag.block, full.block)
+    assert _close(diag.target, full.target)
+    assert diag.alpha == pytest.approx(full.alpha, rel=1e-12, abs=0.0)
+    assert diag.epsilon_claim == pytest.approx(full.epsilon_claim, rel=1e-12,
+                                               abs=0.0)
+    assert diag.ancilla_qubits == full.ancilla_qubits
+    assert diag.ledger == full.ledger
+
+
+# --- the O(N) checks ------------------------------------------------------
+
+_PINNED = {"hermitian": [0.0, 0.0, -1.0, 0.5, 0.5, 1.0],
+           "negdef": [-1.0, -DELTA, -0.5, -0.5, -0.3, -0.9],
+           "gapped": [-1.0, -DELTA, DELTA, 0.5, 0.5, 1.0]}
+
+
+def _pinned_operand(rule):
+    spectrum, apply_rule = RULES[rule]
+    u, _ = _operand(_PINNED[spectrum], 7)
+    return u, lambda: apply_rule(u, np.random.default_rng(8), _same)
+
+
+def _pushing(original, index, made):
+    """DiagonalEncoding.__init__ that moves one factor of its index-th call
+    so that |g_k − alpha·f_k| = claim + slack + 1e-9."""
+    def init(self, eigen, factors, alpha, epsilon_claim, ancillas, ledger,
+             target):
+        if len(made) == index:
+            f = np.array(factors, dtype=complex)
+            g = np.asarray(target, dtype=complex)
+            k = int(np.argmax(np.abs(f)))
+            phase = f[k] / abs(f[k]) if abs(f[k]) > 0 else 1.0
+            past = epsilon_claim + TOL.verify_slack * max(1.0, alpha) + 1e-9
+            f[k] = (g[k] - past * phase) / alpha
+            factors = f
+        made.append(1)
+        original(self, eigen, factors, alpha, epsilon_claim, ancillas, ledger,
+                 target)
+    return init
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+def test_every_diagonal_construction_is_checked_in_O_N(rule, monkeypatch):
+    u, run = _pinned_operand(rule)
+    norms = []
+    monkeypatch.setattr(bem, "spectral_norm",
+                        lambda m: norms.append(np.shape(m)) or spectral_norm(m))
+    made = []
+    original = DiagonalEncoding.__init__
+    monkeypatch.setattr(DiagonalEncoding, "__init__",
+                        _pushing(original, -1, made))
+    run()
+    # only the 2×2 state-preparation unitaries are checked by SVD
+    assert set(norms) <= {(2, 2)} and made
+    for index in range(len(made)):
+        monkeypatch.setattr(DiagonalEncoding, "__init__",
+                            _pushing(original, index, []))
+        with pytest.raises(ValueError, match="violates its claim"):
+            run()
+
+
+def test_diagonal_hermitian_and_gap_checks_raise():
+    u, _ = _operand([-0.5, 0.5, 1.0], 3)
+    skewed = u.reattached(u.target_diagonal + [1e-9j, 0.0, 0.0], 1e-8)
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        polynomial_transform(skewed, Chebyshev([0.0, 0.5]))
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        invert(skewed, 0.5, 1e-6)
+    # one eigenvalue 1e-9 inside the gap
+    with pytest.raises(ValueError, match="violates the gap"):
+        invert(u, 0.5 + 1e-9, 1e-6)
+    with pytest.raises(ValueError, match="not inside"):
+        be_exp_negdef(exact_dilation(np.diag([-0.5, -0.25 + 1e-9]), 1.0),
+                      1.0, 0.25, 1e-6)

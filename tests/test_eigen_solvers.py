@@ -468,20 +468,39 @@ def test_diagonal_encodings_reject_bad_factors_and_claims():
     # past the bound, the dense SVD decides: a factor of 1 + 1e-9 is rejected
     big[3] = 1.0 + 1e-9
     with pytest.raises(ValueError, match="contraction"):
-        DiagonalEncoding(es, big, 1.0, 0.0, QueryLedger(), big)
+        DiagonalEncoding(es, big, 1.0, 0.0, 1, QueryLedger(), big)
     # a target off by 1e-6 in one mode violates a 1e-9 claim
     off = 2.0 * ones
     off[5] += 1e-6
     with pytest.raises(ValueError, match="violates its claim"):
-        DiagonalEncoding(es, ones, 2.0, 1e-9, QueryLedger(), off)
+        DiagonalEncoding(es, ones, 2.0, 1e-9, 1, QueryLedger(), off)
     # the same check on a dense basis with a measured defect
     dense = EigenSystem(es.basis, es.eigenvalues)
     assert 0.0 < dense.unitarity_defect < 1e-13
     with pytest.raises(ValueError, match="violates its claim"):
-        DiagonalEncoding(dense, ones, 2.0, 1e-9, QueryLedger(), off)
-    DiagonalEncoding(dense, ones, 2.0, 1e-9, QueryLedger(), 2.0 * ones)
+        DiagonalEncoding(dense, ones, 2.0, 1e-9, 1, QueryLedger(), off)
+    DiagonalEncoding(dense, ones, 2.0, 1e-9, 1, QueryLedger(), 2.0 * ones)
     with pytest.raises(ValueError, match="one entry per eigenvalue"):
-        DiagonalEncoding(dense, ones[1:], 2.0, 1e-9, QueryLedger(), ones[1:])
+        DiagonalEncoding(dense, ones[1:], 2.0, 1e-9, 1, QueryLedger(),
+                         ones[1:])
+
+
+def test_clamped_factor_widens_the_claim(monkeypatch):
+    # with TOL.zero raised to 1e-10, be_duhamel_eigen admits the factor
+    # T/C = 1 + 5e-12; the clamp to 1 moves alpha·factor by C·5e-12 ≈ 1e-11,
+    # which the claim must cover instead of failing its own check
+    from ffode import TOL, verify_block_encoding
+    T = 2.0
+    C = T / (1.0 + 5e-12)
+    monkeypatch.setattr(eigen_solvers, "kernel_C", lambda alpha, beta, T: C)
+    monkeypatch.setattr(TOL, "zero", 1e-10)
+    be = be_duhamel_eigen(EigenSystem(np.eye(2), np.array([0.0, 1j])), T)
+    assert abs(be.factors[0]) == 1.0
+    displacement = C * 5e-12
+    assert be.epsilon_claim == pytest.approx(
+        TOL.verify_slack * C + displacement, rel=1e-3)
+    assert verify_block_encoding(be, be.target) == pytest.approx(
+        displacement, rel=1e-3)
 
 
 def test_timedep_raises_on_a_broken_derivative_with_M_given():

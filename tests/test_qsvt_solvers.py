@@ -13,9 +13,14 @@ from ffode import (
 )
 from ffode.block_encoding import U_A
 from ffode.config import TOL
-from ffode.qsvt_solvers import (
-    be_duhamel_negdef, be_exp_negdef, duhamel_integral_negdef, repeat_estimates,
-)
+from ffode.qsvt_solvers import be_duhamel_negdef, be_exp_negdef, repeat_estimates
+from ffode.reference import exp_integral
+
+
+def duhamel_integral_negdef(a, T):
+    """Exact ∫₀ᵀ e^{A(T-s)} ds for Hermitian A, via eigendecomposition."""
+    w, v = np.linalg.eigh(a)
+    return (v * exp_integral(w, T)) @ v.conj().T
 
 
 def random_negdef(rng, n, delta=0.1):
@@ -364,3 +369,40 @@ def test_every_constant_source_family_runs_the_shared_lcs_checks(solver):
     assert 5e-14 < np.linalg.norm(solve_reference(tiny)) <= TOL.zero
     with pytest.raises(ValueError, match=r"u\(T\) vanishes"):
         solve(tiny)
+
+
+def test_qsvt_solves_make_a_fixed_number_of_dense_norms(monkeypatch):
+    # every construction is checked on the diagonals of the one EigenSystem
+    # exact_dilation builds: the only N×N spectral norms are its basis
+    # defect and, for the sqrt access, the input check ‖−H² − A‖
+    import ffode.block_encoding as bem
+    import ffode.linalg as linalg
+    n = 64
+    shapes = []
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return spectral_norm(m)
+    for module in (linalg, bem, qsvt_solvers):
+        monkeypatch.setattr(module, "spectral_norm", counted)
+
+    rng = np.random.default_rng(64)
+    a = random_negdef(rng, n, delta=0.25)
+    a = (a + a.conj().T) / 2
+    u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for source in (None, b):
+        shapes.clear()
+        rep = solve_negdef(OdeProblem(a, u0, 10.0, source), 0.25, 1e-6)
+        assert rep.error_vs_reference <= 1e-6
+        assert shapes.count((n, n)) == 1
+
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    h = (q * rng.uniform(0.0, 1.0, n)) @ q.conj().T
+    h = (h + h.conj().T) / 2
+    shapes.clear()
+    rep = solve_sqrt_access(OdeProblem(-(h @ h), u0, 100.0, b),
+                            exact_dilation(h, 1.0), 1e-6)
+    assert rep.error_vs_reference <= 1e-6
+    assert shapes.count((n, n)) == 2
