@@ -1,10 +1,14 @@
 """Classical simulation and verification of fast-forwarded quantum ODE solvers.
 
-A numpy/scipy library that constructs and verifies block-encodings, simulates
+A numpy library that constructs and verifies block-encodings, simulates
 fast-forwarded linear-ODE solvers at the amplitude level with exact query
 accounting, certifies query-complexity lower-bound witness instances, and
 benchmarks spectrally discretized PDE problems against an exact Duhamel
-reference.
+reference.  scipy.linalg is imported on first use, and only by the three
+routines whose algorithms need it: ``matrix_exponential`` of a matrix that
+is neither Hermitian nor skew-Hermitian (``expm``),
+``EigenSystem.from_matrix`` (``schur``) and the ill-conditioned fallback of
+``solve_reference`` (``expm``).
 """
 
 from .config import TOL, Tolerances

@@ -9,7 +9,6 @@ dense unitary or a :class:`FourierBasis` applied by ``numpy.fft``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import TOL
 
@@ -140,6 +139,7 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     m = as_square(a)
     pair = hermitian_eigh(m)
     if pair is None:
+        import scipy.linalg as sla
         return sla.expm(m * t)
     w, v = pair
     return (v * np.exp(w * t)) @ v.conj().T
@@ -292,6 +292,7 @@ class EigenSystem:
         """Diagonalize a normal matrix; raises for non-normal input."""
         m = as_square(a)
         norm = spectral_norm(m)
+        import scipy.linalg as sla
         tmat, q = sla.schur(m, output="complex")
         off = tmat - np.diag(np.diag(tmat))
         if spectral_norm(off) > TOL.normality * max(1.0, norm):

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import TOL
 from .linalg import EigenSystem, FourierBasis, as_vector
@@ -70,7 +69,12 @@ def _circulant(n: int, taps: dict[int, float], order: int) -> np.ndarray:
     col = np.zeros(n)
     for offset, weight in taps.items():
         col[offset % n] += weight
-    return sla.circulant((col * n ** order).astype(complex))
+    # C[i, j] = c[(i - j) mod n]: row i is the length-n window of the
+    # reversed, doubled column that starts at n - 1 - i
+    c = (col * n ** order).astype(complex)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([c, c])[::-1], n)
+    return windows[n - 1::-1].copy()
 
 
 def build_dh(n: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import TOL
 from .linalg import EigenSystem, as_square, as_vector, hermitian_eigh
@@ -368,6 +367,7 @@ def solve_reference(p: OdeProblem | SecondOrderProblem) -> np.ndarray:
     # non-diagonalizable (or numerically nearly so): expm path
     warnings.warn("coefficient eigenbasis is ill-conditioned "
                   f"(cond={cond:.2e}); falling back to expm quadrature")
+    import scipy.linalg as sla
     a = p.matrix
     out = sla.expm(a * T) @ p.u0
     if src is not None:
