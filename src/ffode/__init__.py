@@ -4,11 +4,11 @@ A numpy library that constructs and verifies block-encodings, simulates
 fast-forwarded linear-ODE solvers at the amplitude level with exact query
 accounting, certifies query-complexity lower-bound witness instances, and
 benchmarks spectrally discretized PDE problems against an exact Duhamel
-reference.  scipy.linalg is imported on first use, and only by the three
-routines whose algorithms need it: ``matrix_exponential`` of a matrix that
-is neither Hermitian nor skew-Hermitian (``expm``),
-``EigenSystem.from_matrix`` (``schur``) and the ill-conditioned fallback of
-``solve_reference`` (``expm``).
+reference.  numpy is the numerical backend; ``matrix_exponential`` is a
+numpy scaling-and-squaring Padé exponential.  scipy.linalg is imported on
+first use, and only by one routine: the Schur form (``schur``) that
+``EigenSystem.from_matrix`` takes of a normal matrix that is neither
+Hermitian nor skew-Hermitian.
 """
 
 from .config import TOL, Tolerances

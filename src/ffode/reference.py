@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .config import TOL
-from .linalg import EigenSystem, as_square, as_vector, hermitian_eigh
+from .linalg import (EigenSystem, as_square, as_vector, hermitian_eigh,
+                     matrix_exponential)
 
 if TYPE_CHECKING:
     from .pde import PdeSpec
@@ -336,8 +337,9 @@ def solve_reference(p: OdeProblem | SecondOrderProblem) -> np.ndarray:
     (constant b) or adaptive Gauss-Legendre quadrature (sampled b, called
     once per batch of whole panels of nodes), moving into the eigenbasis by
     an :class:`EigenSystem`'s ``apply_adjoint`` or the dense ``_diagonalize``
-    factors; a badly conditioned eigenbasis falls back to expm-based
-    quadrature with a warning, with one propagator per node of a batch.
+    factors; a badly conditioned eigenbasis falls back to quadrature with a
+    warning, with one ``matrix_exponential`` propagator per node of a batch,
+    all taken as one stack.
     """
     if isinstance(p, SecondOrderProblem):
         return _solve_second_order(p)
@@ -367,15 +369,14 @@ def solve_reference(p: OdeProblem | SecondOrderProblem) -> np.ndarray:
     # non-diagonalizable (or numerically nearly so): expm path
     warnings.warn("coefficient eigenbasis is ill-conditioned "
                   f"(cond={cond:.2e}); falling back to expm quadrature")
-    import scipy.linalg as sla
     a = p.matrix
-    out = sla.expm(a * T) @ p.u0
+    out = matrix_exponential(a, T) @ p.u0
     if src is not None:
         drive = src if isinstance(src, SampledSource) else (lambda s: src)
 
         def g(s):
             # one propagator e^{A(T-s_i)} per node: n² entries per row
-            props = sla.expm(a * (T - s)[:, :, None])
+            props = matrix_exponential(a * (T - s)[:, :, None])
             return (props @ source_rows(drive, s, p.dim)[:, :, None])[:, :, 0]
 
         out = out + _gauss_panels(g, T, p.dim ** 2)

@@ -1,9 +1,10 @@
 """numpy is the only numerical backend on the import and solve paths.
 
-scipy.linalg is imported on first use by the three routines whose algorithms
-need it (``matrix_exponential`` of a non-Hermitian, non-skew matrix,
-``EigenSystem.from_matrix`` and the ill-conditioned fallback of
-``solve_reference``); these tests pin that no other path loads it.
+scipy.linalg is imported on first use by one routine, the Schur branch of
+``EigenSystem.from_matrix``, taken by a normal matrix that is neither
+Hermitian nor skew-Hermitian; these tests pin that no other path loads it,
+the matrix exponential of any matrix and the ill-conditioned fallback of
+``solve_reference`` included.
 """
 
 import subprocess
@@ -18,6 +19,8 @@ from ffode import build_dh, build_dh3, build_dh4, build_vh
 
 NO_SCIPY_LINALG = textwrap.dedent("""
     import sys
+    import warnings
+
     import numpy as np
     import ffode
     from ffode.lower_bounds import (
@@ -101,10 +104,30 @@ NO_SCIPY_LINALG = textwrap.dedent("""
     ffode.certified_degree_scan('exp-shifted', [16, 64, 256, 1024], 1e-6)
     assert not loaded(), 'certified_degree_scan'
 
-    # the shifting check takes e^{At} of a generic complex A: scipy's expm
+    # the shifting check takes e^{At} of a generic complex A
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     shifting_equivalence_check(g, 0.7, rng.standard_normal(n) + 0j, 1.0)
-    assert loaded(), 'shifting must load scipy.linalg'
+    assert not loaded(), 'shifting'
+
+    # a Jordan block has no usable eigenbasis: one propagator per node
+    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    drive = ffode.SampledSource(lambda t: np.sin(t) * [0.0, 1.0])
+    for b in ([0.0, 1.0], drive):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter('always')
+            ffode.solve_reference(ffode.OdeProblem(jordan, [1.0, 0.0], 1.0, b))
+        assert any('ill-conditioned' in str(w.message) for w in caught)
+    assert not loaded(), 'solve_reference fallback'
+
+    ffode.EigenSystem.from_matrix(h)
+    ffode.EigenSystem.from_matrix(1j * h)
+    assert not loaded(), 'from_matrix of a Hermitian or skew-Hermitian matrix'
+
+    # a normal matrix that is neither takes the Schur branch
+    q = unitary(rng, n)
+    ffode.EigenSystem.from_matrix((q * np.array([1.0, 1j, -1.0, 2.0]))
+                                  @ q.conj().T)
+    assert loaded(), 'a non-Hermitian normal matrix must load scipy.linalg'
 """)
 
 

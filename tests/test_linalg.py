@@ -5,6 +5,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ffode import (
     EigenSystem, FourierBasis, fidelity_perturbation_bound,
@@ -12,6 +15,8 @@ from ffode import (
     non_normality, pure_state_trace_distance, renormalization_error_bounds,
     schatten1_distance, spectral_norm,
 )
+from ffode.lower_bounds import (witness_nonnormal_homogeneous,
+                                witness_nonnormal_inhomogeneous)
 from ffode.pde import build_dh, dft_tensor
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -124,14 +129,14 @@ def test_matrix_exponential_nonnormal_witness():
 
 
 def test_matrix_exponential_eigh_only_for_hermitian_or_skew(monkeypatch):
-    import scipy.linalg
+    import ffode.linalg
     calls = []
-    expm = scipy.linalg.expm
+    pade = ffode.linalg._pade_exponential
 
     def counted(m):
         calls.append(m)
-        return expm(m)
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return pade(m)
+    monkeypatch.setattr(ffode.linalg, "_pade_exponential", counted)
     rng = np.random.default_rng(19)
     q = random_unitary(rng, 6)
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -142,11 +147,111 @@ def test_matrix_exponential_eigh_only_for_hermitian_or_skew(monkeypatch):
                    @ q.conj().T, True),
         "nonnormal": (nonnormal_witness(0.5), True),
     }
-    for name, (a, by_expm) in cases.items():
+    for name, (a, by_pade) in cases.items():
         calls.clear()
         out = matrix_exponential(a, 0.8)
-        assert bool(calls) == by_expm, name
-        assert spectral_norm(out - expm(0.8 * a)) < 1e-12, name
+        assert bool(calls) == by_pade, name
+        assert spectral_norm(out - sla.expm(0.8 * a)) < 1e-12, name
+
+
+#: relative Frobenius distance allowed between the Padé exponential and
+#: scipy.linalg.expm, which run the same Al-Mohy & Higham (2009) algorithm
+EXPM_RTOL = 1e-12
+
+#: the Padé degrees of Al-Mohy & Higham (2009) and their θ_m
+PADE_THETAS = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
+
+
+def assert_matches_expm(out, want):
+    assert np.all(np.isfinite(out))
+    assert np.linalg.norm(out - want) <= EXPM_RTOL * np.linalg.norm(want)
+
+
+def pade_input(rng, n, kind, norm1):
+    """An n×n matrix of 1-norm ``norm1``: a dense complex Gaussian, its upper
+    triangle, or a cyclic permutation with unit-modulus entries, whose every
+    power keeps 1-norm 1, so d_k = ‖A^k‖₁^{1/k} equals ‖A‖₁."""
+    if kind == "phase-permutation":
+        a = np.roll(np.eye(n), 1, axis=0) * np.exp(2j * np.pi * rng.random(n))
+    else:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "triangular":
+            a = np.triu(a)
+    return a * (norm1 / np.abs(a).sum(axis=0).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+       kind=st.sampled_from(["dense", "triangular", "phase-permutation"]),
+       log_scale=st.floats(-3.0, 3.0))
+def test_matrix_exponential_matches_scipy_expm(seed, n, kind, log_scale):
+    # scipy squares triangular input by its own Code Fragment 2.1, which
+    # drifts from e^A by up to 5e-11 at ‖A‖₁ = 10^2.5..10^3 (against 40-digit
+    # mpmath, where this exponential stays within 1.3e-15); above 10² a
+    # triangular matrix has no reference here at 1e-12
+    assume(kind != "triangular" or log_scale <= 2.0)
+    rng = np.random.default_rng(seed)
+    a = pade_input(rng, n, kind, 10.0 ** log_scale)
+    # shift the spectral abscissa to 0 so that e^A stays finite at 1e3
+    a = a - np.linalg.eigvals(a).real.max() * np.eye(n)
+    assert_matches_expm(matrix_exponential(a), sla.expm(a))
+
+
+@pytest.mark.parametrize("m", sorted(PADE_THETAS))
+@pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9],
+                         ids=["below", "above"])
+@pytest.mark.parametrize("kind", ["dense", "phase-permutation"])
+def test_matrix_exponential_at_each_pade_threshold(m, side, kind):
+    rng = np.random.default_rng([m, int(side > 1), len(kind)])
+    for n in (2, 5, 16, 64):
+        a = pade_input(rng, n, kind, PADE_THETAS[m] * side)
+        assert_matches_expm(matrix_exponential(a), sla.expm(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e2, 1e3])
+def test_matrix_exponential_nilpotent_jordan_block(n, c):
+    # e^{cJ} is the finite series Σ_k (cJ)^k/k!: c^k/k! on superdiagonal k
+    a = c * np.eye(n, k=1)
+    exact = sum(np.eye(n, k=k) * (c ** k / math.factorial(k))
+                for k in range(n))
+    out = matrix_exponential(a)
+    assert_matches_expm(out, exact)
+    if c <= 1e2:
+        # at c = 1e3, n = 16 scipy's own error reaches 1.8e-12
+        assert_matches_expm(out, sla.expm(a))
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 7.0])
+def test_matrix_exponential_nonnormal_witnesses_match_scipy(delta, t):
+    for pair in (witness_nonnormal_homogeneous(delta),
+                 witness_nonnormal_inhomogeneous(delta)):
+        a = pair.coefficient
+        assert_matches_expm(matrix_exponential(a, t), sla.expm(a * t))
+
+
+def test_matrix_exponential_triangular_large_offdiagonal():
+    a = np.array([[0.3 + 1j, 1e4, 0.1, 0.0],
+                  [0.0, -0.5, 2.0, 1.0],
+                  [0.0, 0.0, 0.2j, -3.0],
+                  [0.0, 0.0, 0.0, -1.0 + 0.5j]])
+    for t in (1e-3, 0.1, 1.0, 3.0):
+        assert_matches_expm(matrix_exponential(a, t), sla.expm(a * t))
+
+
+def test_matrix_exponential_stack_matches_each_matrix():
+    # per-matrix degree and scaling: the stack spans every Padé degree
+    rng = np.random.default_rng(41)
+    scales = np.logspace(-3, 2, 12)
+    stack = np.stack([pade_input(rng, 8, "dense", c) for c in scales])
+    stack[3] = np.eye(8, k=1)  # a nilpotent member
+    out = matrix_exponential(stack, 0.9)
+    assert out.shape == stack.shape
+    for k in range(len(scales)):
+        assert_matches_expm(out[k], sla.expm(0.9 * stack[k]))
+        assert_matches_expm(out[k], matrix_exponential(stack[k], 0.9))
 
 
 def test_matrix_exponential_semigroup_normal():
@@ -295,6 +400,19 @@ def test_eigensystem_roundtrip_and_validation():
     # non-unitary basis is rejected
     with pytest.raises(ValueError):
         EigenSystem(np.array([[1.0, 1.0], [0.0, 1.0]]), [1.0, 2.0])
+
+
+def test_eigensystem_from_hermitian_or_skew_matrix_by_eigh():
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    herm = (x + x.conj().T) / 2.0
+    for a, phase in ((herm, 1.0), (1j * herm, 1j)):
+        es = EigenSystem.from_matrix(a)
+        assert spectral_norm(es.matrix - a) < 1e-12
+        assert spectral_norm(es.basis.conj().T @ es.basis - np.eye(6)) < 1e-12
+        # eigh order: ascending real part, or imaginary part for skew input
+        assert np.allclose(es.eigenvalues / phase, np.linalg.eigvalsh(herm),
+                           rtol=0.0, atol=1e-12)
 
 
 def test_global_phase_distance():
