@@ -17,21 +17,21 @@ All operators act on n grid points per axis of [0,1]^d with spacing h = 1/n;
 the DFT convention is F[j,k] = ω^{jk}/√n with ω = e^{2πi/n}, whose columns
 are the stencils' eigenvectors.  The eigensystems hold F^{⊗d} (and the lifted
 basis) as a ``linalg.FourierBasis`` applied with ``numpy.fft``, so the
-parabolic path builds no dense N×N matrix.  Their cross-validation is exact
-and structured: the closed-form eigenvalues against the FFT of each 1-d
-stencil's first column (parabolic) or one 2×2 block per mode (lifted), plus
-one seeded probe per axis that applies the n×n stencil against the FFT.
-``solve_pde`` builds no dense N×N or 2N×2N matrix for any kind;
-``dense_operator``, ``hyperbolic_sqrt_operator`` and ``dft_tensor`` remain
-for callers that want the dense forms.
+parabolic path builds no dense N×N matrix.  Their O(N) cross-validation
+checks the closed-form eigenvalues against the FFT of each 1-d stencil's
+first column, or, lifted, against (i·s, −i·s), as each mode's 2×2 residual
+p·I + q·X is normal, and probes every axis's stencil against one FFT pair.
+``solve_pde`` builds no dense N×N or 2N×2N matrix; ``dense_operator``,
+``hyperbolic_sqrt_operator`` and ``dft_tensor`` remain for the dense forms.
 
-``_axis_stencils`` is the one description of each kind's operator: a shift
-and one (stencil, closed-form spectrum) pair per axis.  The eigenvalues, the
+``_axis_operators`` is the one description of each kind's operator: a shift
+and, per axis, a stencil or its closed-form spectrum.  The eigenvalues, the
 root spectrum of the hyperbolic lift, the dense operator and both
 cross-validations are derived from it, so a new kind is one entry there plus
-its stencil's closed forms.  ``PdeSpec`` calls each sampler on the whole
-grid: once per field, and for the source once at t = 0, whose result's shape
-declares whether b depends on time, then once per batch of times if it does.
+its closed forms; a solve builds the stencils once, in ``_axis_stencils``.
+``PdeSpec`` calls each sampler on the whole grid: once per field, and for the
+source once at t = 0, whose result's shape declares whether b depends on
+time, then once per batch of times if it does.
 """
 
 from __future__ import annotations
@@ -296,24 +296,27 @@ class PdeSpec:
         return SampledSource(after_lead(self.b_vector), derivative=b_dt)
 
 
-def _axis_stencils(spec: PdeSpec) -> tuple[float, list]:
-    """The one description of a kind's operator: a shift and, per axis j,
-    the n×n stencil S_j with its closed-form spectrum.
-
-    shift·I + Σ_j S_j along axis j is the coefficient A for parabolic kinds
-    and B² for hyperbolic ones.
-    """
-    n = spec.n
+def _axis_operators(spec: PdeSpec, part: int) -> tuple[float, list]:
+    """The one description of a kind's operator, shift·I + Σ_j S_j along axis
+    j (A for parabolic kinds, B² for hyperbolic ones): the shift and each S_j
+    as its n×n stencil (part 0) or its closed-form spectrum (part 1)."""
+    def one_d(stencil, spectrum) -> np.ndarray:
+        return (stencil, spectrum)[part](spec.n)
     if spec.kind == "airy":
-        return spec.c, [(-build_dh3(n), -dh3_eigenvalues(n))]
+        return spec.c, [-one_d(build_dh3, dh3_eigenvalues)]
     if spec.kind == "beam":
-        return -spec.c, [(build_dh4(n), dh4_eigenvalues(n))]
-    dh, dh_eig = build_dh(n), dh_eigenvalues(n)
+        return -spec.c, [one_d(build_dh4, dh4_eigenvalues)]
+    dh = one_d(build_dh, dh_eigenvalues)
     if spec.kind in HYPERBOLIC_KINDS:
-        return -spec.c, [(-a * dh, -a * dh_eig) for a in spec.a]
-    vh, vh_eig = build_vh(n), vh_eigenvalues(n)
-    return spec.c, [(a * dh + ap * vh, a * dh_eig + ap * vh_eig)
-                    for a, ap in zip(spec.a, spec.a_prime)]
+        return -spec.c, [-a * dh for a in spec.a]
+    vh = one_d(build_vh, vh_eigenvalues)
+    return spec.c, [a * dh + ap * vh for a, ap in zip(spec.a, spec.a_prime)]
+
+
+def _axis_stencils(spec: PdeSpec) -> tuple[float, list]:
+    """(shift, [(S_j, spectrum_j)]) of ``_axis_operators``: one per solve."""
+    shift, stencils = _axis_operators(spec, 0)
+    return shift, list(zip(stencils, _axis_operators(spec, 1)[1]))
 
 
 def _on_axis(spec: PdeSpec, one_d: np.ndarray, axis: int) -> np.ndarray:
@@ -330,10 +333,8 @@ def _on_grid(spec: PdeSpec, shift: float, spectra) -> np.ndarray:
 
 
 def _spectrum(spec: PdeSpec) -> np.ndarray:
-    """Closed-form eigenvalues of A (parabolic) or B² (hyperbolic) on the
-    k-grid."""
-    shift, stencils = _axis_stencils(spec)
-    return _on_grid(spec, shift, [spectrum for _, spectrum in stencils])
+    """Closed-form eigenvalues of A (parabolic) or B² (hyperbolic)."""
+    return _on_grid(spec, *_axis_operators(spec, 1))
 
 
 def _root_spectrum(spec: PdeSpec) -> np.ndarray:
@@ -370,53 +371,47 @@ def hyperbolic_sqrt_operator(spec: PdeSpec) -> np.ndarray:
 
 
 def _probe_axes(spec: PdeSpec, stencils, basis: FourierBasis) -> None:
-    """One seeded probe per axis: S_j applied along axis j must match the
-    FFT apply of its closed-form spectrum, to TOL.reconstruction relative to
-    that spectrum's largest magnitude (the rounding floor of both sides)."""
+    """One seeded x and one FFT pair for all axes: U applied to the (N, d)
+    stack of spectrum_j·U†x must match each S_j applied along axis j of x, to
+    TOL.reconstruction times max(1, max|spectrum_j|), the rounding floor."""
     rng = np.random.default_rng(0)
-    shape = (spec.n,) * spec.d
+    x = rng.standard_normal(spec.N) + 1j * rng.standard_normal(spec.N)
+    symbols = [_on_axis(spec, sp, j) for j, (_, sp) in enumerate(stencils)]
+    by_fft = basis.apply((np.stack(symbols) * basis.apply_adjoint(x)).T)
     for j, (stencil, spectrum) in enumerate(stencils):
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        by_stencil = np.moveaxis(np.tensordot(stencil, x, axes=(1, j)), 0, j)
-        by_fft = basis.apply(_on_axis(spec, spectrum, j)
-                             * basis.apply_adjoint(x.ravel()))
-        err = np.linalg.norm(by_stencil.ravel() - by_fft) / np.linalg.norm(x)
+        by_stencil = (stencil @ x.reshape(spec.n ** j, spec.n, -1)).ravel()
+        err = np.linalg.norm(by_stencil - by_fft[:, j]) / np.linalg.norm(x)
         scale = max(1.0, float(np.max(np.abs(spectrum))))
         if err > TOL.reconstruction * scale:
             raise ValueError(f"axis-{j} stencil probe fails against the FFT "
                              f"apply: relative residual {err / scale:.3e}")
 
 
-def _cross_validated(spec: PdeSpec, eigenvalues) -> EigenSystem:
+def _cross_validated(spec: PdeSpec, lam, axes, root=None) -> EigenSystem:
     """The Fourier eigensystem with these eigenvalues, once the residual
     ‖UΛU† − A‖₂ against the stencil operator A is at most TOL.reconstruction.
 
-    The residual is exact and needs no dense matrix.  For parabolic kinds
-    U = F^{⊗d} diagonalizes A, so it is max_k |λ_k − μ(k)| with μ assembled
-    by ``_on_grid`` from the FFT of each 1-d stencil's first column.  For the
-    lifted system, U = blockdiag(F^{⊗d}, F^{⊗d})·M makes both UΛU† and
-    A = [[0, iB], [iB, 0]] block diagonal with one 2×2 block per mode, and the
-    residual is the largest block's 2-norm.  ``_probe_axes`` first checks the
-    stencils against the FFT apply.
+    ``axes`` is ``_axis_stencils(spec)``; a lifted kind passes its root
+    spectrum s.  The residual is exact: max|λ − target|.  For parabolic kinds
+    U = F^{⊗d} diagonalizes A, and the target μ is ``_on_grid`` of the FFT
+    of each 1-d stencil's first column.  The lifted basis leaves one 2×2
+    block per mode, D_k = M·diag(λ_k, λ_{N+k})·M − i·s_k·X = p·I + q·X with
+    p = (λ_k + λ_{N+k})/2 and q = (λ_k − λ_{N+k})/2 − i·s_k.  D_k is normal
+    with eigenvalues p ± q, so ‖D_k‖₂ = max(|λ_k − i·s_k|, |λ_{N+k} + i·s_k|)
+    and the target is (i·s, −i·s).  ``_probe_axes`` first checks the stencils.
     """
-    lam = as_vector(eigenvalues)
-    shift, stencils = _axis_stencils(spec)
+    lam = as_vector(lam)
+    shift, stencils = axes
     fourier = FourierBasis(spec.n, spec.d)
     _probe_axes(spec, stencils, fourier)
     if spec.kind in PARABOLIC_KINDS:
-        mu = _on_grid(spec, shift, [np.fft.fft(stencil[:, 0])
-                                    for stencil, _ in stencils])
-        residual = float(np.max(np.abs(lam - mu)))
+        target = _on_grid(spec, shift, [np.fft.fft(stencil[:, 0])
+                                        for stencil, _ in stencils])
         basis, label = fourier, "closed-form"
     else:
-        s = _root_spectrum(spec)
-        mixer = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        pairs = lam.reshape(2, -1).T  # (λ_k, λ_{N+k}) per mode k
-        claimed = mixer @ (pairs[:, :, None] * mixer)
-        wanted = 1j * s[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
-        residual = float(np.max(np.linalg.norm(claimed - wanted, 2,
-                                               axis=(1, 2))))
+        target = np.concatenate([1j * root, -1j * root])
         basis, label = FourierBasis(spec.n, spec.d, lifted=True), "lifted"
+    residual = float(np.max(np.abs(lam - target)))
     if residual > TOL.reconstruction:
         raise ValueError(f"{label} eigensystem fails cross-validation: "
                          f"residual {residual:.3e}")
@@ -432,7 +427,9 @@ def eigensystem_of(spec: PdeSpec) -> EigenSystem:
     if spec.kind not in PARABOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not in the parabolic family; "
                          "use lift_hyperbolic")
-    return _cross_validated(spec, _spectrum(spec))
+    shift, stencils = axes = _axis_stencils(spec)
+    lam = _on_grid(spec, shift, [spectrum for _, spectrum in stencils])
+    return _cross_validated(spec, lam, axes)
 
 
 def fast_inversion(eigen: EigenSystem, w0) -> tuple[np.ndarray, float]:
@@ -481,7 +478,8 @@ def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, float]:
     v0, cost = fast_inversion(
         EigenSystem(FourierBasis(spec.n, spec.d), 1j * s), spec.w0_vector())
 
-    eigen = _cross_validated(spec, np.concatenate([1j * s, -1j * s]))
+    eigen = _cross_validated(spec, np.concatenate([1j * s, -1j * s]),
+                             _axis_stencils(spec), s)
     u_full = np.concatenate([spec.u0_vector(), v0])
     return OdeProblem(eigen, u_full, spec.T, spec._source(lead=spec.N)), cost
 

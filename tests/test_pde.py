@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ffode import eigen_solvers
@@ -402,7 +404,8 @@ def test_grid_is_built_once_per_shape():
     assert np.array_equal(spec.u0_vector(), [smooth_u0(x) for x in grid])
 
 
-@pytest.mark.parametrize("spec, calls", [
+#: one spec per kind family, with its count of modal reference solves
+SOLVE_CASES = [
     (PdeSpec("heat", 2, 6, 0.1, u0=smooth_u0), 0),
     (PdeSpec("advection-diffusion", 2, 6, 0.1, a_prime=[1.0, -0.5],
              u0=smooth_u0), 0),
@@ -412,23 +415,33 @@ def test_grid_is_built_once_per_shape():
     (PdeSpec("klein-gordon", 2, 6, 0.1, mass=1.0, u0=smooth_u0,
              w0=mean_zero_w0), 1),
     (PdeSpec("beam", 1, 8, 0.001, u0=smooth_u0, w0=mean_zero_w0), 1),
-])
+]
+
+
+@pytest.mark.parametrize("spec, calls", SOLVE_CASES)
 def test_solve_pde_builds_dense_operator_only_for_the_reference(
         monkeypatch, spec, calls):
     # no kind builds a dense operator, root or DFT any more: the hyperbolic
-    # kinds are checked by ``calls`` per-axis modal reference solves
+    # kinds are checked by ``calls`` per-axis modal reference solves.  The
+    # solver builds the stencils once, for the eigenvalues, the probe and the
+    # residual; the modal reference builds its own.
     import ffode.pde as pde
     from ffode.reference import SecondOrderProblem
     built = []
     for name in ("dense_operator", "hyperbolic_sqrt_operator", "dft_tensor"):
         monkeypatch.setattr(pde, name,
                             lambda *args, name=name: built.append(name))
+    stencil_builds = []
+    stencils = pde._axis_stencils
+    monkeypatch.setattr(pde, "_axis_stencils", lambda spec: (
+        stencil_builds.append(spec.kind) or stencils(spec)))
     modal = []
     original = pde.solve_reference
     monkeypatch.setattr(pde, "solve_reference", lambda p: modal.append(
         isinstance(p, SecondOrderProblem)) or original(p))
     solve_pde(spec, 1e-8)
     assert built == []
+    assert stencil_builds == [spec.kind]
     assert sum(modal) == calls
 
 
@@ -438,22 +451,23 @@ def _advdiff_spec(a_prime):
 
 
 def test_cross_validation_rejects_wrong_parabolic_eigenvalues():
-    from ffode.pde import _cross_validated, _spectrum
+    from ffode.pde import _axis_stencils, _cross_validated, _spectrum
     spec = _advdiff_spec([1.0, -0.5])
+    axes = _axis_stencils(spec)
     lam = _spectrum(spec)
-    _cross_validated(spec, lam)
+    _cross_validated(spec, lam, axes)
     bumped = lam.copy()
     bumped[11] += 1e-6
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(spec, bumped)
+        _cross_validated(spec, bumped, axes)
     swapped = _spectrum(_advdiff_spec([-0.5, 1.0]))
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(spec, swapped)
+        _cross_validated(spec, swapped, axes)
     airy = PdeSpec("airy", 1, 16, 1.0, u0=smooth_u0)
     lam = -dh3_eigenvalues(16)
     lam[3] += 1e-6
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(airy, lam)
+        _cross_validated(airy, lam, _axis_stencils(airy))
 
 
 def test_cross_validation_probe_catches_swapped_symbol_axes(monkeypatch):
@@ -468,20 +482,122 @@ def test_cross_validation_probe_catches_swapped_symbol_axes(monkeypatch):
 
 
 def test_cross_validation_rejects_wrong_lifted_eigenvalues():
-    from ffode.pde import _cross_validated, _root_spectrum
+    from ffode.pde import _axis_stencils, _cross_validated, _root_spectrum
     for spec in (PdeSpec("wave", 2, 6, 1.0, c=-0.5, u0=smooth_u0,
                          w0=mean_zero_w0),
                  PdeSpec("beam", 1, 16, 1.0, u0=smooth_u0, w0=mean_zero_w0)):
         s = _root_spectrum(spec)
+        axes = _axis_stencils(spec)
         lam = np.concatenate([1j * s, -1j * s])
-        eigen = _cross_validated(spec, lam)
+        eigen = _cross_validated(spec, lam, axes, s)
         assert np.allclose(eigen.matrix, dense_operator(spec), atol=1e-8)
         with pytest.raises(ValueError, match="residual"):
-            _cross_validated(spec, np.concatenate([-1j * s, 1j * s]))
+            _cross_validated(spec, np.concatenate([-1j * s, 1j * s]), axes, s)
         bumped = lam.copy()
         bumped[spec.N + 2] += 1e-6
         with pytest.raises(ValueError, match="residual"):
-            _cross_validated(spec, bumped)
+            _cross_validated(spec, bumped, axes, s)
+
+
+def test_cross_validation_takes_one_grid_fft_pair(monkeypatch):
+    # the probe takes U†x once and applies U once to every axis's symbol
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, name=name, original=getattr(np.fft, name),
+                    **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    spec = PdeSpec("advection-diffusion", 3, 6, 1.0, a=[1.0, 1e-3, 0.5],
+                   a_prime=[1.0, -0.5, 0.25], u0=smooth_u0)
+    eigensystem_of(spec)
+    assert sorted(calls) == ["fftn", "ifftn"]
+
+
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_probe_names_the_axis_of_a_wrong_stencil_tap(monkeypatch, kind, d):
+    # one tap off by 1e-6 relative, off the first column the parabolic
+    # residual reads, with the closed-form spectrum untouched: only the probe
+    # sees it.  On the a = 1e-3 axis that tap moves S_j x by ~4.5e-8·‖x‖,
+    # above that axis's bound 1e-8·max(1, 0.256) but below the 2.56e-6 of
+    # the a = 1 axis, so each axis must be held to its own scale.
+    import ffode.pde as pde
+    spec = PdeSpec(kind, d, 8, 1.0, a=[1.0, 1e-3, 0.5][:d], u0=smooth_u0,
+                   w0=mean_zero_w0 if kind == "wave" else None)
+    check = pde.eigensystem_of if kind == "heat" else pde.lift_hyperbolic
+    check(spec)
+    original = pde._axis_stencils
+    for axis in range(d):
+        def bumped(spec, axis=axis):
+            shift, stencils = original(spec)
+            stencil, spectrum = stencils[axis]
+            stencil = stencil.copy()
+            stencil[1, 1] *= 1.0 + 1e-6
+            stencils[axis] = (stencil, spectrum)
+            return shift, stencils
+        monkeypatch.setattr(pde, "_axis_stencils", bumped)
+        with pytest.raises(ValueError, match=f"axis-{axis} stencil probe"):
+            check(spec)
+
+
+def _block_norms(pairs, s):
+    """The former lifted residual, kept here as the oracle: the SVD 2-norm of
+    each mode's 2×2 block M·diag(λ_k, λ_{N+k})·M − i·s_k·X."""
+    mixer = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    claimed = mixer @ (pairs[:, :, None] * mixer)
+    wanted = 1j * s[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return np.linalg.norm(claimed - wanted, 2, axis=(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 9),
+       log_scale=st.floats(-3.0, 4.0))
+def test_lifted_residual_is_the_largest_block_norm(seed, n, log_scale):
+    # the check's closed form max(|λ_k − i·s_k|, |λ_{N+k} + i·s_k|) against
+    # the 2×2 block norms, to 4·eps·max(1, max s): with TOL.reconstruction
+    # that far below the oracle the check must fail, that far above it must
+    # pass.  Each λ pair is (i·s_k, −i·s_k) moved by up to 0, 1e-12, 1e-6 or
+    # 0.5 times max s in a random direction, and about a third of the s_k are
+    # zero.  The SVD oracle rounds at ~eps·‖block‖, so the moves stop at
+    # max s/2, where |λ| ≤ 1.5·max s (at moves of max s it reaches 3.6 eps).
+    import ffode.pde as pde
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** log_scale * rng.random(n)
+    s[rng.random(n) < 1 / 3] = 0.0
+    steps = rng.choice([0.0, 1e-12, 1e-6, 0.5], size=(2, n))
+    moves = steps * rng.random((2, n)) * np.exp(2j * np.pi
+                                                * rng.random((2, n)))
+    lam = (np.stack([1j * s, -1j * s]) + moves * s.max()).ravel()
+    oracle = float(np.max(_block_norms(lam.reshape(2, n).T, s)))
+    slack = 4 * np.finfo(float).eps * max(1.0, float(s.max()))
+    spec = PdeSpec("wave", 1, n, 1.0, u0=smooth_u0, w0=mean_zero_w0)
+    axes = pde._axis_stencils(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_probe_axes", lambda *args: None)
+        mp.setattr(pde.TOL, "reconstruction", oracle + slack)
+        pde._cross_validated(spec, lam, axes, s)
+        mp.setattr(pde.TOL, "reconstruction", oracle - slack)
+        with pytest.raises(ValueError, match="lifted .* residual"):
+            pde._cross_validated(spec, lam, axes, s)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, calls in SOLVE_CASES
+                                  if calls], ids=lambda spec: spec.kind)
+def test_lift_runs_no_svd(monkeypatch, spec):
+    # the lifted residual is a vector expression; np.linalg.norm(..., 2) of a
+    # matrix stack calls the svd of numpy's linalg module, patched here too
+    import importlib
+    import ffode.pde as pde
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the lift ran an SVD")
+    inner = importlib.import_module("numpy.linalg._linalg"
+                                    if hasattr(np.linalg, "_linalg")
+                                    else "numpy.linalg.linalg")
+    for module in (np.linalg, inner):
+        monkeypatch.setattr(module, "svd", no_svd)
+    pde.lift_hyperbolic(spec)
 
 
 def test_heat_d3_n16_without_dense_matrices():
