@@ -570,11 +570,6 @@ def invert(u_a: BlockEncoding, delta: float, epsilon: float) -> BlockEncoding:
                          u_a.ancilla_qubits + 1, ledger, inv)
 
 
-def _poly_degree(p) -> int:
-    deg = p.degree() if callable(getattr(p, "degree", None)) else p.degree
-    return int(deg)
-
-
 def _assert_poly_bounded(p, degree: int, bound: float = 0.5) -> None:
     grid = max(4 * degree, 8)
     x = np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
@@ -602,7 +597,7 @@ def polynomial_transform(u_a: BlockEncoding, p) -> BlockEncoding:
     require_hermitian_target(
         u_a, "polynomial transform needs an attached Hermitian target",
         "polynomial transform target must be Hermitian")
-    d = _poly_degree(p)
+    d = int(p.degree())
     _assert_poly_bounded(p, d)
 
     def apply_poly(w):

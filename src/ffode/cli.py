@@ -540,13 +540,12 @@ def cmd_selftest(args) -> int:
 def cmd_solve(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        rows = run_campaign(cfg, jobs=args.jobs)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    try:
-        rows = run_campaign(cfg, jobs=args.jobs)
     except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

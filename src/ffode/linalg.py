@@ -136,8 +136,9 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     """e^{At} of a square matrix, or of each matrix of a (K, n, n) stack.
 
     A Hermitian or skew-Hermitian matrix goes through ``hermitian_eigh``.
-    Any other matrix, and every matrix of a stack, goes through the numpy
-    scaling-and-squaring Padé exponential ``_pade_exponential``.  Neither
+    Any other matrix, and every matrix of a stack, goes through
+    ``_pade_exponential``, numpy scaling and squaring with the [13/13] Padé
+    approximant and a number of squarings chosen per matrix.  Neither
     calls scipy: the library's one scipy routine is the Schur form that
     ``EigenSystem.from_matrix`` takes of a normal matrix that is neither
     Hermitian nor skew-Hermitian.
@@ -153,25 +154,17 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     return (v * np.exp(w * t)) @ v.conj().T
 
 
-#: degree m -> (θ_m, the coefficients b_0..b_m of the Padé numerator p_m(x);
-#: the denominator is p_m(-x)), from Al-Mohy & Higham (2009), Table 3.1 and
+#: θ_13 and the coefficients b_0..b_13 of the [13/13] Padé numerator p(x)
+#: (the denominator is p(-x)), from Al-Mohy & Higham (2009), Table 3.1 and
 #: Algorithm 3.1, which lowers θ_13 to 4.25
-_PADE = {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1,
-        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1,
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
-         1.0)),
-    9: (2.097847961257068e0,
-        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    13: (4.25,
-         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-          1187353796428800.0, 129060195264000.0, 10559470521600.0,
-          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-          16380.0, 182.0, 1.0)),
-}
+_THETA13 = 4.25
+_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+        16380.0, 182.0, 1.0)
+#: |c_27| = (13!)²/(26!·27!), the leading coefficient of the [13/13]
+#: backward error
+_C27 = math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27))
 
 
 def _onenorm(x: np.ndarray) -> np.ndarray:
@@ -179,93 +172,55 @@ def _onenorm(x: np.ndarray) -> np.ndarray:
     return np.abs(x).sum(axis=-2).max(axis=-1)
 
 
-def _ell(mag: np.ndarray, m: int) -> np.ndarray:
-    """ℓ(A, m) of Al-Mohy & Higham (2009), eq. (3.13), for each matrix of a
-    stack, given |A| entrywise: the extra squarings that keep the degree-m
-    backward error's leading term |c_{2m+1}|·‖|A|^{2m+1}‖₁/‖A‖₁ within the
-    unit roundoff 2⁻⁵³ when A is non-normal.  |c_{2m+1}| =
-    (m!)²/((2m)!(2m+1)!), and ‖|A|^{2m+1}‖₁ is the largest entry of
-    1ᵀ|A|^{2m+1}, exact from 2m+1 row-vector products."""
+def _ell(mag: np.ndarray) -> np.ndarray:
+    """ℓ(A, 13) of Al-Mohy & Higham (2009), eq. (3.13), for each matrix of a
+    stack, given |A| entrywise: the extra squarings that keep the [13/13]
+    backward error's leading term |c_27|·‖|A|^27‖₁/‖A‖₁ within the unit
+    roundoff 2⁻⁵³ when A is non-normal.  ‖|A|^27‖₁ is the largest entry of
+    1ᵀ|A|^27, exact from 27 row-vector products."""
     row = np.ones(mag.shape[:-1])
-    for _ in range(2 * m + 1):
+    for _ in range(27):
         row = np.matmul(row[:, None, :], mag)[:, 0]
     power_norm = row.max(axis=-1)
-    c = math.factorial(m) ** 2 / (math.factorial(2 * m)
-                                  * math.factorial(2 * m + 1))
     ell = np.zeros(mag.shape[0], dtype=int)
-    live = power_norm > 0.0  # ℓ = 0 once |A|^{2m+1} vanishes
-    alpha = c * power_norm[live] / mag[live].sum(axis=-2).max(axis=-1)
-    ell[live] = np.maximum(np.ceil(np.log2(alpha / 2.0 ** -53) / (2 * m)), 0)
+    live = power_norm > 0.0  # ℓ = 0 once |A|^27 vanishes
+    alpha = _C27 * power_norm[live] / mag[live].sum(axis=-2).max(axis=-1)
+    ell[live] = np.maximum(np.ceil(np.log2(alpha / 2.0 ** -53) / 26), 0)
     return ell
 
 
 def _pade_exponential(a: np.ndarray) -> np.ndarray:
     """e^A for each matrix of a (K, n, n) complex stack.
 
-    Al-Mohy & Higham (2009), Algorithm 3.1, with exact 1-norms: d_k =
-    ‖A^k‖₁^{1/k} from the powers A², A⁴, A⁶ every degree uses, A⁸ once a
-    matrix passes degree 5, and A¹⁰ = A⁴A⁶ for the matrices that need
-    degree 13.  Each matrix takes the smallest m ∈ {3, 5, 7, 9} whose θ_m
-    bounds its η and whose ℓ(A, m) is 0; otherwise m = 13 with s =
-    max(0, ⌈log2(η₅/θ_13)⌉) + ℓ(2^{-s}A, 13) squarings.  r_m = q_m⁻¹p_m is
-    one ``solve`` of the stack, squared s times per matrix.
+    The degree-13 branch of Al-Mohy & Higham (2009), Algorithm 3.1, with
+    exact 1-norms d_k = ‖A^k‖₁^{1/k} of A⁶, A⁸ = A⁴A⁴ and A¹⁰ = A⁴A⁶:
+    η₅ = min(max(d₆, d₈), max(d₈, d₁₀)) and s = max(0, ⌈log2(η₅/θ_13)⌉) +
+    ℓ(2^{-s}A, 13) squarings per matrix.  [13/13] scaling and squaring is
+    backward stable for every η₅ ≤ θ_13, so every matrix takes it; the
+    algorithm's lower degrees would only save work at small norms.
+    r_13 = q⁻¹p is one ``solve`` of the stack, squared s times per matrix.
     """
-    count = a.shape[0]
     eye = np.eye(a.shape[-1])
-    mag = np.abs(a)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
     d6 = _onenorm(a6) ** (1 / 6)
-    degree = np.full(count, 13)
-    s = np.zeros(count, dtype=int)
-
-    def settle(m, eta):
-        """Give degree m to every open matrix with η ≤ θ_m and ℓ(A, m) = 0."""
-        pick = (degree == 13) & (eta <= _PADE[m][0])
-        if pick.any():
-            pick[pick] = _ell(mag[pick], m) == 0
-            degree[pick] = m
-
-    eta1 = np.maximum(_onenorm(a4) ** 0.25, d6)
-    settle(3, eta1)
-    settle(5, eta1)
-    if np.any(degree == 13):
-        a8 = a4 @ a4
-        d8 = _onenorm(a8) ** 0.125
-        eta3 = np.maximum(d6, d8)
-        settle(7, eta3)
-        settle(9, eta3)
-        big = degree == 13
-        if np.any(big):
-            d10 = _onenorm(a4[big] @ a6[big]) ** 0.1
-            eta5 = np.minimum(eta3[big], np.maximum(d8[big], d10))
-            with np.errstate(divide="ignore"):  # a nilpotent A has η₅ = 0
-                first = np.ceil(np.log2(eta5 / _PADE[13][0]))
-            first = np.maximum(first, 0).astype(int)
-            scale = 2.0 ** -first
-            s[big] = first + _ell(mag[big] * scale[:, None, None], 13)
-
-    out = np.empty_like(a)
-    for m in np.unique(degree):
-        pick = _rows(degree == m)
-        b = _PADE[m][1]
-        if m == 13:
-            f = (2.0 ** -s[pick])[:, None, None]
-            x, x2, x4, x6 = (p[pick] * f ** k
-                             for p, k in ((a, 1), (a2, 2), (a4, 4), (a6, 6)))
-            u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-                     + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-            v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-                 + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-        else:
-            powers = [eye, a2[pick], a4[pick], a6[pick]]
-            if m == 9:
-                powers.append(a8[pick])
-            u = a[pick] @ sum(b[2 * k + 1] * p for k, p in enumerate(powers)
-                              if 2 * k + 1 <= m)
-            v = sum(b[2 * k] * p for k, p in enumerate(powers) if 2 * k <= m)
-        out[pick] = np.linalg.solve(v - u, v + u)
+    d8 = _onenorm(a4 @ a4) ** 0.125
+    d10 = _onenorm(a4 @ a6) ** 0.1
+    eta5 = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    with np.errstate(divide="ignore"):  # a nilpotent A has η₅ = 0
+        first = np.ceil(np.log2(eta5 / _THETA13))
+    first = np.maximum(first, 0).astype(int)
+    s = first + _ell(np.abs(a) * (2.0 ** -first)[:, None, None])
+    f = (2.0 ** -s)[:, None, None]
+    x, x2, x4, x6 = (p * f ** k
+                     for p, k in ((a, 1), (a2, 2), (a4, 4), (a6, 6)))
+    b = _B13
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    out = np.linalg.solve(v - u, v + u)
     for i in range(s.max(initial=0)):
         pick = _rows(s > i)
         out[pick] = out[pick] @ out[pick]

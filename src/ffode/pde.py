@@ -21,6 +21,9 @@ parabolic path builds no dense N×N matrix.  Their O(N) cross-validation
 checks the closed-form eigenvalues against the FFT of each 1-d stencil's
 first column, or, lifted, against (i·s, −i·s), as each mode's 2×2 residual
 p·I + q·X is normal, and probes every axis's stencil against one FFT pair.
+``lift_hyperbolic`` builds its λ from the same s, so there the lifted
+residual is exactly 0 and guards only direct callers; the lift itself is
+guarded by the axis probe and by the independent modal reference.
 ``solve_pde`` builds no dense N×N or 2N×2N matrix; ``dense_operator``,
 ``hyperbolic_sqrt_operator`` and ``dft_tensor`` remain for the dense forms.
 
@@ -399,6 +402,12 @@ def _cross_validated(spec: PdeSpec, lam, axes, root=None) -> EigenSystem:
     p = (λ_k + λ_{N+k})/2 and q = (λ_k − λ_{N+k})/2 − i·s_k.  D_k is normal
     with eigenvalues p ± q, so ‖D_k‖₂ = max(|λ_k − i·s_k|, |λ_{N+k} + i·s_k|)
     and the target is (i·s, −i·s).  ``_probe_axes`` first checks the stencils.
+
+    ``lift_hyperbolic`` passes λ = (i·s, −i·s) built from the same s it
+    passes as ``root``, so its lifted residual is exactly 0: that check can
+    only catch a direct caller's λ.  A wrong s in the lift is caught by
+    ``_probe_axes`` (a wrong stencil) and by the modal reference of
+    ``reference.second_order_problem`` (a wrong root spectrum).
     """
     lam = as_vector(lam)
     shift, stencils = axes

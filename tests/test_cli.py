@@ -81,6 +81,24 @@ def test_unknown_solver_is_a_schema_error(tmp_path):
     assert not (tmp_path / "demo-heat.csv").exists()
 
 
+@pytest.mark.parametrize("problem", [
+    {"id": "beam-2d", "type": "pde", "kind": "beam", "d": 2},
+    {"id": "heat", "type": "pde", "kind": "heat", "n": 8,
+     "u0": {"name": "no-such-sampler"}},
+    {"id": "heat", "type": "pde", "kind": "heat", "n": 8,
+     "b": {"name": "no-such-source"}},
+], ids=["bad-problem", "unknown-sampler", "unknown-source-sampler"])
+def test_bad_pde_problem_is_a_schema_error(tmp_path, capsys, problem):
+    # found while the campaign runs, and still reported as a schema violation
+    bad = dict(HEAT_CAMPAIGN, problems=[problem])
+    cfg = write_config(tmp_path, bad)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "demo-heat.csv").exists()
+
+
 def test_solver_problem_mismatch(tmp_path):
     bad = {
         "version": 1, "campaign": "bad", "solver": "eigen", "seed": 0,
@@ -169,6 +187,30 @@ def test_solve_other_solver_paths(tmp_path):
         row = text.strip().split("\n")[1].split(",")
         err = float(row[CSV_COLUMNS.index("error_vs_reference")])
         assert err <= float(cfg_obj["sweep"].get("eps", [1e-6])[0])
+
+
+def test_solve_reads_pde_coefficient_keys(tmp_path):
+    # a/a_prime of advection-diffusion and m of Klein-Gordon reach the spec
+    problems = [
+        {"id": "advdiff", "type": "pde", "kind": "advection-diffusion",
+         "d": 2, "n": 8, "a": [0.5, 0.25], "a_prime": [1.0, -0.5]},
+        {"id": "kg", "type": "pde", "kind": "klein-gordon", "d": 1, "n": 8,
+         "m": 2.0, "u0": {"name": "cos"}, "w0": {"name": "sin"}},
+    ]
+    advdiff = ffode.cli._build_pde_spec(problems[0], None, None, 0.5)
+    assert advdiff.a.tolist() == [0.5, 0.25]
+    assert advdiff.a_prime.tolist() == [1.0, -0.5]
+    assert ffode.cli._build_pde_spec(problems[1], None, None, 0.5).mass == 2.0
+    cfg_obj = {"version": 1, "campaign": "coeffs", "solver": "eigen",
+               "seed": 1, "sweep": {"T": [0.5], "eps": [1e-6]},
+               "problems": problems}
+    cfg = write_config(tmp_path, cfg_obj)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "coeffs.csv").read_text("utf-8").strip().split("\n")
+    assert len(lines) == 1 + len(problems)
+    for line in lines[1:]:
+        row = line.split(",")
+        assert float(row[CSV_COLUMNS.index("error_vs_reference")]) <= 1e-6
 
 
 def test_eigen_td_takes_the_riemann_path_for_every_constant_source():

@@ -242,7 +242,7 @@ def test_matrix_exponential_triangular_large_offdiagonal():
 
 
 def test_matrix_exponential_stack_matches_each_matrix():
-    # per-matrix degree and scaling: the stack spans every Padé degree
+    # per-matrix scaling: the stack spans norms from no squaring to many
     rng = np.random.default_rng(41)
     scales = np.logspace(-3, 2, 12)
     stack = np.stack([pade_input(rng, 8, "dense", c) for c in scales])

@@ -243,6 +243,15 @@ def test_solve_pde_heat():
     assert 1.0 - fid < 1e-9
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "the closed-form cross-validation compares eigenvalues of size ~4/h² "
+    "against the absolute TOL.reconstruction = 1e-8, and both sides carry "
+    "rounding of about eps·max|λ|: heat d=1 n=4096 gives residual 3.0e-8"))
+def test_solve_pde_heat_n4096_passes_cross_validation():
+    spec = PdeSpec("heat", 1, 4096, 0.05, u0=smooth_u0)
+    assert solve_pde(spec, 1e-6).error_vs_reference < 1e-6
+
+
 def test_solve_pde_transport_unit_probability():
     spec = PdeSpec("transport", 1, 8, 1.0, a_prime=[1.0], u0=smooth_u0)
     rep = solve_pde(spec, 1e-9)
