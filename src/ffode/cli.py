@@ -123,6 +123,25 @@ def _require(cond, msg):
         raise SchemaError(msg)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
+def _is_positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+#: sweep axes: (predicate on each value, what the values must be)
+SWEEP_AXES = {
+    "T": (lambda x: _is_number(x) and x > 0, "positive numbers"),
+    "eps": (lambda x: _is_number(x) and 0 < x < 1, "numbers in (0, 1)"),
+    "n": (_is_positive_int, "positive integers"),
+    "d": (_is_positive_int, "positive integers"),
+    "M": (_is_positive_int, "positive integers"),
+}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -138,10 +157,13 @@ def load_config(path: str) -> dict:
     sweep = cfg.get("sweep", {})
     _require(isinstance(sweep, dict), "sweep must be an object")
     for axis, values in sweep.items():
-        _require(axis in ("T", "eps", "n", "d", "M"),
-                 f"unknown sweep axis {axis!r}")
+        _require(axis in SWEEP_AXES, f"unknown sweep axis {axis!r}")
         _require(isinstance(values, list) and len(values) > 0,
                  f"sweep axis {axis!r} must be a nonempty list")
+        admissible, kind = SWEEP_AXES[axis]
+        for value in values:
+            _require(admissible(value), f"sweep axis {axis!r} takes {kind}, "
+                     f"got {value!r}")
     problems = cfg.get("problems")
     _require(isinstance(problems, list) and problems, "problems list required")
     for prob in problems:

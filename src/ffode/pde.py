@@ -382,7 +382,11 @@ def _probe_axes(spec: PdeSpec, stencils, basis: FourierBasis) -> None:
     symbols = [_on_axis(spec, sp, j) for j, (_, sp) in enumerate(stencils)]
     by_fft = basis.apply((np.stack(symbols) * basis.apply_adjoint(x)).T)
     for j, (stencil, spectrum) in enumerate(stencils):
-        by_stencil = (stencil @ x.reshape(spec.n ** j, spec.n, -1)).ravel()
+        grid = x.reshape(spec.n ** j, spec.n, -1)
+        # the last axis as one (N/n × n)·(n × n) GEMM, not N/n mat-vecs;
+        # the others are already GEMMs of n × n by n × n^(d−1−j) blocks
+        by_stencil = (grid[:, :, 0] @ stencil.T if j == spec.d - 1
+                      else stencil @ grid).ravel()
         err = np.linalg.norm(by_stencil - by_fft[:, j]) / np.linalg.norm(x)
         scale = max(1.0, float(np.max(np.abs(spectrum))))
         if err > TOL.reconstruction * scale:

@@ -5,7 +5,10 @@ Two solver families: bounded negative-definite Hermitian coefficients
 block-encoding of H.  Both produce block-encodings of e^{AT} and of the
 Duhamel integral ∫₀ᵀ e^{A(T-s)} ds, then run an amplitude-level simulation of
 the linear-combination-of-states circuit with exact success probabilities and
-per-run query ledgers.  ``_solve_lcs`` is the one constant-source LCS driver,
+per-run query ledgers.  Both take a DiagonalEncoding, the eigenbasis
+``exact_dilation`` makes of a Hermitian matrix, and reject any other encoding
+at entry; the calculus rules of ``block_encoding`` keep a dense path as well.
+``_solve_lcs`` is the one constant-source LCS driver,
 also of ``eigen_solvers.solve_eigen_constant``.  Every solver ends in
 ``post_selected_report``, and every two-branch circuit in ``lcs_branches``.
 """
@@ -20,8 +23,8 @@ import numpy as np
 from .config import AA_CONSTANT, TOL
 from .block_encoding import (
     GATES, O_B, O_U, BlockEncoding, DiagonalEncoding, QueryLedger,
-    StatePreparationPair, exact_dilation, identity_encoding, lcu_combine,
-    invert, multiply, polynomial_transform, require_hermitian_target, ry,
+    StatePreparationPair, exact_dilation, invert, lcu_combine, multiply,
+    polynomial_transform, require_hermitian_target, ry,
 )
 from .linalg import as_vector, global_phase_distance, spectral_norm
 from .poly_approx import approx_exp_shifted, approx_gaussian, \
@@ -69,68 +72,55 @@ class SolveReport:
             self.success_probability)
 
 
-def _check_negdef(u_a: BlockEncoding, delta: float) -> None:
-    """Raise unless u_a's target is Hermitian with its spectrum in [-1, -δ].
+def _hermitian_diagonal(be: BlockEncoding, name: str) -> np.ndarray:
+    """The real target diagonal of ``be``: the one entry check of the QSVT
+    solvers, which raises unless ``be`` is a DiagonalEncoding (the
+    ``exact_dilation`` of a Hermitian matrix) with a Hermitian target."""
+    if not isinstance(be, DiagonalEncoding):
+        raise ValueError(
+            f"{name} needs a DiagonalEncoding, the exact_dilation of a "
+            f"Hermitian matrix; got a dense {type(be).__name__} (a "
+            f"non-Hermitian matrix dilates to one)")
+    require_hermitian_target(be, f"{name} needs an attached target",
+                             f"{name} must be Hermitian")
+    return be.target_diagonal.real
 
-    A DiagonalEncoding's spectrum is its target diagonal, each eigenvalue
-    within its ``eigenvalue_spread``; ``eigvalsh`` of the dense target
-    decides when that does not prove the check, and for a dense encoding.
+
+def _check_negdef(u_a: BlockEncoding, delta: float) -> None:
+    """Raise unless u_a is a DiagonalEncoding of a Hermitian target with its
+    spectrum in [-1, -δ].
+
+    Its spectrum is its target diagonal, each eigenvalue within its
+    ``eigenvalue_spread``; ``eigvalsh`` of the dense target decides when
+    that does not prove the check.
     """
-    require_hermitian_target(u_a, "needs an encoding with an attached target",
-                             "coefficient must be Hermitian")
+    w = _hermitian_diagonal(u_a, "coefficient")
 
     def inside(w, spread):
         return np.max(w) + spread <= -delta + 1e-12 \
             and np.min(w) - spread >= -1.0 - 1e-12
 
-    if isinstance(u_a, DiagonalEncoding):
-        if inside(u_a.target_diagonal.real, u_a.eigenvalue_spread()):
-            return
+    if inside(w, u_a.eigenvalue_spread()):
+        return
     w = np.linalg.eigvalsh(u_a.target)
     if not inside(w, 0.0):
         raise ValueError(
             f"spectrum {w} is not inside [-1, -δ] with δ = {delta}")
 
 
-def _spectral_targets(u_a: BlockEncoding):
-    """(w, lift) for u_a's Hermitian target: its eigenvalues w, and the map
-    from per-eigenvalue values f(w) to the target f(target).  On a
-    DiagonalEncoding w is the real target diagonal and lift is the identity
-    (a target diagonal); otherwise both come from ``eigh`` of the target."""
-    if isinstance(u_a, DiagonalEncoding):
-        return u_a.target_diagonal.real, lambda values: values
-    w, v = np.linalg.eigh(u_a.target)
-    return w, lambda values: (v * values) @ v.conj().T
-
-
-def _identity_like(be: BlockEncoding) -> BlockEncoding:
-    """A (1, be's ancillas, 0)-encoding of I with an empty ledger, on be's
-    eigenbasis when be is a DiagonalEncoding."""
-    if isinstance(be, DiagonalEncoding):
-        ones = np.ones(be.system_dim, dtype=complex)
-        return DiagonalEncoding(be.eigen, ones, 1.0, 0.0, be.ancilla_qubits,
-                                QueryLedger(), ones)
-    return identity_encoding(be.system_dim, be.ancilla_qubits)
-
-
-def _half_shift(u_a: BlockEncoding) -> BlockEncoding:
+def _half_shift(u_a: DiagonalEncoding) -> DiagonalEncoding:
     """(1, n_A+1, 0)-encoding of (I+A)/2 from the (1, n_A, 0)-encoding of A.
 
     The circuit (H ⊗ I) c-U_A (H ⊗ I) has the leading block (I + block)/2.
     """
-    ledger = u_a.ledger.charge(GATES, 2)
-    if isinstance(u_a, DiagonalEncoding):
-        return DiagonalEncoding(u_a.eigen, (1.0 + u_a.factors) / 2.0, 1.0, 0.0,
-                                u_a.ancilla_qubits + 1, ledger,
-                                (1.0 + u_a.target_diagonal) / 2.0)
-    n = u_a.system_dim
-    return BlockEncoding((np.eye(n) + u_a.block) / 2.0, 1.0, 0.0,
-                         u_a.ancilla_qubits + 1, ledger,
-                         (np.eye(n) + u_a.target) / 2.0)
+    return DiagonalEncoding(u_a.eigen, (1.0 + u_a.factors) / 2.0, 1.0, 0.0,
+                            u_a.ancilla_qubits + 1,
+                            u_a.ledger.charge(GATES, 2),
+                            (1.0 + u_a.target_diagonal) / 2.0)
 
 
-def be_exp_negdef(u_a: BlockEncoding, T: float, delta: float,
-                  eps: float) -> BlockEncoding:
+def be_exp_negdef(u_a: DiagonalEncoding, T: float, delta: float,
+                  eps: float) -> DiagonalEncoding:
     """(3, n_A+4, ε)-block-encoding of e^{AT} for negative-definite A.
 
     Pipeline: Hadamard-pair LCU turns the (1, n_A, 0)-encoding of A into a
@@ -139,14 +129,15 @@ def be_exp_negdef(u_a: BlockEncoding, T: float, delta: float,
     (1, n_A+2, ε₁)-encoding of I+A; a degree-d Chebyshev approximant of
     e^{-T(1-x)}/3 is then applied by QSVT.  Error split: the approximant gets
     ε/2 and the amplification ε₁ = (ε/(24d))² so the QSVT term 12d·sqrt(ε₁)
-    also stays below ε/2.
+    also stays below ε/2.  ``u_a`` must be a DiagonalEncoding
+    (``exact_dilation`` of a Hermitian A); any other encoding raises.
     """
     _check_negdef(u_a, delta)
     return _exp_negdef(u_a, T, delta, eps)
 
 
-def _exp_negdef(u_a: BlockEncoding, T: float, delta: float,
-                eps: float) -> BlockEncoding:
+def _exp_negdef(u_a: DiagonalEncoding, T: float, delta: float,
+                eps: float) -> DiagonalEncoding:
     """``be_exp_negdef`` on an encoding ``_check_negdef`` has passed."""
     if abs(u_a.alpha - 1.0) > 1e-12:
         raise ValueError("the negative-definite pipeline expects alpha = 1")
@@ -160,48 +151,46 @@ def _exp_negdef(u_a: BlockEncoding, T: float, delta: float,
     d = poly.degree()
     eps1 = (eps / (24.0 * max(d, 1))) ** 2
     q_amp = max(1, math.ceil((1.0 / delta) * math.log(1.0 / eps1)))
-    ledger = v2.ledger.scaled(q_amp)
-    if isinstance(v2, DiagonalEncoding):
-        amplified = DiagonalEncoding(v2.eigen, 2.0 * v2.alpha * v2.factors,
-                                     1.0, eps1, v2.ancilla_qubits + 1, ledger,
-                                     1.0 + u_a.target_diagonal)
-    else:
-        amplified = BlockEncoding(2.0 * v2.encoded, 1.0, eps1,
-                                  v2.ancilla_qubits + 1, ledger,
-                                  np.eye(u_a.system_dim) + u_a.target)
+    amplified = DiagonalEncoding(v2.eigen, 2.0 * v2.alpha * v2.factors, 1.0,
+                                 eps1, v2.ancilla_qubits + 1,
+                                 v2.ledger.scaled(q_amp),
+                                 1.0 + u_a.target_diagonal)
 
     out = polynomial_transform(amplified, poly.scaled(1.0 / 3.0))
-    w, lift = _spectral_targets(u_a)
-    return out.reattached(lift(np.exp(w * T)), eps, alpha=3.0)
+    return out.reattached(np.exp(u_a.target_diagonal.real * T), eps,
+                          alpha=3.0)
 
 
-def be_duhamel_negdef(u_a: BlockEncoding, T: float, delta: float,
-                      eps: float) -> BlockEncoding:
+def be_duhamel_negdef(u_a: DiagonalEncoding, T: float, delta: float,
+                      eps: float) -> DiagonalEncoding:
     """(16/(3δ), 2n_A+6, ε)-block-encoding of ∫₀ᵀ e^{A(T-s)} ds.
 
     Combines e^{AT} and -I through the (4,1,0)-state-preparation pair of
     (3,-1) realized by R_y(±π/3), then multiplies by the inverse encoding.
     The error budget puts ε/2 on each factor of the product rule
-    4ε″ + 16ε′/(9δ), i.e. ε′ = 9δε/32 and ε″ = ε/8.
+    4ε″ + 16ε′/(9δ), i.e. ε′ = 9δε/32 and ε″ = ε/8.  ``u_a`` must be a
+    DiagonalEncoding, as for ``be_exp_negdef``.
     """
     _check_negdef(u_a, delta)
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     eps_exp = 9.0 * delta * eps / 32.0
     eps_inv = eps / 8.0
-    w, lift = _spectral_targets(u_a)
+    w = u_a.target_diagonal.real
 
     u_exp = _exp_negdef(u_a, T, delta, eps_exp)
     # view the (3,·,ε′)-encoding of e^{AT} as a (1,·,ε′/3)-encoding of e^{AT}/3
-    u_exp_unit = u_exp.reattached(lift(np.exp(w * T) / 3.0), eps_exp / 3.0,
+    u_exp_unit = u_exp.reattached(np.exp(w * T) / 3.0, eps_exp / 3.0,
                                   alpha=1.0)
-    ident = _identity_like(u_exp)
+    ones = np.ones(u_a.system_dim, dtype=complex)
+    ident = DiagonalEncoding(u_a.eigen, ones, 1.0, 0.0, u_exp.ancilla_qubits,
+                             QueryLedger(), ones)
     pair = StatePreparationPair(ry(math.pi / 3.0), ry(-math.pi / 3.0), 4.0)
     shifted = lcu_combine(pair, [u_exp_unit, ident])
 
     u_inv = invert(u_a, delta, eps_inv)
     prod = multiply(shifted, u_inv)
-    return prod.reattached(lift(exp_integral(w, T)), eps)
+    return prod.reattached(exp_integral(w, T), eps)
 
 
 def lcs_branches(w0: float, w1: float,
@@ -325,26 +314,24 @@ def solve_negdef(p: OdeProblem, delta: float, eps: float) -> SolveReport:
         lambda eps1: be_duhamel_negdef(u_a, T, delta, min(eps1, 0.49)))
 
 
-def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
+def solve_sqrt_access(p: OdeProblem, u_h: DiagonalEncoding,
                       eps: float) -> SolveReport:
     """Fast-forwarded solve for A = -H² through a block-encoding of H.
 
     e^{AT} comes from the even gaussian approximant of e^{-βx²} with
     β = T·α_H² (normalization 3); the Duhamel integral from the integrated
-    gaussian (normalization 3T).  Constant b or none.  On a DiagonalEncoding
-    of H (``exact_dilation`` of a Hermitian H) every transform stays on its
-    eigenbasis.
+    gaussian (normalization 3T).  Constant b or none.  ``u_h`` must be a
+    DiagonalEncoding (``exact_dilation`` of a Hermitian H; any other
+    encoding raises), and every transform, and -H², stays on its eigenbasis.
     """
-    require_hermitian_target(u_h, "needs an encoding of H with an attached "
-                             "target", "H must be Hermitian")
-    h = u_h.target
-    if spectral_norm(-(h @ h) - p.matrix) > 1e-9:
+    hw = _hermitian_diagonal(u_h, "H")
+    if spectral_norm(u_h.eigen.apply_function(lambda _: -hw * hw)
+                     - p.matrix) > 1e-9:
         raise ValueError("problem coefficient does not equal -H²")
 
     T = p.horizon
     beta = T * u_h.alpha ** 2
-    hw, lift = _spectral_targets(u_h)
-    exp_target = lift(np.exp(-T * hw ** 2))
+    exp_target = np.exp(-T * hw ** 2)
     fits = []
 
     def encode(poly, target, tol, alpha):
@@ -355,7 +342,7 @@ def solve_sqrt_access(p: OdeProblem, u_h: BlockEncoding,
     def encode_duhamel(eps1):
         eps1 = min(eps1, 0.24)
         return encode(approx_gaussian_integral(beta, eps1 / T),
-                      lift(exp_integral(-hw ** 2, T)), eps1, 3.0 * T)
+                      exp_integral(-hw ** 2, T), eps1, 3.0 * T)
 
     rep = _solve_lcs(p, eps, lambda eps0: encode(
         approx_gaussian(beta, eps0), exp_target, eps0, 3.0), encode_duhamel)

@@ -99,6 +99,42 @@ def test_bad_pde_problem_is_a_schema_error(tmp_path, capsys, problem):
     assert not (tmp_path / "demo-heat.csv").exists()
 
 
+HEAT = {"id": "heat", "type": "pde", "kind": "heat", "n": 8}
+ODE_WITH_B = {"id": "r", "type": "ode", "family": "random-normal", "N": 4}
+
+#: case -> (solver, the one bad sweep axis, problem); every other axis is
+#: valid, so each value alone must be rejected
+BAD_SWEEP_VALUES = {
+    "eps-zero-pde": ("eigen", {"eps": [0]}, HEAT),
+    "eps-negative": ("eigen", {"eps": [-1e-3]}, HEAT),
+    "eps-above-one": ("eigen", {"eps": [1.5]}, HEAT),
+    "eps-one": ("eigen", {"eps": [1e-6, 1]}, ODE_WITH_B),
+    "eps-non-numeric": ("eigen", {"eps": ["1e-6"]}, ODE_WITH_B),
+    "T-zero-ode": ("eigen", {"T": [0]}, ODE_WITH_B),
+    "T-negative-pde": ("eigen", {"T": [-0.5]}, HEAT),
+    "T-non-numeric": ("eigen", {"T": [None]}, HEAT),
+    "M-zero": ("eigen-td", {"M": [0]}, ODE_WITH_B),
+    "M-fraction": ("eigen-td", {"M": [20.5]}, ODE_WITH_B),
+    "n-zero": ("eigen", {"n": [0]}, HEAT),
+    "d-boolean": ("eigen", {"d": [True]}, HEAT),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SWEEP_VALUES))
+def test_bad_sweep_value_is_a_schema_error(tmp_path, capsys, case):
+    solver, sweep, problem = BAD_SWEEP_VALUES[case]
+    cfg_obj = {"version": 1, "campaign": "bad", "solver": solver, "seed": 0,
+               "sweep": dict({"T": [0.5], "eps": [1e-3]}, **sweep),
+               "problems": [problem]}
+    cfg = write_config(tmp_path, cfg_obj)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"sweep axis '{next(iter(sweep))}'" in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_solver_problem_mismatch(tmp_path):
     bad = {
         "version": 1, "campaign": "bad", "solver": "eigen", "seed": 0,

@@ -4,10 +4,13 @@ Every operand here is ``exact_dilation`` of a random Hermitian matrix, so
 each rule combines factor and target diagonals on one ``EigenSystem``.  The
 same rule applied to the operands wrapped as plain ``BlockEncoding``s takes
 the dense path; block, target, alpha, claim, ancillas and ledger must agree
-to 1e-12.  Spectra include zero modes, repeated eigenvalues and the edges of
-[−1, −δ] (and of the inversion gap ±[δ, 1]).  The second half pins the O(N)
-checks: no rule calls ``spectral_norm`` on the way, and a factor pushed 1e-9
-past its claim in any construction a rule makes raises.
+to 1e-12.  The QSVT solver steps take a DiagonalEncoding only, so they are
+checked against independent dense targets of the matrix instead, and a
+dense encoding must be rejected at their entry.  Spectra include zero modes,
+repeated eigenvalues and the edges of [−1, −δ] (and of the inversion gap
+±[δ, 1]).  The second half pins the O(N) checks: no rule calls
+``spectral_norm`` on the way, and a factor pushed 1e-9 past its claim in
+any construction a rule makes raises.
 """
 
 import numpy as np
@@ -18,8 +21,10 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 import ffode.block_encoding as bem
 from ffode import (
-    BlockEncoding, DiagonalEncoding, StatePreparationPair, exact_dilation,
-    invert, lcu_combine, multiply, polynomial_transform, spectral_norm,
+    BlockEncoding, DiagonalEncoding, OdeProblem, StatePreparationPair,
+    exact_dilation, invert, lcu_combine, matrix_exponential, multiply,
+    polynomial_transform, solve_sqrt_access, spectral_norm,
+    verify_block_encoding,
 )
 from ffode.config import TOL
 from ffode.qsvt_solvers import _half_shift, be_duhamel_negdef, be_exp_negdef
@@ -42,13 +47,19 @@ SPECTRA = {
 }
 
 
-def _operand(eigenvalues, seed):
+def _matrix(eigenvalues, seed):
+    """(a Hermitian matrix with these eigenvalues, the rng after drawing it)"""
     n = len(eigenvalues)
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((n, n))
                      + 1j * rng.standard_normal((n, n)))[0]
     a = (q * np.asarray(eigenvalues)) @ q.conj().T
-    u = exact_dilation((a + a.conj().T) / 2.0, 1.0)
+    return (a + a.conj().T) / 2.0, rng
+
+
+def _operand(eigenvalues, seed):
+    a, rng = _matrix(eigenvalues, seed)
+    u = exact_dilation(a, 1.0)
     assert isinstance(u, DiagonalEncoding)
     return u, rng
 
@@ -71,20 +82,6 @@ def _pair(rng):
 
 def _same(be):
     return be
-
-
-def _rule_half_shift(u, rng, wrap):
-    return _half_shift(wrap(u))
-
-
-def _rule_exp(u, rng, wrap):
-    T, eps = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-8, -2)
-    return be_exp_negdef(wrap(u), T, DELTA, eps)
-
-
-def _rule_duhamel(u, rng, wrap):
-    T, eps = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-8, -2)
-    return be_duhamel_negdef(wrap(u), T, DELTA, eps)
 
 
 def _rule_polynomial(u, rng, wrap):
@@ -122,9 +119,6 @@ def _rule_padded(u, rng, wrap):
 
 #: rule -> (spectrum of its operand, the rule on wrap(operands))
 RULES = {
-    "half_shift": ("hermitian", _rule_half_shift),
-    "exp_negdef": ("negdef", _rule_exp),
-    "duhamel_negdef": ("negdef", _rule_duhamel),
     "polynomial_transform": ("hermitian", _rule_polynomial),
     "lcu_combine": ("hermitian", _rule_lcu),
     "multiply": ("hermitian", _rule_multiply),
@@ -158,6 +152,67 @@ def test_diagonal_rule_matches_the_dense_rule(rule, data, seed):
     assert diag.ledger == full.ledger
 
 
+# --- the QSVT solver steps, on a DiagonalEncoding only ---------------------
+
+def _step_half_shift(u, a, rng):
+    return _half_shift(u), (np.eye(len(a)) + a) / 2.0
+
+
+def _step_exp(u, a, rng):
+    T, eps = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-8, -2)
+    return be_exp_negdef(u, T, DELTA, eps), matrix_exponential(a, T)
+
+
+def _step_duhamel(u, a, rng):
+    T, eps = rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-8, -2)
+    duhamel = np.linalg.solve(a, matrix_exponential(a, T) - np.eye(len(a)))
+    return be_duhamel_negdef(u, T, DELTA, eps), duhamel
+
+
+#: step -> (spectrum of its operand, step(u, a, rng) -> (encoding of a's
+#: function, that function of the dense a), alpha, ancillas for n_A = 1)
+STEPS = {
+    "half_shift": ("hermitian", _step_half_shift, 1.0, 2),
+    "exp_negdef": ("negdef", _step_exp, 3.0, 5),
+    "duhamel_negdef": ("negdef", _step_duhamel, 16.0 / (3.0 * DELTA), 8),
+}
+
+
+@pytest.mark.parametrize("step", list(STEPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_solver_step_meets_its_claim_on_the_dense_target(step, data, seed):
+    spectrum, apply_step, alpha, ancillas = STEPS[step]
+    a, rng = _matrix(data.draw(SPECTRA[spectrum]), seed)
+    u = exact_dilation(a, 1.0)
+    be, target = apply_step(u, a, rng)
+    assert isinstance(be, DiagonalEncoding)
+    assert be.alpha == pytest.approx(alpha, rel=1e-12, abs=0.0)
+    assert be.ancilla_qubits == ancillas
+    verify_block_encoding(be, target)
+
+
+def test_solver_steps_reject_a_dense_encoding():
+    a, rng = _matrix([-1.0, -0.5, -DELTA], 5)
+    u = exact_dilation(a, 1.0)
+    u0 = rng.standard_normal(3) + 0j
+    entries = [
+        lambda be: be_exp_negdef(be, 1.0, DELTA, 1e-6),
+        lambda be: be_duhamel_negdef(be, 1.0, DELTA, 1e-6),
+        lambda be: solve_sqrt_access(OdeProblem(-(a @ a), u0, 1.0), be, 1e-6),
+    ]
+    for entry in entries:
+        entry(u)  # the same matrix as a DiagonalEncoding passes
+        with pytest.raises(ValueError, match="DiagonalEncoding.*exact_dilation"
+                           ".*Hermitian"):
+            entry(dense(u))
+    # a non-Hermitian matrix dilates to a dense encoding, rejected the same
+    lopsided = exact_dilation(a + 0.1 * np.triu(np.ones((3, 3)), 1), 1.5)
+    assert not isinstance(lopsided, DiagonalEncoding)
+    with pytest.raises(ValueError, match="DiagonalEncoding"):
+        be_exp_negdef(lopsided, 1.0, DELTA, 1e-6)
+
+
 # --- the O(N) checks ------------------------------------------------------
 
 _PINNED = {"hermitian": [0.0, 0.0, -1.0, 0.5, 0.5, 1.0],
@@ -166,6 +221,11 @@ _PINNED = {"hermitian": [0.0, 0.0, -1.0, 0.5, 0.5, 1.0],
 
 
 def _pinned_operand(rule):
+    if rule in STEPS:
+        spectrum, apply_step = STEPS[rule][:2]
+        a, _ = _matrix(_PINNED[spectrum], 7)
+        u = exact_dilation(a, 1.0)
+        return u, lambda: apply_step(u, a, np.random.default_rng(8))[0]
     spectrum, apply_rule = RULES[rule]
     u, _ = _operand(_PINNED[spectrum], 7)
     return u, lambda: apply_rule(u, np.random.default_rng(8), _same)
@@ -190,7 +250,7 @@ def _pushing(original, index, made):
     return init
 
 
-@pytest.mark.parametrize("rule", list(RULES))
+@pytest.mark.parametrize("rule", list(STEPS) + list(RULES))
 def test_every_diagonal_construction_is_checked_in_O_N(rule, monkeypatch):
     u, run = _pinned_operand(rule)
     norms = []
