@@ -2,14 +2,17 @@
 
 A block-encoding hides a (generally non-unitary) matrix A inside the top-left
 block of a larger unitary, scaled by a normalization alpha.  The library
-stores only that block; ``.unitary`` builds one valid dilation on demand.
-This walkthrough builds one explicitly, verifies its error claim, and
-composes encodings with the four calculus rules while watching the query
-ledger grow.
+stores only that block, as U diag(f) U† on the eigenbasis U of a Hermitian
+A; ``.unitary`` builds one valid dilation on demand.  This walkthrough
+builds one explicitly, verifies its error claim, and composes encodings with
+the four calculus rules while watching the query ledger grow.  The rules
+compose encodings on one eigenbasis, so the second operand B is made from A
+by a polynomial transform.
 """
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.polynomial import Polynomial
 
 from ffode import (
     StatePreparationPair, exact_dilation, invert, lcu_combine, multiply,
@@ -34,9 +37,14 @@ print()
 print("=" * 70)
 print("2. linear combination:  0.6*A + 0.4*B through a state-prep pair")
 print("=" * 70)
-b = 0.5 * np.eye(2, dtype=complex)
+# B = (I + A²)/4 on A's eigenbasis, by a degree-2 transform (|p| <= 1/2)
+be_b = polynomial_transform(be, Polynomial([0.25, 0.0, 0.25]))
+b = (np.eye(2) + a @ a) / 4.0
+print("B = (I + A^2)/4 by polynomial transform; error:",
+      verify_block_encoding(be_b, b))
 pair = StatePreparationPair.from_vector([0.6, 0.4])
-combo = lcu_combine(pair, [be, exact_dilation(b, 1.0)])
+# LCU needs one ancilla layout: pad A's encoding to B's three ancillas
+combo = lcu_combine(pair, [be.padded(be_b.ancilla_qubits - 1), be_b])
 print("normalization alpha grows to beta =", combo.alpha)
 print("error vs 0.6A + 0.4B:",
       verify_block_encoding(combo, 0.6 * a + 0.4 * b))
@@ -46,7 +54,7 @@ print()
 print("=" * 70)
 print("3. product and inverse")
 print("=" * 70)
-prod = multiply(be, exact_dilation(b, 1.0))
+prod = multiply(be, be_b)
 print("product error:", verify_block_encoding(prod, a @ b))
 gapped = np.diag([0.5, -0.25]).astype(complex)
 inv = invert(exact_dilation(gapped, 1.0), 0.25, 1e-8)

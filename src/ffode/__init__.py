@@ -31,7 +31,6 @@ from .block_encoding import (
     QueryLedger,
     StatePreparationPair,
     exact_dilation,
-    identity_encoding,
     invert,
     lcu_combine,
     multiply,

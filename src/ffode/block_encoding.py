@@ -1,15 +1,26 @@
-"""Block-encodings held as their encoded block, with query accounting.
+"""Block-encodings on one eigenbasis, with query accounting.
 
 A block-encoding is a unitary whose top-left ``system_dim`` × ``system_dim``
 block, scaled by the normalization ``alpha``, approximates a target matrix to
 within ``epsilon_claim``.  Every lemma of the calculus (linear combination,
 product, inverse, bounded polynomial) is a statement about that block, so the
-block is all that is stored: the calculus maps blocks to blocks while a
+block is all that is represented: the calculus maps blocks to blocks while a
 :class:`QueryLedger` tracks how many times each underlying oracle would be
 queried by the corresponding circuit.
 
 Conventions
 -----------
+* The calculus has one representation.  A :class:`DiagonalEncoding` holds a
+  block U diag(f) U† as the eigenbasis U of an :class:`EigenSystem`, the
+  factors f and the target's diagonal g (target = U diag(g) U†).  Each rule
+  (``lcu_combine``, ``multiply``, ``invert``, ``polynomial_transform``, and
+  the methods ``reattached`` and ``padded``) combines the factor and target
+  diagonals entrywise and checks them in O(N).  Every operand must be a
+  DiagonalEncoding, and all operands of one rule must share one
+  EigenSystem; a dense operand, or operands on different eigensystems,
+  raise ``ValueError``.
+* ``exact_dilation`` of a Hermitian or skew-Hermitian matrix is the usual
+  source of operands; it raises for any other matrix.
 * The stored block is a contraction, which always has a unitary dilation
   with one ancilla qubit.  ``ancilla_qubits`` is accounting: the ancilla
   count of the circuit the lemma describes.  With zero ancillas the block is
@@ -20,16 +31,11 @@ Conventions
   prepended (most significant), so the block is its leading block.
 * Polynomial eigenvalue transforms are simulated by exact spectral calculus
   while the ledger charges the query cost of the corresponding circuit.
-* :class:`DiagonalEncoding` is the exception to storing the block: for a
-  block U diag(f) U† it keeps the eigenbasis, f and the target's diagonal,
-  applies the block through ``apply`` and builds it only on demand.  It
-  takes any ancilla count, and the calculus keeps it: when every operand
-  is a DiagonalEncoding on the same :class:`EigenSystem`, each rule
-  (``lcu_combine``, ``multiply``, ``invert``, ``polynomial_transform``,
-  ``reattached``, ``padded``) combines the factor and target diagonals
-  entrywise and checks them in O(N).  ``exact_dilation`` of a Hermitian or
-  skew-Hermitian matrix is the usual source of such operands; any dense
-  operand sends a rule down the dense path.
+* :class:`BlockEncoding`, a dense block, is the base class: it holds the
+  construction checks (with their SVD fallback), ``encoded`` and
+  ``unitary``, which DiagonalEncoding inherits, and it is the form in which
+  a test writes down an encoding the calculus cannot make, such as one whose
+  error does not commute with its block.  No rule accepts it.
 """
 
 from __future__ import annotations
@@ -138,6 +144,7 @@ class BlockEncoding:
     ancilla count exists: the block must be a contraction, or unitary when
     there are no ancillas.  ``target`` is the analytic matrix the encoding
     claims to represent; when present it is re-verified at construction time.
+    No calculus rule accepts this dense form (see the module docstring).
     """
 
     block: np.ndarray
@@ -218,24 +225,6 @@ class BlockEncoding:
         bottom_left = (vh.conj().T * sc) @ vh
         dil = np.block([[m, top_right], [bottom_left, -m.conj().T]])
         return np.kron(np.eye(2 ** (self.ancilla_qubits - 1)), dil)
-
-    def reattached(self, target, epsilon_claim: float,
-                   alpha: float | None = None) -> "BlockEncoding":
-        """Same circuit, new claim (e.g. reinterpreting a scaled encoding)."""
-        return BlockEncoding(self.block,
-                             self.alpha if alpha is None else float(alpha),
-                             float(epsilon_claim), self.ancilla_qubits,
-                             self.ledger, np.asarray(target, dtype=complex))
-
-    def padded(self, extra_ancillas: int) -> "BlockEncoding":
-        """Add identity ancillas; the block is unchanged."""
-        if extra_ancillas < 0:
-            raise ValueError("cannot remove ancillas")
-        if extra_ancillas == 0:
-            return self
-        return BlockEncoding(self.block, self.alpha, self.epsilon_claim,
-                             self.ancilla_qubits + extra_ancillas, self.ledger,
-                             self.target)
 
 
 def verify_block_encoding(be: BlockEncoding, target) -> float:
@@ -318,18 +307,21 @@ class DiagonalEncoding(BlockEncoding):
         return self.eigen.apply(self.factors * self.eigen.apply_adjoint(v))
 
     def reattached(self, target, epsilon_claim: float,
-                   alpha: float | None = None) -> BlockEncoding:
-        """A 1-d ``target`` is a new target diagonal on this eigenbasis; a
-        matrix takes the dense path."""
+                   alpha: float | None = None) -> "DiagonalEncoding":
+        """Same circuit, new claim (e.g. reinterpreting a scaled encoding):
+        ``target`` is the new target's diagonal on this eigenbasis."""
         target = np.asarray(target, dtype=complex)
         if target.ndim != 1:
-            return super().reattached(target, epsilon_claim, alpha)
+            raise ValueError(
+                "reattached takes the target's diagonal on the encoding's "
+                f"eigenbasis, a 1-d array; got {target.ndim}-d")
         return DiagonalEncoding(self.eigen, self.factors,
                                 self.alpha if alpha is None else float(alpha),
                                 float(epsilon_claim), self.ancilla_qubits,
                                 self.ledger, target)
 
     def padded(self, extra_ancillas: int) -> "DiagonalEncoding":
+        """Add identity ancillas; the block is unchanged."""
         if extra_ancillas < 0:
             raise ValueError("cannot remove ancillas")
         if extra_ancillas == 0:
@@ -340,29 +332,31 @@ class DiagonalEncoding(BlockEncoding):
                                 self.ledger, self.target_diagonal)
 
 
-def _shared_eigen(encodings) -> EigenSystem | None:
-    """The one :class:`EigenSystem` of a list of DiagonalEncodings, or None
-    when an operand is dense or they sit on different eigensystems."""
+def _shared_eigen(rule: str, encodings) -> EigenSystem:
+    """The one :class:`EigenSystem` of ``rule``'s operands.
+
+    Raises unless every operand is a DiagonalEncoding and all of them sit on
+    the same EigenSystem: the calculus has no other representation."""
     first = encodings[0]
     if all(isinstance(e, DiagonalEncoding) and e.eigen is first.eigen
            for e in encodings):
         return first.eigen
-    return None
+    dense = [e for e in encodings if not isinstance(e, DiagonalEncoding)]
+    why = (f"got a dense {type(dense[0]).__name__}" if dense
+           else "the operands sit on different eigensystems")
+    raise ValueError(f"{rule} takes DiagonalEncodings on one EigenSystem only "
+                     "(exact_dilation of a Hermitian or skew-Hermitian "
+                     f"matrix); {why}")
 
 
-def require_hermitian_target(be: BlockEncoding, missing: str,
-                             not_hermitian: str) -> None:
-    """Raise ``ValueError(missing)`` without a target and
-    ``ValueError(not_hermitian)`` when ‖target − target†‖ > 1e-10.
+def require_hermitian_target(be: DiagonalEncoding, not_hermitian: str) -> None:
+    """Raise ``ValueError(not_hermitian)`` when ‖target − target†‖ > 1e-10.
 
-    A DiagonalEncoding passes on (1+δ_U)·max|g − ḡ| ≤ 1e-10; otherwise the
-    dense spectral norm decides."""
-    if isinstance(be, DiagonalEncoding):
-        g = be.target_diagonal
-        if be._widened_max(g - g.conj()) <= 1e-10:
-            return
-    elif be.target is None:
-        raise ValueError(missing)
+    Passes on (1+δ_U)·max|g − ḡ| ≤ 1e-10; otherwise the dense spectral norm
+    decides."""
+    g = be.target_diagonal
+    if be._widened_max(g - g.conj()) <= 1e-10:
+        return
     tgt = be.target
     if spectral_norm(tgt - tgt.conj().T) > 1e-10:
         raise ValueError(not_hermitian)
@@ -374,40 +368,42 @@ def ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def identity_encoding(system_dim: int, ancilla_qubits: int = 0) -> BlockEncoding:
-    """A (1, ancilla_qubits, 0)-encoding of the identity with an empty ledger."""
-    eye = np.eye(system_dim, dtype=complex)
-    return BlockEncoding(eye, 1.0, 0.0, ancilla_qubits, QueryLedger(), eye)
-
-
-def exact_dilation(a, alpha: float) -> BlockEncoding:
+def exact_dilation(a, alpha: float) -> DiagonalEncoding:
     """One-ancilla (alpha, 1, 0)-block-encoding of ``a``: the block a/alpha.
 
     Requires ‖a‖ ≤ alpha, so that a/alpha is a contraction and has the
     one-ancilla dilation of :attr:`BlockEncoding.unitary`.  The ledger
     charges a single use of U_A: the dilation *is* the primitive oracle.
 
-    A Hermitian or skew-Hermitian ``a`` is diagonalized once, by
+    ``a`` must be Hermitian or skew-Hermitian.  It is diagonalized once, by
     ``linalg.hermitian_eigh``, into a :class:`DiagonalEncoding` on that
     dense :class:`EigenSystem` (factors Λ/alpha, target diagonal Λ), on
-    which the calculus stays diagonal.  Its zero claim is measured, not
-    assumed: ‖UΛU† − a‖_F must be within ``TOL.verify_slack``·max(1, alpha).
-    Any other ``a``, or one that misses that bound, is held as its dense
-    block.
+    which the calculus runs.  Its zero claim is measured, not assumed:
+    ‖UΛU† − a‖_F must be within ``TOL.verify_slack``·max(1, alpha).  Any
+    other ``a``, or one that misses that bound, raises ``ValueError`` with
+    the measured residual: the calculus has no dense representation.
     """
     m = as_square(a)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    ledger = QueryLedger({U_A: 1})
     pair = hermitian_eigh(m)
-    if pair is not None:
-        w, v = pair
-        eigen = EigenSystem(v, w)
-        slack = TOL.verify_slack * max(1.0, alpha)
-        if np.linalg.norm(eigen.matrix - m) <= slack:
-            return DiagonalEncoding(eigen, w / alpha, float(alpha), 0.0, 1,
-                                    ledger, w)
-    return BlockEncoding(m / alpha, float(alpha), 0.0, 1, ledger, m)
+    if pair is None:
+        residual = min(np.linalg.norm(m - m.conj().T),
+                       np.linalg.norm(m + m.conj().T))
+        raise ValueError(
+            "exact_dilation needs a Hermitian or skew-Hermitian matrix, the "
+            "one kind the calculus diagonalizes: min ‖a ∓ a†‖_F = "
+            f"{residual:.3e}")
+    w, v = pair
+    eigen = EigenSystem(v, w)
+    slack = TOL.verify_slack * max(1.0, alpha)
+    residual = np.linalg.norm(eigen.matrix - m)
+    if residual > slack:
+        raise ValueError(
+            "exact_dilation: the eigendecomposition misses its slack, "
+            f"‖UΛU† − a‖_F = {residual:.3e} > {slack:.3e}")
+    return DiagonalEncoding(eigen, w / alpha, float(alpha), 0.0, 1,
+                            QueryLedger({U_A: 1}), w)
 
 
 @dataclass
@@ -466,22 +462,22 @@ class StatePreparationPair:
 
 
 def lcu_combine(prep: StatePreparationPair,
-                blocks: list[BlockEncoding]) -> BlockEncoding:
+                blocks: list[DiagonalEncoding]) -> DiagonalEncoding:
     """Linear combination Σ y_j A_j of identically-shaped block-encodings.
 
-    All blocks must share system dimension, ancilla layout and normalization
-    alpha; the result is an (alpha*beta, n_a+k, alpha*beta*max_eps)-encoding.
-    The circuit (P_L† ⊗ I) (Σ_j |j><j| ⊗ U_j) (P_R ⊗ I) has the leading block
+    All blocks must be DiagonalEncodings on one EigenSystem and share
+    ancilla layout and normalization alpha; the result is an
+    (alpha*beta, n_a+k, alpha*beta*max_eps)-encoding.  The circuit
+    (P_L† ⊗ I) (Σ_j |j><j| ⊗ U_j) (P_R ⊗ I) has the leading block
     Σ_j conj(c_j) d_j · block_j, with c and d the first columns of P_L and
     P_R.  The ledger adds one use of every block and one of the preparation
     pair.
     """
     if len(blocks) != prep.size:
         raise ValueError(f"need {prep.size} blocks, got {len(blocks)}")
+    eigen = _shared_eigen("lcu_combine", blocks)
     first = blocks[0]
     for b in blocks[1:]:
-        if b.system_dim != first.system_dim:
-            raise ValueError("blocks disagree on system dimension")
         if b.ancilla_qubits != first.ancilla_qubits:
             raise ValueError("blocks disagree on ancilla layout")
         if abs(b.alpha - first.alpha) > 1e-12 * max(1.0, first.alpha):
@@ -492,82 +488,61 @@ def lcu_combine(prep: StatePreparationPair,
     alpha = first.alpha * prep.beta
     eps = alpha * max(b.epsilon_claim for b in blocks)
     ledger = QueryLedger().merged(*[b.ledger for b in blocks]).charge(PREP_PAIR, 1)
-    eigen = _shared_eigen(blocks)
-    if eigen is not None:
-        return DiagonalEncoding(
-            eigen, sum(w * b.factors for w, b in zip(weights, blocks)), alpha,
-            eps, first.ancilla_qubits + k, ledger,
-            sum(yj * b.target_diagonal for yj, b in zip(y, blocks)))
-    block = sum(w * b.block for w, b in zip(weights, blocks))
-    target = None
-    if all(b.target is not None for b in blocks):
-        target = sum(yj * b.target for yj, b in zip(y, blocks))
-    return BlockEncoding(block, alpha, eps, first.ancilla_qubits + k, ledger,
-                         target)
+    return DiagonalEncoding(
+        eigen, sum(w * b.factors for w, b in zip(weights, blocks)), alpha,
+        eps, first.ancilla_qubits + k, ledger,
+        sum(yj * b.target_diagonal for yj, b in zip(y, blocks)))
 
 
-def multiply(u_a: BlockEncoding, u_b: BlockEncoding) -> BlockEncoding:
+def multiply(u_a: DiagonalEncoding, u_b: DiagonalEncoding) -> DiagonalEncoding:
     """(alpha*beta, n_a+n_b, alpha*eps_b + beta*eps_a)-encoding of A·B.
 
     The circuit applies U_B, then U_A on separate ancilla registers; with
     both registers post-selected on zero its leading block is the product of
-    the two blocks.
+    the two blocks.  Both must be DiagonalEncodings on one EigenSystem.
     """
-    if u_a.system_dim != u_b.system_dim:
-        raise ValueError("system dimensions do not match")
+    eigen = _shared_eigen("multiply", [u_a, u_b])
     alpha = u_a.alpha * u_b.alpha
     eps = u_a.alpha * u_b.epsilon_claim + u_b.alpha * u_a.epsilon_claim
-    ancillas = u_a.ancilla_qubits + u_b.ancilla_qubits
-    eigen = _shared_eigen([u_a, u_b])
-    if eigen is not None:
-        return DiagonalEncoding(eigen, u_a.factors * u_b.factors, alpha, eps,
-                                ancillas, u_a.ledger + u_b.ledger,
-                                u_a.target_diagonal * u_b.target_diagonal)
-    target = None
-    if u_a.target is not None and u_b.target is not None:
-        target = u_a.target @ u_b.target
-    return BlockEncoding(u_a.block @ u_b.block, alpha, eps, ancillas,
-                         u_a.ledger + u_b.ledger, target)
+    return DiagonalEncoding(eigen, u_a.factors * u_b.factors, alpha, eps,
+                            u_a.ancilla_qubits + u_b.ancilla_qubits,
+                            u_a.ledger + u_b.ledger,
+                            u_a.target_diagonal * u_b.target_diagonal)
 
 
-def invert(u_a: BlockEncoding, delta: float, epsilon: float) -> BlockEncoding:
+def invert(u_a: DiagonalEncoding, delta: float,
+           epsilon: float) -> DiagonalEncoding:
     """(4/(3δ), n_A+1, ε)-encoding of A⁻¹ for a gapped Hermitian target.
 
-    The inverse itself is computed by exact eigendecomposition (on the
-    target diagonal of a DiagonalEncoding, whose gap is checked with its
-    ``eigenvalue_spread`` before ``eigvalsh`` is consulted); the ledger
+    Needs 0 < δ ≤ 1 and 0 < ε < 1, so that δε < 1.  The inverse itself is
+    computed exactly on the target diagonal, whose gap is checked with its
+    ``eigenvalue_spread`` before ``eigvalsh`` is consulted; the ledger
     charges ceil(c·(1/δ)·ln(1/(δε))) uses of the input encoding with
     c = INVERSE_QUERY_CONSTANT.
     """
-    require_hermitian_target(u_a, "inversion needs an attached Hermitian target",
-                             "inversion target must be Hermitian")
+    _shared_eigen("invert", [u_a])
+    require_hermitian_target(u_a, "inversion target must be Hermitian")
     if not (0 < delta <= 1):
         raise ValueError("need 0 < delta <= 1")
+    if not (0 < epsilon < 1):
+        raise ValueError(f"need 0 < epsilon < 1, got {epsilon}")
 
     def gapped(w, spread):
         return (np.min(np.abs(w)) - spread >= delta * (1.0 - 1e-12)
                 and np.max(np.abs(w)) + spread <= 1.0 + 1e-12)
 
+    w = u_a.target_diagonal.real
+    if not (gapped(w, u_a.eigenvalue_spread())
+            or gapped(np.linalg.eigvalsh(u_a.target), 0.0)):
+        raise ValueError(
+            f"spectrum {w} violates the gap [-1,-δ]∪[δ,1] with δ = {delta}")
     alpha = 4.0 / (3.0 * delta)
     queries = max(1, math.ceil(
         INVERSE_QUERY_CONSTANT * (1.0 / delta) * math.log(1.0 / (delta * epsilon))))
-    ledger = u_a.ledger.scaled(queries)
-    if isinstance(u_a, DiagonalEncoding):
-        w = u_a.target_diagonal.real
-        if not (gapped(w, u_a.eigenvalue_spread())
-                or gapped(np.linalg.eigvalsh(u_a.target), 0.0)):
-            raise ValueError(
-                f"spectrum {w} violates the gap [-1,-δ]∪[δ,1] with δ = {delta}")
-        inv = (1.0 / w).astype(complex)
-        return DiagonalEncoding(u_a.eigen, inv / alpha, alpha, float(epsilon),
-                                u_a.ancilla_qubits + 1, ledger, inv)
-    w, v = np.linalg.eigh(u_a.target)
-    if not gapped(w, 0.0):
-        raise ValueError(
-            f"spectrum {w} violates the gap [-1,-δ]∪[δ,1] with δ = {delta}")
-    inv = (v * (1.0 / w)) @ v.conj().T
-    return BlockEncoding(inv / alpha, alpha, float(epsilon),
-                         u_a.ancilla_qubits + 1, ledger, inv)
+    inv = (1.0 / w).astype(complex)
+    return DiagonalEncoding(u_a.eigen, inv / alpha, alpha, float(epsilon),
+                            u_a.ancilla_qubits + 1, u_a.ledger.scaled(queries),
+                            inv)
 
 
 def _assert_poly_bounded(p, degree: int, bound: float = 0.5) -> None:
@@ -582,39 +557,29 @@ def _assert_poly_bounded(p, degree: int, bound: float = 0.5) -> None:
             f"polynomial exceeds the sup-norm bound: max |p| = {worst:.6g} > {bound}")
 
 
-def polynomial_transform(u_a: BlockEncoding, p) -> BlockEncoding:
+def polynomial_transform(u_a: DiagonalEncoding, p) -> DiagonalEncoding:
     """(1, n_A+2, 4d·sqrt(ε/α))-encoding of P(A/α) for |P| ≤ 1/2 on [-1,1].
 
     ``p`` may be any callable polynomial exposing ``degree()`` (numpy
     polynomial classes and ApproxPolynomial both do).  The sup-norm
     requirement is certified on a Chebyshev grid of 4·deg points; the
-    transform is applied by exact spectral calculus on the actual encoded
-    block (on the factor and target diagonals of a DiagonalEncoding, whose
-    Hermitian parts are their real parts), and the ledger charges deg
-    applications of the encoding plus one controlled use and O((n_A+1)·d)
-    one/two-qubit gates.
+    transform is applied by exact spectral calculus on the factor and target
+    diagonals (whose Hermitian parts are their real parts), and the ledger
+    charges deg applications of the encoding plus one controlled use and
+    O((n_A+1)·d) one/two-qubit gates.
     """
-    require_hermitian_target(
-        u_a, "polynomial transform needs an attached Hermitian target",
-        "polynomial transform target must be Hermitian")
+    _shared_eigen("polynomial_transform", [u_a])
+    require_hermitian_target(u_a,
+                             "polynomial transform target must be Hermitian")
     d = int(p.degree())
     _assert_poly_bounded(p, d)
 
     def apply_poly(w):
         return np.real(p(np.clip(w, -1.0, 1.0))).astype(complex)
 
-    def apply_poly_dense(mat):
-        w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-        return (v * apply_poly(w)) @ v.conj().T
-
     claim = 4.0 * d * math.sqrt(u_a.epsilon_claim / u_a.alpha)
     gates = (u_a.ancilla_qubits + 1) * d
-    ledger = u_a.ledger.scaled(d + 1).charge(GATES, gates)
-    if isinstance(u_a, DiagonalEncoding):
-        return DiagonalEncoding(
-            u_a.eigen, apply_poly(u_a.factors.real), 1.0, claim,
-            u_a.ancilla_qubits + 2, ledger,
-            apply_poly(u_a.target_diagonal.real / u_a.alpha))
-    return BlockEncoding(apply_poly_dense(u_a.block), 1.0, claim,
-                         u_a.ancilla_qubits + 2, ledger,
-                         apply_poly_dense(u_a.target / u_a.alpha))
+    return DiagonalEncoding(
+        u_a.eigen, apply_poly(u_a.factors.real), 1.0, claim,
+        u_a.ancilla_qubits + 2, u_a.ledger.scaled(d + 1).charge(GATES, gates),
+        apply_poly(u_a.target_diagonal.real / u_a.alpha))

@@ -13,9 +13,9 @@ from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import linear_sum_assignment
 
 from ffode import (
-    AmplifierCircuit, EigenSystem, OdeProblem, PdeSpec,
-    SampledSource, amplifier_bound_check, build_dh, build_dh3, build_dh4,
-    build_vh, certified_degree_scan, dense_operator, eigensystem_of,
+    AmplifierCircuit, DiagonalEncoding, EigenSystem, OdeProblem, PdeSpec,
+    QueryLedger, SampledSource, amplifier_bound_check, build_dh, build_dh3,
+    build_dh4, build_vh, certified_degree_scan, dense_operator, eigensystem_of,
     equilibrium_reduction_check, exact_dilation, invert, lcu_combine,
     lift_hyperbolic, matrix_exponential, multiply,
     polynomial_transform, quadrature_error_bound, shifting_equivalence_check,
@@ -90,13 +90,22 @@ def test_criterion_1_block_encoding_calculus():
     for _ in range(50):  # 4 constructor checks per round = 200 instances
         n = int(rng.integers(2, 17))
 
-        # linear combination: alpha*beta*eps error scaling
+        # the calculus composes on one eigenbasis: a1 and every error are
+        # diagonal on the one exact_dilation of a0
         a0 = random_hermitian(rng, n, 0.8)
-        a1 = random_hermitian(rng, n, 0.8)
+        base = exact_dilation(a0, 1.0)
+
+        def on_a0(diagonal):
+            return base.eigen.apply_function(lambda _: diagonal)
+
+        # linear combination: alpha*beta*eps error scaling
+        w1 = rng.uniform(-0.8, 0.8, n).astype(complex)
+        a1 = on_a0(w1)
         eps0 = float(rng.uniform(0.0, 1e-4))
-        e_mat = random_hermitian(rng, n, eps0) if eps0 > 0 else 0.0 * a0
-        be0 = exact_dilation(a0, 1.0).reattached(a0 + e_mat, eps0 + 1e-15)
-        be1 = exact_dilation(a1, 1.0)
+        e0 = eps0 * rng.uniform(-1.0, 1.0, n)
+        e_mat = on_a0(e0)
+        be0 = base.reattached(base.target_diagonal + e0, eps0 + 1e-15)
+        be1 = DiagonalEncoding(base.eigen, w1, 1.0, 0.0, 1, QueryLedger(), w1)
         y = rng.uniform(0.2, 1.0, 2)
         pair = StatePreparationPair.from_vector(y)
         lcu = lcu_combine(pair, [be0, be1])
@@ -125,10 +134,10 @@ def test_criterion_1_block_encoding_calculus():
         d = int(rng.integers(1, 9))
         poly = bounded_random_poly(rng, d)
         eps_in = float(rng.uniform(1e-8, 1e-5))
-        e2 = random_hermitian(rng, n, eps_in)
-        be_p = exact_dilation(a0, 1.0).reattached(a0 + e2, eps_in + 1e-15)
+        e2 = eps_in * rng.uniform(-1.0, 1.0, n)
+        be_p = base.reattached(base.target_diagonal + e2, eps_in + 1e-15)
         out = polynomial_transform(be_p, poly)
-        wt, vt = np.linalg.eigh(a0 + e2)
+        wt, vt = np.linalg.eigh(a0 + on_a0(e2))
         target = (vt * poly(np.clip(wt, -1, 1))) @ vt.conj().T
         measured = verify_block_encoding(out, target)
         assert measured <= 4 * d * math.sqrt(be_p.epsilon_claim) + 1e-11

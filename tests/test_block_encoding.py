@@ -1,4 +1,10 @@
-"""Block-encoding calculus: constructors, verification, ledger accounting."""
+"""Block-encoding calculus: constructors, verification, ledger accounting.
+
+The calculus runs on DiagonalEncodings on one EigenSystem only, so every
+composition here takes its operands from one ``exact_dilation``, from
+``polynomial_transform`` of it, or as diagonals on one random eigenbasis; a
+dense or mixed-basis operand must raise.
+"""
 
 import math
 
@@ -9,13 +15,16 @@ from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.polynomial import Polynomial
 
 from ffode import (
-    BlockEncoding, QueryLedger, StatePreparationPair, exact_dilation,
-    identity_encoding, invert, lcu_combine, matrix_exponential, multiply,
-    polynomial_transform, spectral_norm, verify_block_encoding,
+    BlockEncoding, DiagonalEncoding, EigenSystem, QueryLedger,
+    StatePreparationPair, exact_dilation, invert, lcu_combine,
+    matrix_exponential, multiply, polynomial_transform, spectral_norm,
+    verify_block_encoding,
 )
 from ffode.block_encoding import GATES, PREP_PAIR, U_A, ry
 from ffode.poly_approx import approx_exp_shifted
 from ffode.qsvt_solvers import _half_shift
+
+import dense_calculus as oracle
 
 
 def random_unitary(rng, n):
@@ -29,6 +38,25 @@ def random_hermitian_contraction(rng, n, scale=0.9):
     return scale * h / spectral_norm(h)
 
 
+def on_eigenbasis(eigen, factors, ancillas=1, target=None, claim=0.0):
+    """A (1, ancillas, claim)-DiagonalEncoding with these factors on eigen;
+    the target diagonal defaults to the factors."""
+    factors = np.asarray(factors, dtype=complex)
+    return DiagonalEncoding(eigen, factors, 1.0, claim, ancillas,
+                            QueryLedger(),
+                            factors if target is None else target)
+
+
+def identity_on(be, ancillas):
+    """(1, ancillas, 0)-encoding of I on ``be``'s eigenbasis."""
+    return on_eigenbasis(be.eigen, np.ones(be.system_dim), ancillas)
+
+
+def matrix_of(be, diagonal):
+    """U diag(diagonal) U† on ``be``'s eigenbasis."""
+    return be.eigen.apply_function(lambda _: np.asarray(diagonal))
+
+
 def test_dilation_scaled_identity():
     be = exact_dilation(0.5 * np.eye(2), 1.0)
     assert np.allclose(be.block, 0.5 * np.eye(2))
@@ -38,8 +66,9 @@ def test_dilation_scaled_identity():
 
 def test_dilation_of_unitary_has_zero_offdiagonals():
     rng = np.random.default_rng(0)
-    u = random_unitary(rng, 4)
-    be = exact_dilation(u, 1.0)
+    q = random_unitary(rng, 4)
+    u = (q * np.array([1.0, -1.0, 1.0, -1.0])) @ q.conj().T
+    be = exact_dilation((u + u.conj().T) / 2, 1.0)
     assert np.allclose(be.unitary[:4, 4:], 0.0, atol=1e-12)
     assert np.allclose(be.unitary[4:, :4], 0.0, atol=1e-12)
 
@@ -69,12 +98,12 @@ def test_dilation_isometry_on_zero_ancilla_subspace():
 def test_verify_detects_attached_error():
     a = np.diag([0.3, -0.4]).astype(complex)
     be = exact_dilation(a, 1.0)
-    e = np.diag([0.01, 0.0])
-    perturbed = be.reattached(a + e, 0.0100001)
-    err = verify_block_encoding(perturbed, a + e)
+    e = np.array([0.01, 0.0])
+    perturbed = be.reattached(be.target_diagonal + e, 0.0100001)
+    err = verify_block_encoding(perturbed, a + matrix_of(be, e))
     assert err == pytest.approx(0.01, abs=1e-12)
     with pytest.raises(ValueError):
-        be.reattached(a + e, 0.001)
+        be.reattached(be.target_diagonal + e, 0.001)
 
 
 def test_verify_shape_mismatch():
@@ -88,8 +117,10 @@ def test_prep_pair_from_vector_and_selector():
     assert np.allclose(pair.target_vector, [1.0, 0.0])
     rng = np.random.default_rng(2)
     a = random_hermitian_contraction(rng, 2)
-    other = random_hermitian_contraction(rng, 2)
-    lcu = lcu_combine(pair, [exact_dilation(a, 1.0), exact_dilation(other, 1.0)])
+    be = exact_dilation(a, 1.0)
+    # a second operand on a's eigenbasis: (2a² − 1)/2
+    other = polynomial_transform(be, Chebyshev([0.0, 0.0, 0.5]))
+    lcu = lcu_combine(pair, [be.padded(2), other])
     assert verify_block_encoding(lcu, a) < 1e-12
 
 
@@ -100,7 +131,7 @@ def test_lcu_rotation_pair_exp_minus_identity():
     a = np.diag([-0.5, -0.8]).astype(complex)
     expm = matrix_exponential(a, 2.0)
     third = exact_dilation(expm / 3.0, 1.0)
-    ident = identity_encoding(2, 1)
+    ident = identity_on(third, 1)
     lcu = lcu_combine(pair, [third, ident])
     assert lcu.alpha == pytest.approx(4.0)
     assert verify_block_encoding(lcu, expm - np.eye(2)) < 1e-12
@@ -108,22 +139,25 @@ def test_lcu_rotation_pair_exp_minus_identity():
 
 def test_lcu_cancellation():
     pair = StatePreparationPair.from_vector([0.5, -0.5])
-    ident = identity_encoding(2, 0)
+    ident = identity_on(exact_dilation(0.5 * np.eye(2), 1.0), 0)
     lcu = lcu_combine(pair, [ident, ident])
     assert spectral_norm(lcu.encoded) < 1e-12
 
 
 def test_lcu_requires_matching_alpha():
     a = np.diag([0.2, 0.1]).astype(complex)
-    with pytest.raises(ValueError):
+    be = exact_dilation(a, 1.0)
+    # the same block read as a (2, 1, 0)-encoding of 2a
+    doubled = be.reattached(2.0 * be.target_diagonal, 0.0, alpha=2.0)
+    with pytest.raises(ValueError, match="common normalization"):
         lcu_combine(StatePreparationPair.from_vector([1.0, 1.0]),
-                    [exact_dilation(a, 1.0), exact_dilation(a, 2.0)])
+                    [be, doubled])
 
 
 def test_multiply_identity_and_diagonals():
     a = np.diag([0.5, -0.25]).astype(complex)
     be_a = exact_dilation(a, 1.0)
-    prod = multiply(be_a, identity_encoding(2, 0))
+    prod = multiply(be_a, identity_on(be_a, 0))
     assert verify_block_encoding(prod, a) < 1e-12
     assert prod.alpha == pytest.approx(1.0)
     half = exact_dilation(0.5 * np.eye(2), 1.0)
@@ -216,31 +250,36 @@ def test_ledger_scaling_and_merge():
 
 
 def test_lcu_error_scaling_random():
+    # the targets are off the blocks by errors diagonal on their eigenbasis
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = random_hermitian_contraction(rng, 4, scale=0.8)
-        e = random_hermitian_contraction(rng, 4, scale=1e-3)
         be_exact = exact_dilation(a, 1.0)
-        be_err = exact_dilation(a, 1.0).reattached(a + e, spectral_norm(e))
+        e = 1e-3 * rng.uniform(-1.0, 1.0, 4)
+        be_err = be_exact.reattached(be_exact.target_diagonal + e,
+                                     np.max(np.abs(e)))
         y = rng.uniform(0.2, 1.0, 2)
         pair = StatePreparationPair.from_vector(y)
         lcu = lcu_combine(pair, [be_err, be_exact])
-        target = y[0] * (a + e) + y[1] * a
+        target = y[0] * (a + matrix_of(be_exact, e)) + y[1] * a
         measured = spectral_norm(target - lcu.encoded)
-        assert measured <= lcu.alpha * spectral_norm(e) + 1e-12
+        assert measured <= lcu.alpha * np.max(np.abs(e)) + 1e-12
 
 
 def test_multiply_error_scaling_random():
     rng = np.random.default_rng(4)
+    eigen = EigenSystem(random_unitary(rng, 4), np.zeros(4))
     for _ in range(10):
-        a = random_hermitian_contraction(rng, 4, 0.7)
-        b = random_hermitian_contraction(rng, 4, 0.7)
-        ea = random_hermitian_contraction(rng, 4, 1e-3)
-        eb = random_hermitian_contraction(rng, 4, 2e-3)
-        be_a = exact_dilation(a, 1.0).reattached(a + ea, spectral_norm(ea))
-        be_b = exact_dilation(b, 1.0).reattached(b + eb, spectral_norm(eb))
+        a, b = rng.uniform(-0.7, 0.7, (2, 4))
+        ea = 1e-3 * rng.uniform(-1.0, 1.0, 4)
+        eb = 2e-3 * rng.uniform(-1.0, 1.0, 4)
+        be_a = on_eigenbasis(eigen, a, target=a + ea,
+                             claim=np.max(np.abs(ea)))
+        be_b = on_eigenbasis(eigen, b, target=b + eb,
+                             claim=np.max(np.abs(eb)))
         prod = multiply(be_a, be_b)
-        measured = spectral_norm((a + ea) @ (b + eb) - prod.encoded)
+        exact = matrix_of(be_a, a + ea) @ matrix_of(be_a, b + eb)
+        measured = spectral_norm(exact - prod.encoded)
         bound = be_a.alpha * be_b.epsilon_claim + be_b.alpha * be_a.epsilon_claim
         assert measured <= bound + 1e-12
 
@@ -254,20 +293,23 @@ def test_padding_preserves_block():
 
 # --- the block calculus against the explicit circuits --------------------
 
-def random_contraction(rng, n, scale=0.9):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * g / spectral_norm(g)
+def random_encoding(rng, eigen, ancillas):
+    """A random complex contraction U diag(f) U†, |f| ≤ 0.9, on ``eigen``."""
+    n = eigen.dim
+    f = 0.9 * rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(
+        0.0, 1.0, n))
+    return on_eigenbasis(eigen, f, ancillas)
 
 
-def random_encoding(rng, n, ancillas):
-    a = random_contraction(rng, n)
-    return exact_dilation(a, 1.0).padded(ancillas - 1)
+def random_eigensystem(rng, n):
+    return EigenSystem(random_unitary(rng, n), np.zeros(n))
 
 
 def test_lcu_block_matches_selector_circuit():
     rng = np.random.default_rng(10)
     for n, anc, k in [(1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 3, 1)]:
-        blocks = [random_encoding(rng, n, anc) for _ in range(2 ** k)]
+        eigen = random_eigensystem(rng, n)
+        blocks = [random_encoding(rng, eigen, anc) for _ in range(2 ** k)]
         # complex first columns on both sides, so conj(c_j) matters
         prep = StatePreparationPair(random_unitary(rng, 2 ** k),
                                     random_unitary(rng, 2 ** k), 1.5)
@@ -284,8 +326,9 @@ def test_lcu_block_matches_selector_circuit():
 def test_multiply_block_matches_embedded_product():
     rng = np.random.default_rng(11)
     for n, anc_a, anc_b in [(1, 1, 1), (2, 1, 2), (3, 2, 1), (4, 1, 1)]:
-        u_a = random_encoding(rng, n, anc_a)
-        u_b = random_encoding(rng, n, anc_b)
+        eigen = random_eigensystem(rng, n)
+        u_a = random_encoding(rng, eigen, anc_a)
+        u_b = random_encoding(rng, eigen, anc_b)
         da, db = 2 ** anc_a, 2 ** anc_b
         # U_A on [anc_a, system] with identity on anc_b (middle register)
         ua4 = u_a.unitary.reshape(da, n, da, n)
@@ -328,9 +371,86 @@ def test_construction_rejects_non_contraction_and_non_unitary():
 def test_unitary_of_padded_encoding_is_a_dilation():
     rng = np.random.default_rng(14)
     for n in (1, 2, 4):
-        be = random_encoding(rng, n, 1).padded(2)
+        be = random_encoding(rng, random_eigensystem(rng, n), 1).padded(2)
         assert be.ancilla_qubits == 3
         u = be.unitary
         assert u.shape == (2 ** 3 * n, 2 ** 3 * n)
         assert spectral_norm(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
         assert np.array_equal(u[:n, :n], be.block)
+
+
+# --- one representation: dense and mixed-basis operands raise ------------
+
+def _rules(be, other):
+    """Each calculus rule applied to ``be`` (and ``other`` where it takes
+    two operands)."""
+    return {
+        "lcu_combine": lambda: lcu_combine(
+            StatePreparationPair.from_vector([0.5, 0.5]), [be, other]),
+        "multiply": lambda: multiply(be, other),
+        "invert": lambda: invert(be, 0.25, 1e-6),
+        "polynomial_transform": lambda: polynomial_transform(
+            be, Chebyshev([0.0, 0.5])),
+    }
+
+
+def test_every_rule_rejects_a_dense_operand():
+    diag = exact_dilation(np.diag([0.5, -0.25]).astype(complex), 1.0)
+    for run in _rules(diag, diag).values():
+        run()  # the same operand as a DiagonalEncoding passes
+    for dense_first in (True, False):
+        dense = oracle.dense(diag)
+        be, other = (dense, diag) if dense_first else (diag, dense)
+        for rule, run in _rules(be, other).items():
+            if not dense_first and rule in ("invert", "polynomial_transform"):
+                continue  # one operand: already covered
+            with pytest.raises(ValueError, match=f"{rule} takes Diagonal"
+                               "Encodings on one EigenSystem only.*got a "
+                               "dense BlockEncoding"):
+                run()
+
+
+def test_two_operand_rules_reject_two_eigensystems():
+    # two dilations of one matrix still sit on two EigenSystems
+    a = np.diag([0.5, -0.25]).astype(complex)
+    be, other = exact_dilation(a, 1.0), exact_dilation(a, 1.0)
+    for rule in ("lcu_combine", "multiply"):
+        _rules(be, be)[rule]()
+        with pytest.raises(ValueError, match=f"{rule} takes .* the operands "
+                           "sit on different eigensystems"):
+            _rules(be, other)[rule]()
+
+
+def test_reattached_rejects_a_matrix_target():
+    a = np.diag([0.3, -0.4]).astype(complex)
+    be = exact_dilation(a, 1.0)
+    with pytest.raises(ValueError, match="1-d array; got 2-d"):
+        be.reattached(a, 0.0)
+
+
+def test_exact_dilation_rejects_a_matrix_it_cannot_diagonalize():
+    # a nilpotent Jordan block is neither Hermitian nor skew-Hermitian
+    with pytest.raises(ValueError, match=r"Hermitian or skew-Hermitian.*"
+                       r"‖a ∓ a†‖_F = 7\.071e-01"):
+        exact_dilation(np.array([[0.0, 0.5], [0.0, 0.0]]), 1.0)
+    # a skew-Hermitian matrix dilates, onto imaginary eigenvalues
+    skew = exact_dilation(np.array([[0.0, 0.5], [-0.5, 0.0]]), 1.0)
+    assert np.allclose(np.sort(skew.target_diagonal.imag), [-0.5, 0.5])
+
+
+def test_exact_dilation_raises_when_the_reconstruction_misses(monkeypatch):
+    import ffode.block_encoding as bem
+    eigh = bem.hermitian_eigh
+    monkeypatch.setattr(bem, "hermitian_eigh",
+                        lambda m: (eigh(m)[0] + 1e-9, eigh(m)[1]))
+    with pytest.raises(ValueError, match=r"misses its slack, ‖UΛU† − a‖_F = "
+                       r"1\.414e-09"):
+        exact_dilation(np.diag([0.5, -0.25]), 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, 1.0, 5.0])
+def test_invert_requires_epsilon_in_the_open_unit_interval(epsilon):
+    be = exact_dilation(np.diag([0.5, -0.25]).astype(complex), 1.0)
+    with pytest.raises(ValueError, match="need 0 < epsilon < 1"):
+        invert(be, 0.25, epsilon)
+    assert invert(be, 0.25, 0.999).epsilon_claim == 0.999

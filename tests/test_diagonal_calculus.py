@@ -2,16 +2,19 @@
 
 Every operand here is ``exact_dilation`` of a random Hermitian matrix, so
 each rule combines factor and target diagonals on one ``EigenSystem``.  The
-same rule applied to the operands wrapped as plain ``BlockEncoding``s takes
-the dense path; block, target, alpha, claim, ancillas and ledger must agree
-to 1e-12.  The QSVT solver steps take a DiagonalEncoding only, so they are
-checked against independent dense targets of the matrix instead, and a
-dense encoding must be rejected at their entry.  Spectra include zero modes,
+same rule of the dense oracle in ``dense_calculus.py``, applied to the
+operands as plain ``BlockEncoding``s, works on the dense blocks; block,
+target, alpha, claim, ancillas and ledger must agree to 1e-12.  The QSVT
+solver steps take a DiagonalEncoding only, so they are checked against
+independent dense targets of the matrix instead, and a dense encoding must
+be rejected at their entry.  Spectra include zero modes,
 repeated eigenvalues and the edges of [−1, −δ] (and of the inversion gap
 ±[δ, 1]).  The second half pins the O(N) checks: no rule calls
 ``spectral_norm`` on the way, and a factor pushed 1e-9 past its claim in
 any construction a rule makes raises.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +24,15 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 import ffode.block_encoding as bem
 from ffode import (
-    BlockEncoding, DiagonalEncoding, OdeProblem, StatePreparationPair,
+    DiagonalEncoding, OdeProblem, StatePreparationPair,
     exact_dilation, invert, lcu_combine, matrix_exponential, multiply,
     polynomial_transform, solve_sqrt_access, spectral_norm,
     verify_block_encoding,
 )
 from ffode.config import TOL
 from ffode.qsvt_solvers import _half_shift, be_duhamel_negdef, be_exp_negdef
+
+import dense_calculus as oracle
 
 DELTA = 0.25
 
@@ -64,11 +69,6 @@ def _operand(eigenvalues, seed):
     return u, rng
 
 
-def dense(be):
-    return BlockEncoding(be.block, be.alpha, be.epsilon_claim,
-                         be.ancilla_qubits, be.ledger, be.target)
-
-
 def _bounded_poly(rng):
     """A real Chebyshev series with Σ|c| = 1/2, so |p| ≤ 1/2 on [−1, 1]."""
     c = rng.standard_normal(int(rng.integers(1, 7)))
@@ -80,44 +80,54 @@ def _pair(rng):
         rng.standard_normal(2) + 1j * rng.standard_normal(2))
 
 
-def _same(be):
-    return be
+#: the library's rules and the dense oracle's, called the same way
+DIAGONAL = SimpleNamespace(
+    wrap=lambda be: be, lcu_combine=lcu_combine, multiply=multiply,
+    invert=invert, polynomial_transform=polynomial_transform,
+    reattached=lambda be, *args, **kw: be.reattached(*args, **kw),
+    padded=lambda be, k: be.padded(k))
+DENSE = SimpleNamespace(
+    wrap=oracle.dense, lcu_combine=oracle.lcu_combine,
+    multiply=oracle.multiply, invert=oracle.invert,
+    polynomial_transform=oracle.polynomial_transform,
+    reattached=oracle.reattached, padded=oracle.padded)
 
 
-def _rule_polynomial(u, rng, wrap):
-    return polynomial_transform(wrap(u), _bounded_poly(rng))
+def _rule_polynomial(u, rng, calc):
+    return calc.polynomial_transform(calc.wrap(u), _bounded_poly(rng))
 
 
-def _rule_lcu(u, rng, wrap):
+def _rule_lcu(u, rng, calc):
     pair = _pair(rng)
     v = polynomial_transform(u, _bounded_poly(rng))
-    return lcu_combine(pair, [wrap(u).padded(2), wrap(v)])
+    return calc.lcu_combine(pair, [calc.padded(calc.wrap(u), 2),
+                                   calc.wrap(v)])
 
 
-def _rule_multiply(u, rng, wrap):
+def _rule_multiply(u, rng, calc):
     v = polynomial_transform(u, _bounded_poly(rng))
-    return multiply(wrap(u), wrap(v))
+    return calc.multiply(calc.wrap(u), calc.wrap(v))
 
 
-def _rule_invert(u, rng, wrap):
-    return invert(wrap(u), DELTA, 10.0 ** rng.uniform(-8, -2))
+def _rule_invert(u, rng, calc):
+    return calc.invert(calc.wrap(u), DELTA, 10.0 ** rng.uniform(-8, -2))
 
 
-def _rule_reattached(u, rng, wrap):
+def _rule_reattached(u, rng, calc):
     # a target off the block by a known diagonal error, within the claim
     err = 1e-3 * rng.uniform(-1.0, 1.0, u.system_dim)
     target = u.target_diagonal + err
     claim = float(np.max(np.abs(err))) + 1e-12
-    if wrap is dense:
+    if calc is DENSE:
         target = u.eigen.apply_function(lambda _: target)
-    return wrap(u).reattached(target, claim, alpha=1.0)
+    return calc.reattached(calc.wrap(u), target, claim, alpha=1.0)
 
 
-def _rule_padded(u, rng, wrap):
-    return wrap(u).padded(int(rng.integers(1, 4)))
+def _rule_padded(u, rng, calc):
+    return calc.padded(calc.wrap(u), int(rng.integers(1, 4)))
 
 
-#: rule -> (spectrum of its operand, the rule on wrap(operands))
+#: rule -> (spectrum of its operand, the rule of a calculus on its operands)
 RULES = {
     "polynomial_transform": ("hermitian", _rule_polynomial),
     "lcu_combine": ("hermitian", _rule_lcu),
@@ -139,8 +149,8 @@ def test_diagonal_rule_matches_the_dense_rule(rule, data, seed):
     spectrum, apply_rule = RULES[rule]
     u, rng = _operand(data.draw(SPECTRA[spectrum]), seed)
     draws = int(rng.integers(2 ** 32))
-    diag = apply_rule(u, np.random.default_rng(draws), _same)
-    full = apply_rule(u, np.random.default_rng(draws), dense)
+    diag = apply_rule(u, np.random.default_rng(draws), DIAGONAL)
+    full = apply_rule(u, np.random.default_rng(draws), DENSE)
     assert isinstance(diag, DiagonalEncoding)
     assert not isinstance(full, DiagonalEncoding)
     assert _close(diag.block, full.block)
@@ -205,12 +215,10 @@ def test_solver_steps_reject_a_dense_encoding():
         entry(u)  # the same matrix as a DiagonalEncoding passes
         with pytest.raises(ValueError, match="DiagonalEncoding.*exact_dilation"
                            ".*Hermitian"):
-            entry(dense(u))
-    # a non-Hermitian matrix dilates to a dense encoding, rejected the same
-    lopsided = exact_dilation(a + 0.1 * np.triu(np.ones((3, 3)), 1), 1.5)
-    assert not isinstance(lopsided, DiagonalEncoding)
-    with pytest.raises(ValueError, match="DiagonalEncoding"):
-        be_exp_negdef(lopsided, 1.0, DELTA, 1e-6)
+            entry(oracle.dense(u))
+    # a non-Hermitian matrix has no encoding to pass: it does not dilate
+    with pytest.raises(ValueError, match="Hermitian or skew-Hermitian"):
+        exact_dilation(a + 0.1 * np.triu(np.ones((3, 3)), 1), 1.5)
 
 
 # --- the O(N) checks ------------------------------------------------------
@@ -228,7 +236,7 @@ def _pinned_operand(rule):
         return u, lambda: apply_step(u, a, np.random.default_rng(8))[0]
     spectrum, apply_rule = RULES[rule]
     u, _ = _operand(_PINNED[spectrum], 7)
-    return u, lambda: apply_rule(u, np.random.default_rng(8), _same)
+    return u, lambda: apply_rule(u, np.random.default_rng(8), DIAGONAL)
 
 
 def _pushing(original, index, made):

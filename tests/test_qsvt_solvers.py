@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffode import (
-    OdeProblem, SampledSource, eigen_solvers,
+    BlockEncoding, OdeProblem, QueryLedger, SampledSource, eigen_solvers,
     exact_dilation, lcs_combine_and_measure, matrix_exponential,
     qsvt_solvers, solve_eigen, solve_negdef, solve_reference,
     solve_sqrt_access, spectral_norm, verify_block_encoding,
@@ -137,13 +137,17 @@ def test_lcs_error_contract_with_perturbed_encodings():
         g2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         e_0 = 1e-4 * (g1 + g1.conj().T) / spectral_norm(g1 + g1.conj().T)
         e_1 = 2e-4 * (g2 + g2.conj().T) / spectral_norm(g2 + g2.conj().T)
-        # the dilation encodes the perturbed matrix; the attached target is
-        # the TRUE operator, so the claimed error is the perturbation size
-        be0 = exact_dilation(exp_t + e_0, 1.0).reattached(
-            exp_t, spectral_norm(e_0) * 1.0001)
+        # the block encodes the perturbed matrix; the attached target is
+        # the TRUE operator, so the claimed error is the perturbation size.
+        # The errors do not commute with the operators, which no calculus
+        # rule can make: the encodings are written down as dense blocks,
+        # and the LCS circuit reads only their apply
+        be0 = BlockEncoding(exp_t + e_0, 1.0, spectral_norm(e_0) * 1.0001, 1,
+                            QueryLedger({U_A: 1}), exp_t)
         alpha1 = spectral_norm(integ + e_1) * 1.0001
-        be1 = exact_dilation(integ + e_1, alpha1).reattached(
-            integ, spectral_norm(e_1) * 1.0001)
+        be1 = BlockEncoding((integ + e_1) / alpha1, alpha1,
+                            spectral_norm(e_1) * 1.0001, 1,
+                            QueryLedger({U_A: 1}), integ)
         ref = solve_reference(OdeProblem(a, u0, T, b))
         budget = 2.0 * (np.linalg.norm(u0) * be0.epsilon_claim
                         + np.linalg.norm(b) * be1.epsilon_claim) \
@@ -373,8 +377,9 @@ def test_every_constant_source_family_runs_the_shared_lcs_checks(solver):
 
 def test_qsvt_solves_make_a_fixed_number_of_dense_norms(monkeypatch):
     # every construction is checked on the diagonals of the one EigenSystem
-    # exact_dilation builds: the only N×N spectral norms are its basis
-    # defect and, for the sqrt access, the input check ‖−H² − A‖
+    # exact_dilation builds: the only N×N spectral norm is its basis
+    # defect; the sqrt access's input check ‖−H² − A‖ ≤ 1e-9 passes on the
+    # Frobenius norm
     import ffode.block_encoding as bem
     import ffode.linalg as linalg
     n = 64
@@ -405,4 +410,32 @@ def test_qsvt_solves_make_a_fixed_number_of_dense_norms(monkeypatch):
     rep = solve_sqrt_access(OdeProblem(-(h @ h), u0, 100.0, b),
                             exact_dilation(h, 1.0), 1e-6)
     assert rep.error_vs_reference <= 1e-6
-    assert shapes.count((n, n)) == 2
+    assert shapes.count((n, n)) == 1
+
+
+def test_sqrt_access_check_falls_back_to_the_spectral_norm(monkeypatch):
+    # X = −H² − A = 0.6e-9·I at N = 64: ‖X‖_F = 4.8e-9 misses 1e-9, so the
+    # SVD decides, and ‖X‖₂ = 0.6e-9 passes
+    n = 64
+    rng = np.random.default_rng(65)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    h = (q * rng.uniform(0.0, 1.0, n)) @ q.conj().T
+    u_h = exact_dilation((h + h.conj().T) / 2, 1.0)
+    hw = u_h.target_diagonal.real
+    minus_h2 = u_h.eigen.apply_function(lambda _: -hw * hw)
+    u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shapes = []
+    monkeypatch.setattr(qsvt_solvers, "spectral_norm",
+                        lambda m: shapes.append(np.shape(m)) or spectral_norm(m))
+    shift = 0.6e-9 * np.eye(n)
+    assert np.linalg.norm(shift) == pytest.approx(4.8e-9)
+    rep = solve_sqrt_access(OdeProblem(minus_h2 - shift, u0, 1.0), u_h, 1e-6)
+    assert rep.error_vs_reference <= 1e-6
+    assert shapes == [(n, n)]
+    # a rank-one X with ‖X‖₂ = ‖X‖_F = 2e-9 is rejected
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    rank_one = 2e-9 * np.outer(v, v.conj())
+    with pytest.raises(ValueError, match="does not equal -H²"):
+        solve_sqrt_access(OdeProblem(minus_h2 - rank_one, u0, 1.0), u_h, 1e-6)
