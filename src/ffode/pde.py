@@ -31,7 +31,16 @@ guarded by the axis probe and by the independent modal reference.
 and, per axis, a stencil or its closed-form spectrum.  The eigenvalues, the
 root spectrum of the hyperbolic lift, the dense operator and both
 cross-validations are derived from it, so a new kind is one entry there plus
-its closed forms; a solve builds the stencils once, in ``_axis_stencils``.
+its closed forms.
+
+The eigensystem depends only on the operator, (kind, d, n, a, a′, c), not on
+T, ε or the samplers.  ``_operator_validation`` builds it, with the stencils
+of ``_axis_stencils``, and measures its axis probe and residual once per
+operator and process: an ``lru_cache`` keyed on those values as read from the
+spec at call time, which holds measurements, not verdicts.
+``eigensystem_of`` and ``lift_hyperbolic`` compare them with
+TOL.reconstruction on every call, so a T×ε sweep over one operator builds and
+probes its stencils once, and a tightened tolerance fails the next solve.
 ``PdeSpec`` calls each sampler on the whole grid: once per field, and for the
 source once at t = 0, whose result's shape declares whether b depends on
 time, then once per batch of times if it does.
@@ -42,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -180,9 +189,10 @@ class PdeSpec:
     w0: Callable[[np.ndarray], np.ndarray] | None = None
     b: Callable[[np.ndarray, float], np.ndarray] | None = None
     b_dt: Callable[[np.ndarray, float], np.ndarray] | None = None
-    #: w0 on the grid, sampled on first use and then reused
-    _w0_samples: np.ndarray | None = field(default=None, init=False,
-                                           repr=False, compare=False)
+    #: (w0, n, d, samples): w0 sampled on first use, reused while the
+    #: sampler and the grid it was sampled on stay the spec's
+    _w0_samples: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -255,9 +265,12 @@ class PdeSpec:
     def w0_vector(self) -> np.ndarray:
         if self.w0 is None:
             raise ValueError("no velocity sampler")
-        if self._w0_samples is None:
-            self._w0_samples = self._sampled(self.w0)
-        return self._w0_samples.copy()
+        cached = self._w0_samples
+        if cached is None or cached[0] is not self.w0 or cached[1:3] != (
+                self.n, self.d):
+            cached = self._w0_samples = (self.w0, self.n, self.d,
+                                         self._sampled(self.w0))
+        return cached[3].copy()
 
     def b_vector(self, t: np.ndarray) -> np.ndarray:
         """b on the grid at each time of the (M, 1) column t, as (M, N)."""
@@ -302,7 +315,9 @@ class PdeSpec:
 def _axis_operators(spec: PdeSpec, part: int) -> tuple[float, list]:
     """The one description of a kind's operator, shift·I + Σ_j S_j along axis
     j (A for parabolic kinds, B² for hyperbolic ones): the shift and each S_j
-    as its n×n stencil (part 0) or its closed-form spectrum (part 1)."""
+    as its n×n stencil (part 0) or its closed-form spectrum (part 1).  It and
+    the helpers below read only kind, d, n, a, a′ and c, so ``spec`` may be a
+    ``PdeSpec`` or the ``_Operator`` decoded from a cache key."""
     def one_d(stencil, spectrum) -> np.ndarray:
         return (stencil, spectrum)[part](spec.n)
     if spec.kind == "airy":
@@ -317,7 +332,8 @@ def _axis_operators(spec: PdeSpec, part: int) -> tuple[float, list]:
 
 
 def _axis_stencils(spec: PdeSpec) -> tuple[float, list]:
-    """(shift, [(S_j, spectrum_j)]) of ``_axis_operators``: one per solve."""
+    """(shift, [(S_j, spectrum_j)]) of ``_axis_operators``: built once per
+    operator by ``_operator_validation``, and by ``dense_operator``."""
     shift, stencils = _axis_operators(spec, 0)
     return shift, list(zip(stencils, _axis_operators(spec, 1)[1]))
 
@@ -373,14 +389,18 @@ def hyperbolic_sqrt_operator(spec: PdeSpec) -> np.ndarray:
     return (f * _root_spectrum(spec)) @ f.conj().T
 
 
-def _probe_axes(spec: PdeSpec, stencils, basis: FourierBasis) -> None:
+def _probe_axes(spec, stencils, basis: FourierBasis) -> tuple:
     """One seeded x and one FFT pair for all axes: U applied to the (N, d)
-    stack of spectrum_j·U†x must match each S_j applied along axis j of x, to
-    TOL.reconstruction times max(1, max|spectrum_j|), the rounding floor."""
+    stack of spectrum_j·U†x against each S_j applied along axis j of x.
+
+    Returns (residual_j, scale_j) per axis: the relative residual
+    ‖S_j x − U(spectrum_j·U†x)‖/‖x‖ and max(1, max|spectrum_j|), the rounding
+    floor it is held to (``_Validation.checked``)."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal(spec.N) + 1j * rng.standard_normal(spec.N)
     symbols = [_on_axis(spec, sp, j) for j, (_, sp) in enumerate(stencils)]
     by_fft = basis.apply((np.stack(symbols) * basis.apply_adjoint(x)).T)
+    measured = []
     for j, (stencil, spectrum) in enumerate(stencils):
         grid = x.reshape(spec.n ** j, spec.n, -1)
         # the last axis as one (N/n × n)·(n × n) GEMM, not N/n mat-vecs;
@@ -388,35 +408,62 @@ def _probe_axes(spec: PdeSpec, stencils, basis: FourierBasis) -> None:
         by_stencil = (grid[:, :, 0] @ stencil.T if j == spec.d - 1
                       else stencil @ grid).ravel()
         err = np.linalg.norm(by_stencil - by_fft[:, j]) / np.linalg.norm(x)
-        scale = max(1.0, float(np.max(np.abs(spectrum))))
-        if err > TOL.reconstruction * scale:
-            raise ValueError(f"axis-{j} stencil probe fails against the FFT "
-                             f"apply: relative residual {err / scale:.3e}")
+        measured.append((float(err),
+                         max(1.0, float(np.max(np.abs(spectrum))))))
+    return tuple(measured)
 
 
-def _cross_validated(spec: PdeSpec, lam, axes, root=None) -> EigenSystem:
-    """The Fourier eigensystem with these eigenvalues, once the residual
-    ‖UΛU† − A‖₂ against the stencil operator A is at most TOL.reconstruction.
+@dataclass(frozen=True)
+class _Validation:
+    """An eigensystem and the measurements that validate it: each axis's
+    probe (residual, scale) and the residual max|λ − target|.  It stores no
+    verdict; ``checked`` compares them with TOL.reconstruction as it stands
+    at each call."""
+
+    eigen: EigenSystem
+    label: str                     # "closed-form" or "lifted"
+    probe: tuple                   # ((residual_j, scale_j), ...) per axis
+    residual: float
+    root: np.ndarray | None = None  # the lift's root spectrum s
+
+    def checked(self) -> EigenSystem:
+        """The eigensystem, once every measurement is within tolerance."""
+        for j, (err, scale) in enumerate(self.probe):
+            if err > TOL.reconstruction * scale:
+                raise ValueError(f"axis-{j} stencil probe fails against the "
+                                 f"FFT apply: relative residual "
+                                 f"{err / scale:.3e}")
+        if self.residual > TOL.reconstruction:
+            raise ValueError(f"{self.label} eigensystem fails cross-"
+                             f"validation: residual {self.residual:.3e}")
+        return self.eigen
+
+
+def _cross_validated(spec, lam, axes, root=None) -> _Validation:
+    """The Fourier eigensystem with eigenvalues ``lam`` and its measurements
+    against the stencil operator A: the axis probe and the residual
+    ‖UΛU† − A‖₂, which is exact as max|λ − target|.  It caches nothing and
+    judges nothing; ``_Validation.checked`` holds them to TOL.reconstruction.
 
     ``axes`` is ``_axis_stencils(spec)``; a lifted kind passes its root
-    spectrum s.  The residual is exact: max|λ − target|.  For parabolic kinds
-    U = F^{⊗d} diagonalizes A, and the target μ is ``_on_grid`` of the FFT
-    of each 1-d stencil's first column.  The lifted basis leaves one 2×2
-    block per mode, D_k = M·diag(λ_k, λ_{N+k})·M − i·s_k·X = p·I + q·X with
-    p = (λ_k + λ_{N+k})/2 and q = (λ_k − λ_{N+k})/2 − i·s_k.  D_k is normal
-    with eigenvalues p ± q, so ‖D_k‖₂ = max(|λ_k − i·s_k|, |λ_{N+k} + i·s_k|)
-    and the target is (i·s, −i·s).  ``_probe_axes`` first checks the stencils.
+    spectrum s.  For parabolic kinds U = F^{⊗d} diagonalizes A, and the target
+    μ is ``_on_grid`` of the FFT of each 1-d stencil's first column.  The
+    lifted basis leaves one 2×2 block per mode, D_k = M·diag(λ_k, λ_{N+k})·M
+    − i·s_k·X = p·I + q·X with p = (λ_k + λ_{N+k})/2 and q = (λ_k − λ_{N+k})/2
+    − i·s_k.  D_k is normal with eigenvalues p ± q, so ‖D_k‖₂ =
+    max(|λ_k − i·s_k|, |λ_{N+k} + i·s_k|) and the target is (i·s, −i·s).
 
-    ``lift_hyperbolic`` passes λ = (i·s, −i·s) built from the same s it
-    passes as ``root``, so its lifted residual is exactly 0: that check can
-    only catch a direct caller's λ.  A wrong s in the lift is caught by
-    ``_probe_axes`` (a wrong stencil) and by the modal reference of
-    ``reference.second_order_problem`` (a wrong root spectrum).
+    ``_operator_validation`` passes the closed-form λ; for a lifted kind it is
+    (i·s, −i·s) built from the same s it passes as ``root``, so the lifted
+    residual is exactly 0 there: that check can only catch a direct caller's
+    λ.  A wrong s in the lift is caught by ``_probe_axes`` (a wrong stencil)
+    and by the modal reference of ``reference.second_order_problem`` (a wrong
+    root spectrum).
     """
     lam = as_vector(lam)
     shift, stencils = axes
     fourier = FourierBasis(spec.n, spec.d)
-    _probe_axes(spec, stencils, fourier)
+    probe = _probe_axes(spec, stencils, fourier)
     if spec.kind in PARABOLIC_KINDS:
         target = _on_grid(spec, shift, [np.fft.fft(stencil[:, 0])
                                         for stencil, _ in stencils])
@@ -425,24 +472,70 @@ def _cross_validated(spec: PdeSpec, lam, axes, root=None) -> EigenSystem:
         target = np.concatenate([1j * root, -1j * root])
         basis, label = FourierBasis(spec.n, spec.d, lifted=True), "lifted"
     residual = float(np.max(np.abs(lam - target)))
-    if residual > TOL.reconstruction:
-        raise ValueError(f"{label} eigensystem fails cross-validation: "
-                         f"residual {residual:.3e}")
-    return EigenSystem(basis, lam)
+    return _Validation(EigenSystem(basis, lam), label, probe, residual, root)
+
+
+class _Operator(NamedTuple):
+    """The values an operator's eigensystem depends on, decoded from a cache
+    key: not T, ε or the samplers."""
+
+    kind: str
+    d: int
+    n: int
+    a: np.ndarray
+    a_prime: np.ndarray
+    c: float
+
+    @property
+    def N(self) -> int:
+        return self.n ** self.d
+
+
+def _operator_key(spec: PdeSpec) -> tuple:
+    """(kind, d, n, a, a′, c) read from the spec at call time, the mass
+    already folded into c.  The floats enter as their bytes, so a change of
+    one ulp, or of the sign of a zero, is another operator."""
+    return (spec.kind, int(spec.d), int(spec.n),
+            np.asarray(spec.a, dtype=float).tobytes(),
+            np.asarray(spec.a_prime, dtype=float).tobytes(),
+            np.float64(spec.c).tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _operator_validation(key: tuple) -> _Validation:
+    """The measured eigensystem of the operator ``_operator_key`` describes,
+    built and probed once per process: the closed-form eigenvalues of a
+    parabolic kind, or the lifted ones (i·s, −i·s) with the root spectrum s of
+    a hyperbolic kind, both read-only.  Callers ``checked`` it on every use."""
+    kind, d, n, a, a_prime, c = key
+    op = _Operator(kind, d, n, np.frombuffer(a), np.frombuffer(a_prime),
+                   float(np.frombuffer(c)[0]))
+    shift, stencils = axes = _axis_stencils(op)
+    if kind in PARABOLIC_KINDS:
+        validation = _cross_validated(op, _on_grid(op, shift, [
+            spectrum for _, spectrum in stencils]), axes)
+    else:
+        s = _root_spectrum(op)
+        s.setflags(write=False)
+        validation = _cross_validated(
+            op, np.concatenate([1j * s, -1j * s]), axes, s)
+    validation.eigen.eigenvalues.setflags(write=False)
+    return validation
 
 
 def eigensystem_of(spec: PdeSpec) -> EigenSystem:
     """Closed-form eigensystem F^{⊗d} / μ(k) of a parabolic-family operator.
 
-    Cross-validates the reconstruction against the stencil operator to the
-    module reconstruction tolerance before returning.
+    Its cross-validation against the stencil operator is measured once per
+    operator and process (``_operator_validation``, keyed on the spec's
+    values now) and compared with TOL.reconstruction on every call, so a
+    tightened tolerance fails the next call.  The eigenvalues are read-only
+    and shared by every call on the same operator.
     """
     if spec.kind not in PARABOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not in the parabolic family; "
                          "use lift_hyperbolic")
-    shift, stencils = axes = _axis_stencils(spec)
-    lam = _on_grid(spec, shift, [spectrum for _, spectrum in stencils])
-    return _cross_validated(spec, lam, axes)
+    return _operator_validation(_operator_key(spec)).checked()
 
 
 def fast_inversion(eigen: EigenSystem, w0) -> tuple[np.ndarray, float]:
@@ -481,18 +574,21 @@ def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, float]:
     Coefficient [[0, iB], [iB, 0]] with eigenvalues ±i·sqrt(-μ(k)) in the
     basis (F^{⊗d} ⊕ F^{⊗d}) followed by the Hadamard block mixer; the second
     component's initial data solves iB v(0) = w0 by fast inversion, and the
-    source enters only the second block as (0, b(t)).  Returns the problem
-    and the inversion cost factor of ``fast_inversion``.
+    source enters only the second block as (0, b(t)).  The root spectrum s
+    and the lifted eigensystem are built and measured once per operator and
+    process, like ``eigensystem_of``'s, and checked against TOL.reconstruction
+    on every call.  Returns the problem and the inversion cost factor of
+    ``fast_inversion``.
     """
     if spec.kind not in HYPERBOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not hyperbolic")
-    s = _root_spectrum(spec)
+    validation = _operator_validation(_operator_key(spec))
     # eigen data of iB in the plain Fourier basis, for the initial data solve
     v0, cost = fast_inversion(
-        EigenSystem(FourierBasis(spec.n, spec.d), 1j * s), spec.w0_vector())
+        EigenSystem(FourierBasis(spec.n, spec.d), 1j * validation.root),
+        spec.w0_vector())
 
-    eigen = _cross_validated(spec, np.concatenate([1j * s, -1j * s]),
-                             _axis_stencils(spec), s)
+    eigen = validation.checked()
     u_full = np.concatenate([spec.u0_vector(), v0])
     return OdeProblem(eigen, u_full, spec.T, spec._source(lead=spec.N)), cost
 

@@ -300,6 +300,43 @@ def test_solve_parallel_jobs_deterministic(tmp_path):
     assert strip_wall_time(texts[0]) == strip_wall_time(texts[1])
 
 
+def test_sweep_validates_each_pde_operator_once(monkeypatch):
+    # a T×ε sweep builds a new PdeSpec per point, but the eigensystem depends
+    # only on the operator: one axis probe per problem, serial or threaded,
+    # and the rows of a run that measures every point afresh
+    import ffode.pde as pde
+    cfg = {
+        "version": 1, "campaign": "sweep", "solver": "eigen", "seed": 3,
+        "sweep": {"T": [0.05, 0.2, 1.0], "eps": [1e-6, 1e-9]},
+        "problems": [
+            {"id": "heat", "type": "pde", "kind": "heat", "d": 2, "n": 8,
+             "u0": {"name": "gaussian-bump", "width": 0.2}},
+            {"id": "wave", "type": "pde", "kind": "wave", "d": 2, "n": 8,
+             "u0": {"name": "constant"}, "w0": {"name": "sin"}}],
+    }
+    probes = []
+    probe = pde._probe_axes
+    monkeypatch.setattr(pde, "_probe_axes",
+                        lambda *args: probes.append(args[0].kind)
+                        or probe(*args))
+
+    def rows(jobs):
+        pde._operator_validation.cache_clear()
+        return [{k: v for k, v in row.items() if k != "wall_time_ms"}
+                for row in run_campaign(cfg, jobs=jobs)]
+    serial = rows(1)
+    assert sorted(probes) == ["heat", "wave"]
+    assert rows(2) == serial
+    run_point = ffode.cli._run_point
+
+    def measured_afresh(*args):
+        pde._operator_validation.cache_clear()
+        return run_point(*args)
+    monkeypatch.setattr(ffode.cli, "_run_point", measured_afresh)
+    assert rows(1) == serial
+    pde._operator_validation.cache_clear()
+
+
 def test_lb_families(capsys):
     assert main(["lb", "--family", "realpart-gap", "--eps", "0.01"]) == EXIT_OK
     out = capsys.readouterr().out

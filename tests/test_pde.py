@@ -1,5 +1,6 @@
 """Stencils, closed-form spectra, hyperbolic lifting, end-to-end PDE solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,22 @@ from ffode import (
     dense_operator, eigensystem_of, fast_inversion, lift_hyperbolic,
     solve_pde, solve_reference, spectral_norm,
 )
+from ffode.pde import KINDS as PDE_KINDS
 from ffode.pde import (
     dft_matrix, dh3_eigenvalues, dh4_eigenvalues, dh_eigenvalues,
     hyperbolic_sqrt_operator, vh_eigenvalues,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_operator_cache():
+    # the eigensystem cache is process-wide: a test that patches a stencil,
+    # a spectrum or the probe must measure afresh, and leave no entry behind
+    # that was measured under its patch
+    import ffode.pde as pde
+    pde._operator_validation.cache_clear()
+    yield
+    pde._operator_validation.cache_clear()
 
 
 def spectra_match(computed, closed_form, tol=1e-8):
@@ -452,6 +465,10 @@ def test_solve_pde_builds_dense_operator_only_for_the_reference(
     assert built == []
     assert stencil_builds == [spec.kind]
     assert sum(modal) == calls
+    # another T and ε on the same operator reuse its measured eigensystem
+    solve_pde(dataclasses.replace(spec, T=2.0 * spec.T), 1e-6)
+    assert stencil_builds == [spec.kind]
+    assert sum(modal) == 2 * calls
 
 
 def _advdiff_spec(a_prime):
@@ -464,19 +481,19 @@ def test_cross_validation_rejects_wrong_parabolic_eigenvalues():
     spec = _advdiff_spec([1.0, -0.5])
     axes = _axis_stencils(spec)
     lam = _spectrum(spec)
-    _cross_validated(spec, lam, axes)
+    _cross_validated(spec, lam, axes).checked()
     bumped = lam.copy()
     bumped[11] += 1e-6
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(spec, bumped, axes)
+        _cross_validated(spec, bumped, axes).checked()
     swapped = _spectrum(_advdiff_spec([-0.5, 1.0]))
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(spec, swapped, axes)
+        _cross_validated(spec, swapped, axes).checked()
     airy = PdeSpec("airy", 1, 16, 1.0, u0=smooth_u0)
     lam = -dh3_eigenvalues(16)
     lam[3] += 1e-6
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(airy, lam, _axis_stencils(airy))
+        _cross_validated(airy, lam, _axis_stencils(airy)).checked()
 
 
 def test_cross_validation_probe_catches_swapped_symbol_axes(monkeypatch):
@@ -498,14 +515,15 @@ def test_cross_validation_rejects_wrong_lifted_eigenvalues():
         s = _root_spectrum(spec)
         axes = _axis_stencils(spec)
         lam = np.concatenate([1j * s, -1j * s])
-        eigen = _cross_validated(spec, lam, axes, s)
+        eigen = _cross_validated(spec, lam, axes, s).checked()
         assert np.allclose(eigen.matrix, dense_operator(spec), atol=1e-8)
         with pytest.raises(ValueError, match="residual"):
-            _cross_validated(spec, np.concatenate([-1j * s, 1j * s]), axes, s)
+            _cross_validated(spec, np.concatenate([-1j * s, 1j * s]), axes,
+                             s).checked()
         bumped = lam.copy()
         bumped[spec.N + 2] += 1e-6
         with pytest.raises(ValueError, match="residual"):
-            _cross_validated(spec, bumped, axes, s)
+            _cross_validated(spec, bumped, axes, s).checked()
 
 
 def test_cross_validation_takes_one_grid_fft_pair(monkeypatch):
@@ -546,6 +564,7 @@ def test_probe_names_the_axis_of_a_wrong_stencil_tap(monkeypatch, kind, d):
             stencils[axis] = (stencil, spectrum)
             return shift, stencils
         monkeypatch.setattr(pde, "_axis_stencils", bumped)
+        pde._operator_validation.cache_clear()  # measure the bumped stencil
         with pytest.raises(ValueError, match=f"axis-{axis} stencil probe"):
             check(spec)
 
@@ -583,12 +602,12 @@ def test_lifted_residual_is_the_largest_block_norm(seed, n, log_scale):
     spec = PdeSpec("wave", 1, n, 1.0, u0=smooth_u0, w0=mean_zero_w0)
     axes = pde._axis_stencils(spec)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pde, "_probe_axes", lambda *args: None)
+        mp.setattr(pde, "_probe_axes", lambda *args: ())  # no axis probed
         mp.setattr(pde.TOL, "reconstruction", oracle + slack)
-        pde._cross_validated(spec, lam, axes, s)
+        pde._cross_validated(spec, lam, axes, s).checked()
         mp.setattr(pde.TOL, "reconstruction", oracle - slack)
         with pytest.raises(ValueError, match="lifted .* residual"):
-            pde._cross_validated(spec, lam, axes, s)
+            pde._cross_validated(spec, lam, axes, s).checked()
 
 
 @pytest.mark.parametrize("spec", [spec for spec, calls in SOLVE_CASES
@@ -749,3 +768,175 @@ def test_hyperbolic_scale_without_dense_matrices(kind, d, n, kwargs):
         tracemalloc.stop()
     assert rep.error_vs_reference <= 1e-9
     assert peak < 32 * 2 ** 20
+
+
+def test_reassigned_velocity_is_sampled_again():
+    # the w0 samples belong to the sampler and grid they came from: a spec
+    # whose w0 (or n) is reassigned after construction samples again, and
+    # the solver and the modal reference both read the new field
+    def new_w0(x):
+        return np.sin(2 * np.pi * x[0]) + 0.5 * np.cos(4 * np.pi * x[0])
+    spec = PdeSpec("wave", 1, 8, 1.0, u0=smooth_u0, w0=mean_zero_w0)
+    spec.w0 = new_w0
+    fresh = PdeSpec("wave", 1, 8, 1.0, u0=smooth_u0, w0=new_w0)
+    assert np.array_equal(spec.w0_vector(), fresh.w0_vector())
+    assert np.array_equal(solve_pde(spec, 1e-8).output_state,
+                          solve_pde(fresh, 1e-8).output_state)
+    spec.n = 6
+    assert np.array_equal(spec.w0_vector(), PdeSpec(
+        "wave", 1, 6, 1.0, u0=smooth_u0, w0=new_w0).w0_vector())
+
+
+@st.composite
+def _operators(draw):
+    """A PdeSpec of any kind with d ≤ 3, n ≤ 8 and random coefficients."""
+    kind = draw(st.sampled_from(PDE_KINDS))
+    d = 1 if kind in ("airy", "beam") else draw(st.integers(1, 3))
+    n = draw(st.integers(4 if kind in ("airy", "beam") else 3,
+                         8 if d < 3 else 5))
+    kwargs = {"a": draw(st.lists(st.floats(0.0, 2.0), min_size=d,
+                                 max_size=d)),
+              "a_prime": draw(st.lists(st.floats(-2.0, 2.0), min_size=d,
+                                       max_size=d))}
+    if kind == "klein-gordon":
+        kwargs["mass"] = draw(st.floats(0.1, 2.0))
+    else:
+        kwargs["c"] = draw(st.floats(-2.0, 0.0))
+    return PdeSpec(kind, d, n, 1.0, u0=smooth_u0, w0=mean_zero_w0, **kwargs)
+
+
+def _fresh_validation(spec):
+    """The spec's measured eigensystem, built from the spec now, uncached."""
+    import ffode.pde as pde
+    axes = pde._axis_stencils(spec)
+    if spec.kind in pde.PARABOLIC_KINDS:
+        return pde._cross_validated(spec, pde._spectrum(spec), axes)
+    s = pde._root_spectrum(spec)
+    return pde._cross_validated(spec, np.concatenate([1j * s, -1j * s]), axes,
+                                s)
+
+
+def _same_bits(cached, fresh):
+    assert (cached.eigen.eigenvalues.tobytes()
+            == fresh.eigen.eigenvalues.tobytes())
+    assert vars(cached.eigen._fourier) == vars(fresh.eigen._fourier)
+    assert (cached.label, cached.probe, cached.residual) == (
+        fresh.label, fresh.probe, fresh.residual)
+    if fresh.root is None:
+        assert cached.root is None
+    else:
+        assert cached.root.tobytes() == fresh.root.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_operators(), data=st.data())
+def test_operator_cache_holds_a_fresh_validation(spec, data):
+    import ffode.pde as pde
+    pde._operator_validation.cache_clear()
+    probes = []
+    with pytest.MonkeyPatch.context() as mp:
+        probe = pde._probe_axes
+        mp.setattr(pde, "_probe_axes",
+                   lambda *args: probes.append(1) or probe(*args))
+        cached = pde._operator_validation(pde._operator_key(spec))
+        assert len(probes) == 1
+        # one measurement per operator, and the public entry point returns it
+        if spec.kind in pde.PARABOLIC_KINDS:
+            assert eigensystem_of(spec) is cached.eigen
+        else:
+            assert pde._operator_validation(pde._operator_key(spec)) is cached
+        assert len(probes) == 1
+    _same_bits(cached, _fresh_validation(spec))
+    with pytest.raises(ValueError, match="read-only"):
+        cached.eigen.eigenvalues[0] = 0.0
+    if cached.root is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            cached.root[0] = 0.0
+
+    # one ulp on one coefficient, a and a′ mutated in place, is a new
+    # operator: a new entry, measured again
+    which = data.draw(st.sampled_from(
+        [("a", j) for j in range(spec.d)]
+        + [("a_prime", j) for j in range(spec.d)] + [("c", None)]))
+    name, j = which
+    if name == "c":
+        spec.c = float(np.nextafter(spec.c, -np.inf))
+    else:
+        getattr(spec, name)[j] = np.nextafter(getattr(spec, name)[j], np.inf)
+    misses = pde._operator_validation.cache_info().misses
+    bumped = pde._operator_validation(pde._operator_key(spec))
+    assert pde._operator_validation.cache_info().misses == misses + 1
+    assert bumped is not cached
+    _same_bits(bumped, _fresh_validation(spec))
+
+
+def test_tightened_tolerance_fails_the_next_solve(monkeypatch):
+    # the cache holds measurements, not verdicts: each solve compares them
+    # with TOL.reconstruction as it stands, and never measures again
+    import ffode.pde as pde
+    probes = []
+    probe = pde._probe_axes
+    monkeypatch.setattr(pde, "_probe_axes",
+                        lambda *args: probes.append(1) or probe(*args))
+    spec = PdeSpec("heat", 1, 8, 0.05, u0=smooth_u0)
+    solve_pde(spec, 1e-9)
+    stored = pde._operator_validation(pde._operator_key(spec))
+    (err, scale), = stored.probe
+    assert 0.0 < err / scale < stored.residual
+    monkeypatch.setattr(pde.TOL, "reconstruction", stored.residual / 2)
+    with pytest.raises(ValueError, match=f"closed-form eigensystem fails "
+                                         f"cross-validation: residual "
+                                         f"{stored.residual:.3e}"):
+        solve_pde(spec, 1e-9)
+    monkeypatch.setattr(pde.TOL, "reconstruction", err / scale / 2)
+    with pytest.raises(ValueError, match="axis-0 stencil probe"):
+        solve_pde(dataclasses.replace(spec, T=1.0), 1e-6)
+    wave = PdeSpec("wave", 1, 8, 1.0, u0=smooth_u0, w0=mean_zero_w0)
+    with pytest.raises(ValueError, match="axis-0 stencil probe"):
+        solve_pde(wave, 1e-8)
+    monkeypatch.undo()
+    monkeypatch.setattr(pde, "_probe_axes",
+                        lambda *args: probes.append(1) or probe(*args))
+    solve_pde(spec, 1e-9)
+    solve_pde(wave, 1e-8)
+    assert len(probes) == 2  # heat once, wave once
+
+
+def test_operator_that_fails_validation_fails_on_every_call(monkeypatch):
+    import ffode.pde as pde
+    probes = []
+    probe = pde._probe_axes
+    monkeypatch.setattr(pde, "_probe_axes",
+                        lambda *args: probes.append(1) or probe(*args))
+    original = pde._on_axis
+    monkeypatch.setattr(pde, "_on_axis", lambda spec, one_d, axis: original(
+        spec, one_d, spec.d - 1 - axis))
+    spec = _advdiff_spec([1.0, -0.5])
+    for T in (1.0, 2.0, 1.0):
+        with pytest.raises(ValueError, match="stencil probe"):
+            solve_pde(dataclasses.replace(spec, T=T), 1e-6)
+    assert len(probes) == 1
+
+
+def test_threads_share_one_measurement_per_operator():
+    # campaign threads (``ffode solve --jobs``) share the cache: more threads
+    # than cores, switching often, must each get the serial eigensystem
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    import ffode.pde as pde
+    specs = [PdeSpec("heat", 2, n, 1.0, a=[1.0, a], u0=smooth_u0)
+             for n in (6, 8) for a in (0.5, 1.0)]
+    serial = [eigensystem_of(spec).eigenvalues.tobytes() for spec in specs]
+    pde._operator_validation.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(eigensystem_of, specs[k % len(specs)])
+                       for k in range(64)]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, eigen in enumerate(got):
+        assert eigen.eigenvalues.tobytes() == serial[k % len(specs)]
+    assert pde._operator_validation.cache_info().currsize == len(specs)
