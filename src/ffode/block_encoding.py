@@ -32,10 +32,11 @@ Conventions
 * Polynomial eigenvalue transforms are simulated by exact spectral calculus
   while the ledger charges the query cost of the corresponding circuit.
 * :class:`BlockEncoding`, a dense block, is the base class: it holds the
-  construction checks (with their SVD fallback), ``encoded`` and
-  ``unitary``, which DiagonalEncoding inherits, and it is the form in which
-  a test writes down an encoding the calculus cannot make, such as one whose
-  error does not commute with its block.  No rule accepts it.
+  scalar construction checks, ``encoded`` and ``unitary``, which
+  DiagonalEncoding inherits, and dense SVD checks of its own block, which
+  DiagonalEncoding replaces with bounds on its diagonals.  It is the form in
+  which a test writes down an encoding the calculus cannot make, such as one
+  whose error does not commute with its block.  No rule accepts it.
 """
 
 from __future__ import annotations
@@ -163,33 +164,28 @@ class BlockEncoding:
     def _validate(self) -> None:
         if self.ancilla_qubits < 0:
             raise ValueError("ancilla count must be nonnegative")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("normalization alpha must be positive")
-        if self.epsilon_claim < 0:
+        if not self.epsilon_claim >= 0:
             raise ValueError("claimed error must be nonnegative")
+        self._check_block()
+
+    def _check_block(self) -> None:
+        """The dense checks: a unitary block with no ancillas, else a
+        contraction, each by SVD, then the claim against ``target``."""
         if self.ancilla_qubits == 0:
             gram = self.block.conj().T @ self.block - np.eye(self.system_dim)
             err = spectral_norm(gram)
-            if err > TOL.unitarity:
+            if not err <= TOL.unitarity:
                 raise ValueError(
                     f"encoding matrix is not unitary: ‖U†U-I‖ = {err:.3e}")
-        elif self._norm_bound() > 1.0 + 1e-12:
+        else:
             norm = spectral_norm(self.block)
-            if norm > 1.0 + 1e-12:
+            if not norm <= 1.0 + 1e-12:
                 raise ValueError(
                     f"block is not a contraction: ‖block‖ = {norm:.6g}")
-        slack = TOL.verify_slack * max(1.0, self.alpha)
-        if self._claim_bound() > self.epsilon_claim + slack:
+        if self.target is not None:
             verify_block_encoding(self, self.target)
-
-    def _norm_bound(self) -> float:
-        """An upper bound on ‖block‖₂ cheaper than an SVD (none here)."""
-        return math.inf
-
-    def _claim_bound(self) -> float:
-        """An upper bound on ‖target − alpha·block‖₂ (none here without an
-        SVD; nothing to check without a target)."""
-        return 0.0 if self.target is None else math.inf
 
     def apply(self, v) -> np.ndarray:
         """block · v."""
@@ -239,7 +235,7 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
             f"target shape {tgt.shape} does not match system dim {be.system_dim}")
     err = spectral_norm(tgt - be.alpha * be.block)
     slack = TOL.verify_slack * max(1.0, be.alpha)
-    if err > be.epsilon_claim + slack:
+    if not err <= be.epsilon_claim + slack:
         raise ValueError(
             f"block-encoding violates its claim: measured {err:.3e} > "
             f"claimed {be.epsilon_claim:.3e}")
@@ -252,11 +248,11 @@ class DiagonalEncoding(BlockEncoding):
     Holds the eigensystem's basis U, the factors and the target's diagonal g
     (target = U diag(g) U†) instead of two dense N×N products; ``block``,
     ``target`` and ``unitary`` are built on demand, and ``apply`` costs two
-    basis applications.  Because ‖U diag(x) U†‖₂ ≤ (1+δ_U)·max|x| with δ_U
-    the basis's measured defect ‖U†U − I‖ (0 for a Fourier basis), the
-    contraction and claim checks read (1+δ_U)·max|factors| and
-    (1+δ_U)·max|g − alpha·factors| first, and fall back to the dense SVD only
-    when that bound does not prove the check.
+    basis applications.  Every check reads the diagonals alone, in O(N):
+    ‖U diag(x) U†‖₂ ≤ (1+δ_U)·max|x| with δ_U the basis's measured defect
+    ‖U†U − I‖ (0 for a Fourier basis), so the block is a contraction when
+    (1+δ_U)·max|factors| ≤ 1 and meets its claim when
+    (1+δ_U)·max|g − alpha·factors| does.  No check builds a dense matrix.
     """
 
     def __init__(self, eigen: EigenSystem, factors, alpha: float,
@@ -275,15 +271,32 @@ class DiagonalEncoding(BlockEncoding):
         self._validate()
 
     def _widened_max(self, values: np.ndarray) -> float:
+        """(1+δ_U)·max|values|, a bound on ‖U diag(values) U†‖₂ (NaN when
+        a value is NaN, which then fails every check that reads it)."""
         widen = 1.0 + self.eigen.unitarity_defect
         return widen * float(np.max(np.abs(values)))
 
-    def _norm_bound(self) -> float:
-        return self._widened_max(self.factors)
-
-    def _claim_bound(self) -> float:
-        return self._widened_max(self.target_diagonal
-                                 - self.alpha * self.factors)
+    def _check_block(self) -> None:
+        f, defect = self.factors, self.eigen.unitarity_defect
+        if self.ancilla_qubits == 0:
+            # with M = U diag(f) U† and ‖UU† − I‖ = ‖U†U − I‖ = δ_U:
+            # M†M − I = U(|f|² − 1)U† + (UU† − I) + U f̄ (U†U − I) f U†
+            err = (self._widened_max(1.0 - np.abs(f) ** 2) + defect
+                   + defect * self._widened_max(np.abs(f) ** 2))
+            if not err <= TOL.unitarity:
+                raise ValueError(
+                    f"encoding matrix is not unitary: ‖U†U-I‖ ≤ {err:.3e}")
+        else:
+            norm = self._widened_max(f)
+            if not norm <= 1.0 + 1e-12:
+                raise ValueError(
+                    f"block is not a contraction: ‖block‖ ≤ {norm:.6g}")
+        err = self._widened_max(self.target_diagonal - self.alpha * f)
+        slack = TOL.verify_slack * max(1.0, self.alpha)
+        if not err <= self.epsilon_claim + slack:
+            raise ValueError(
+                f"block-encoding violates its claim: bound {err:.3e} > "
+                f"claimed {self.epsilon_claim:.3e}")
 
     def eigenvalue_spread(self) -> float:
         """δ_U·max|g|: every eigenvalue of the target lies this close to an
@@ -350,15 +363,10 @@ def _shared_eigen(rule: str, encodings) -> EigenSystem:
 
 
 def require_hermitian_target(be: DiagonalEncoding, not_hermitian: str) -> None:
-    """Raise ``ValueError(not_hermitian)`` when ‖target − target†‖ > 1e-10.
-
-    Passes on (1+δ_U)·max|g − ḡ| ≤ 1e-10; otherwise the dense spectral norm
-    decides."""
+    """Raise ``ValueError(not_hermitian)`` unless (1+δ_U)·max|g − ḡ|, a bound
+    on ‖target − target†‖, is at most 1e-10."""
     g = be.target_diagonal
-    if be._widened_max(g - g.conj()) <= 1e-10:
-        return
-    tgt = be.target
-    if spectral_norm(tgt - tgt.conj().T) > 1e-10:
+    if not be._widened_max(g - g.conj()) <= 1e-10:
         raise ValueError(not_hermitian)
 
 
@@ -515,9 +523,9 @@ def invert(u_a: DiagonalEncoding, delta: float,
     """(4/(3δ), n_A+1, ε)-encoding of A⁻¹ for a gapped Hermitian target.
 
     Needs 0 < δ ≤ 1 and 0 < ε < 1, so that δε < 1.  The inverse itself is
-    computed exactly on the target diagonal, whose gap is checked with its
-    ``eigenvalue_spread`` before ``eigvalsh`` is consulted; the ledger
-    charges ceil(c·(1/δ)·ln(1/(δε))) uses of the input encoding with
+    computed exactly on the target diagonal, whose gap is checked on the
+    diagonal widened by its ``eigenvalue_spread``; the ledger charges
+    ceil(c·(1/δ)·ln(1/(δε))) uses of the input encoding with
     c = INVERSE_QUERY_CONSTANT.
     """
     _shared_eigen("invert", [u_a])
@@ -526,14 +534,10 @@ def invert(u_a: DiagonalEncoding, delta: float,
         raise ValueError("need 0 < delta <= 1")
     if not (0 < epsilon < 1):
         raise ValueError(f"need 0 < epsilon < 1, got {epsilon}")
-
-    def gapped(w, spread):
-        return (np.min(np.abs(w)) - spread >= delta * (1.0 - 1e-12)
-                and np.max(np.abs(w)) + spread <= 1.0 + 1e-12)
-
     w = u_a.target_diagonal.real
-    if not (gapped(w, u_a.eigenvalue_spread())
-            or gapped(np.linalg.eigvalsh(u_a.target), 0.0)):
+    spread = u_a.eigenvalue_spread()
+    if not (np.min(np.abs(w)) - spread >= delta * (1.0 - 1e-12)
+            and np.max(np.abs(w)) + spread <= 1.0 + 1e-12):
         raise ValueError(
             f"spectrum {w} violates the gap [-1,-δ]∪[δ,1] with δ = {delta}")
     alpha = 4.0 / (3.0 * delta)

@@ -579,7 +579,8 @@ def cmd_solve(args) -> int:
     write_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
     if args.tolerance is not None:
-        bad = [r for r in rows if r["error_vs_reference"] > args.tolerance]
+        bad = [r for r in rows
+               if not r["error_vs_reference"] <= args.tolerance]
         if bad:
             print(f"numeric failure: {len(bad)} rows exceed the tolerance "
                   f"{args.tolerance}", file=sys.stderr)

@@ -37,7 +37,9 @@ The eigensystem depends only on the operator, (kind, d, n, a, a′, c), not on
 T, ε or the samplers.  ``_operator_validation`` builds it, with the stencils
 of ``_axis_stencils``, and measures its axis probe and residual once per
 operator and process: an ``lru_cache`` keyed on those values as read from the
-spec at call time, which holds measurements, not verdicts.
+spec at call time, which holds measurements, not verdicts.  Threads that
+miss one entry together wait on one lock per operator (``_validation_of``),
+so they measure it once.
 ``eigensystem_of`` and ``lift_hyperbolic`` compare them with
 TOL.reconstruction on every call, so a T×ε sweep over one operator builds and
 probes its stencils once, and a tightened tolerance fails the next solve.
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -175,6 +178,7 @@ class PdeSpec:
     the solvers take the constant-source route; any other result, even one
     whose rows agree, is sampled on the Riemann path.  ``b_dt`` is the time
     derivative of ``b``, needed for quadrature error bounds on that path.
+    T, a, a′, c and the mass must be finite.
     """
 
     kind: str
@@ -220,6 +224,10 @@ class PdeSpec:
         self.a_prime = np.asarray(self.a_prime, dtype=float).ravel()
         if self.a_prime.size != self.d:
             raise ValueError("advection vector length must equal d")
+        for name in ("T", "a", "a_prime", "c", "mass"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.c > 0:
             raise ValueError("zeroth-order coefficient must be nonpositive")
         if self.kind == "klein-gordon":
@@ -429,11 +437,11 @@ class _Validation:
     def checked(self) -> EigenSystem:
         """The eigensystem, once every measurement is within tolerance."""
         for j, (err, scale) in enumerate(self.probe):
-            if err > TOL.reconstruction * scale:
+            if not err <= TOL.reconstruction * scale:
                 raise ValueError(f"axis-{j} stencil probe fails against the "
                                  f"FFT apply: relative residual "
                                  f"{err / scale:.3e}")
-        if self.residual > TOL.reconstruction:
+        if not self.residual <= TOL.reconstruction:
             raise ValueError(f"{self.label} eigensystem fails cross-"
                              f"validation: residual {self.residual:.3e}")
         return self.eigen
@@ -523,6 +531,27 @@ def _operator_validation(key: tuple) -> _Validation:
     return validation
 
 
+#: the lock of each operator being measured, so that threads which miss its
+#: entry together measure it once while other operators are measured apart
+_measuring: dict = {}
+_measuring_guard = threading.Lock()
+
+
+def _validation_of(spec: PdeSpec) -> _Validation:
+    """``_operator_validation`` of the spec's operator.  A thread that misses
+    the entry while another measures it waits and then reads the entry; the
+    lock is dropped once the entry is cached."""
+    key = _operator_key(spec)
+    with _measuring_guard:
+        lock = _measuring.setdefault(key, threading.Lock())
+    try:
+        with lock:
+            return _operator_validation(key)
+    finally:
+        with _measuring_guard:
+            _measuring.pop(key, None)
+
+
 def eigensystem_of(spec: PdeSpec) -> EigenSystem:
     """Closed-form eigensystem F^{⊗d} / μ(k) of a parabolic-family operator.
 
@@ -535,7 +564,7 @@ def eigensystem_of(spec: PdeSpec) -> EigenSystem:
     if spec.kind not in PARABOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not in the parabolic family; "
                          "use lift_hyperbolic")
-    return _operator_validation(_operator_key(spec)).checked()
+    return _validation_of(spec).checked()
 
 
 def fast_inversion(eigen: EigenSystem, w0) -> tuple[np.ndarray, float]:
@@ -582,7 +611,7 @@ def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, float]:
     """
     if spec.kind not in HYPERBOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not hyperbolic")
-    validation = _operator_validation(_operator_key(spec))
+    validation = _validation_of(spec)
     # eigen data of iB in the plain Fourier basis, for the initial data solve
     v0, cost = fast_inversion(
         EigenSystem(FourierBasis(spec.n, spec.d), 1j * validation.root),

@@ -87,7 +87,10 @@ def test_unknown_solver_is_a_schema_error(tmp_path):
      "u0": {"name": "no-such-sampler"}},
     {"id": "heat", "type": "pde", "kind": "heat", "n": 8,
      "b": {"name": "no-such-source"}},
-], ids=["bad-problem", "unknown-sampler", "unknown-source-sampler"])
+    {"id": "heat", "type": "pde", "kind": "heat", "d": 1, "n": 8,
+     "c": float("nan")},
+], ids=["bad-problem", "unknown-sampler", "unknown-source-sampler",
+        "nan-coefficient"])
 def test_bad_pde_problem_is_a_schema_error(tmp_path, capsys, problem):
     # found while the campaign runs, and still reported as a schema violation
     bad = dict(HEAT_CAMPAIGN, problems=[problem])
@@ -303,7 +306,9 @@ def test_solve_parallel_jobs_deterministic(tmp_path):
 def test_sweep_validates_each_pde_operator_once(monkeypatch):
     # a T×ε sweep builds a new PdeSpec per point, but the eigensystem depends
     # only on the operator: one axis probe per problem, serial or threaded,
-    # and the rows of a run that measures every point afresh
+    # and the rows of a run that measures every point afresh.  The probe is
+    # slowed down so that threads on one operator miss its entry together.
+    import time
     import ffode.pde as pde
     cfg = {
         "version": 1, "campaign": "sweep", "solver": "eigen", "seed": 3,
@@ -318,15 +323,18 @@ def test_sweep_validates_each_pde_operator_once(monkeypatch):
     probe = pde._probe_axes
     monkeypatch.setattr(pde, "_probe_axes",
                         lambda *args: probes.append(args[0].kind)
-                        or probe(*args))
+                        or time.sleep(0.05) or probe(*args))
 
     def rows(jobs):
         pde._operator_validation.cache_clear()
+        probes.clear()
         return [{k: v for k, v in row.items() if k != "wall_time_ms"}
                 for row in run_campaign(cfg, jobs=jobs)]
     serial = rows(1)
     assert sorted(probes) == ["heat", "wave"]
-    assert rows(2) == serial
+    for jobs in (2, 3):
+        assert rows(jobs) == serial
+        assert sorted(probes) == ["heat", "wave"], jobs
     run_point = ffode.cli._run_point
 
     def measured_afresh(*args):

@@ -10,10 +10,13 @@ independent dense targets of the matrix instead, and a dense encoding must
 be rejected at their entry.  Spectra include zero modes,
 repeated eigenvalues and the edges of [−1, −δ] (and of the inversion gap
 ±[δ, 1]).  The second half pins the O(N) checks: no rule calls
-``spectral_norm`` on the way, and a factor pushed 1e-9 past its claim in
-any construction a rule makes raises.
+``spectral_norm`` on the way, a factor pushed 1e-9 past its claim in
+any construction a rule makes raises, and every failing check raises its
+own message with no dense block, target, Fourier basis or ``eigvalsh``
+within reach, at N = 2¹⁶ too.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +27,13 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 import ffode.block_encoding as bem
 from ffode import (
-    DiagonalEncoding, OdeProblem, StatePreparationPair,
-    exact_dilation, invert, lcu_combine, matrix_exponential, multiply,
-    polynomial_transform, solve_sqrt_access, spectral_norm,
-    verify_block_encoding,
+    DiagonalEncoding, EigenSystem, OdeProblem, QueryLedger,
+    StatePreparationPair, exact_dilation, invert, lcu_combine,
+    matrix_exponential, multiply, polynomial_transform, solve_sqrt_access,
+    spectral_norm, verify_block_encoding,
 )
 from ffode.config import TOL
+from ffode.linalg import FourierBasis
 from ffode.qsvt_solvers import _half_shift, be_duhamel_negdef, be_exp_negdef
 
 import dense_calculus as oracle
@@ -258,9 +262,22 @@ def _pushing(original, index, made):
     return init
 
 
+def _forbid_dense(monkeypatch):
+    """Make every dense path raise: the block or target of a
+    DiagonalEncoding (``EigenSystem.apply_function``), a Fourier basis as a
+    matrix, and ``eigvalsh``.  AssertionError is no ValueError, so a check
+    that reaches one of them fails its ``pytest.raises``."""
+    def dense(*args, **kwargs):
+        raise AssertionError("a diagonal check went dense")
+    monkeypatch.setattr(EigenSystem, "apply_function", dense)
+    monkeypatch.setattr(FourierBasis, "dense", dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+
+
 @pytest.mark.parametrize("rule", list(STEPS) + list(RULES))
 def test_every_diagonal_construction_is_checked_in_O_N(rule, monkeypatch):
     u, run = _pinned_operand(rule)
+    _forbid_dense(monkeypatch)
     norms = []
     monkeypatch.setattr(bem, "spectral_norm",
                         lambda m: norms.append(np.shape(m)) or spectral_norm(m))
@@ -278,8 +295,10 @@ def test_every_diagonal_construction_is_checked_in_O_N(rule, monkeypatch):
             run()
 
 
-def test_diagonal_hermitian_and_gap_checks_raise():
+def test_diagonal_hermitian_and_gap_checks_raise(monkeypatch):
     u, _ = _operand([-0.5, 0.5, 1.0], 3)
+    negdef = exact_dilation(np.diag([-0.5, -0.25 + 1e-9]), 1.0)
+    _forbid_dense(monkeypatch)
     skewed = u.reattached(u.target_diagonal + [1e-9j, 0.0, 0.0], 1e-8)
     with pytest.raises(ValueError, match="must be Hermitian"):
         polynomial_transform(skewed, Chebyshev([0.0, 0.5]))
@@ -289,5 +308,75 @@ def test_diagonal_hermitian_and_gap_checks_raise():
     with pytest.raises(ValueError, match="violates the gap"):
         invert(u, 0.5 + 1e-9, 1e-6)
     with pytest.raises(ValueError, match="not inside"):
-        be_exp_negdef(exact_dilation(np.diag([-0.5, -0.25 + 1e-9]), 1.0),
-                      1.0, 0.25, 1e-6)
+        be_exp_negdef(negdef, 1.0, 0.25, 1e-6)
+
+
+def _bumped(x, k, by):
+    y = np.array(x, dtype=complex)
+    y[k] += by
+    return y
+
+
+def _failing_checks(n):
+    """check -> (its message, a call that fails it) on a FourierBasis of
+    dimension n.  Each moves one entry or δ by 1e-9 (the claim's target by
+    1e-6), or makes one entry NaN."""
+    es = EigenSystem(FourierBasis(n, 1), np.zeros(n))
+    w = -np.linspace(0.25, 1.0, n)  # spectrum in [−1, −δ] for δ = 1/4
+    ones = np.ones(n, dtype=complex)
+
+    def encoding(factors, target=None, claim=0.0, ancillas=1):
+        return DiagonalEncoding(es, factors, 1.0, claim, ancillas,
+                                QueryLedger(),
+                                factors if target is None else target)
+    u = encoding(w)
+    nan = _bumped(w, 2, np.nan)
+    return {
+        "contraction": ("not a contraction",
+                        lambda: encoding(_bumped(w, -1, -1e-9))),
+        "claim": ("violates its claim",
+                  lambda: encoding(w, _bumped(w, 5, 1e-6), claim=1e-9)),
+        "unitarity": ("not unitary",
+                      lambda: encoding(_bumped(ones, 3, -1e-9), ancillas=0)),
+        "hermitian": ("must be Hermitian", lambda: polynomial_transform(
+            u.reattached(_bumped(w, 1, 1e-9j), 1e-8), Chebyshev([0.0, 0.5]))),
+        "gap": ("violates the gap", lambda: invert(u, 0.25 + 1e-9, 1e-6)),
+        "negdef": ("not inside",
+                   lambda: be_exp_negdef(u, 1.0, 0.25 + 1e-9, 1e-6)),
+        "nan-factor": ("not a contraction", lambda: encoding(nan, w)),
+        "nan-target": ("violates its claim", lambda: encoding(w, nan)),
+    }
+
+
+@pytest.mark.parametrize("check", list(_failing_checks(4)))
+def test_failing_checks_at_N_2_16_build_nothing_dense(check, monkeypatch):
+    # a dense 2¹⁶ × 2¹⁶ basis would take 64 GiB: every check raises within
+    # a few vectors of N entries
+    message, call = _failing_checks(2 ** 16)[check]
+    _forbid_dense(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("factors", "not a contraction"), ("target", "violates its claim"),
+    ("alpha", "alpha must be positive"),
+    ("claim", "claimed error must be nonnegative")])
+def test_nan_is_rejected(bad, message):
+    # on a dense eigh basis, whose defect δ_U is measured and nonzero
+    a, _ = _matrix([-0.5, 0.25, 1.0], 11)
+    es = exact_dilation(a, 1.0).eigen
+    assert es.unitarity_defect > 0.0
+    f = np.array([0.5, -0.25, 0.0], dtype=complex)
+    args = {"factors": f, "alpha": 1.0, "claim": 0.0, "target": f}
+    args[bad] = _bumped(f, 2, np.nan) if bad in ("factors", "target") \
+        else np.nan
+    with pytest.raises(ValueError, match=message):
+        DiagonalEncoding(es, args["factors"], args["alpha"], args["claim"], 1,
+                         QueryLedger(), args["target"])

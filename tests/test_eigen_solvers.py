@@ -465,7 +465,7 @@ def test_diagonal_encodings_reject_bad_factors_and_claims():
     big[3] = 1.0 + 2e-10
     with pytest.raises(ValueError, match="exceeds 1"):
         _dilate_diagonal(es, big, 1.0, big, QueryLedger())
-    # past the bound, the dense SVD decides: a factor of 1 + 1e-9 is rejected
+    # the construction reads max|factor| alone: 1 + 1e-9 is not a contraction
     big[3] = 1.0 + 1e-9
     with pytest.raises(ValueError, match="contraction"):
         DiagonalEncoding(es, big, 1.0, 0.0, 1, QueryLedger(), big)

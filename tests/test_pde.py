@@ -416,6 +416,34 @@ def test_pde_spec_validation():
         PdeSpec("unknown", 1, 8, 1.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"T": math.nan}, {"T": math.inf}, {"a": [math.nan]}, {"a": [math.inf]},
+    {"a_prime": [math.nan]}, {"a_prime": [-math.inf]}, {"c": math.nan},
+    {"c": -math.inf}, {"mass": math.inf},
+    {"kind": "klein-gordon", "mass": math.nan, "w0": mean_zero_w0},
+], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()
+                            if k != "w0"))
+def test_pde_spec_rejects_non_finite_values(bad):
+    fields = dict({"kind": "heat", "d": 1, "n": 8, "T": 1.0, "u0": smooth_u0},
+                  **bad)
+    name = next(k for k in bad if k not in ("kind", "w0"))
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        PdeSpec(**fields)
+
+
+@pytest.mark.parametrize("probe, residual, message", [
+    (((math.nan, 1.0),), 0.0, "axis-0 stencil probe fails"),
+    (((0.0, 1.0),), math.nan, "closed-form eigensystem fails"),
+], ids=["probe", "residual"])
+def test_nan_measurement_fails_validation(probe, residual, message):
+    import ffode.pde as pde
+    from ffode.linalg import EigenSystem, FourierBasis
+    validation = pde._Validation(EigenSystem(FourierBasis(4, 1), np.zeros(4)),
+                                 "closed-form", probe, residual)
+    with pytest.raises(ValueError, match=message):
+        validation.checked()
+
+
 def test_grid_is_built_once_per_shape():
     spec = PdeSpec("heat", 2, 5, 1.0, u0=smooth_u0)
     other = PdeSpec("heat", 2, 5, 2.0, u0=smooth_u0)
@@ -918,16 +946,23 @@ def test_operator_that_fails_validation_fails_on_every_call(monkeypatch):
     assert len(probes) == 1
 
 
-def test_threads_share_one_measurement_per_operator():
+def test_threads_share_one_measurement_per_operator(monkeypatch):
     # campaign threads (``ffode solve --jobs``) share the cache: more threads
-    # than cores, switching often, must each get the serial eigensystem
+    # than cores, switching often, must each get the serial eigensystem, and
+    # threads that miss one operator together (its probe slowed down so that
+    # they do) measure it once
     import sys
+    import time
     from concurrent.futures import ThreadPoolExecutor
     import ffode.pde as pde
     specs = [PdeSpec("heat", 2, n, 1.0, a=[1.0, a], u0=smooth_u0)
              for n in (6, 8) for a in (0.5, 1.0)]
     serial = [eigensystem_of(spec).eigenvalues.tobytes() for spec in specs]
     pde._operator_validation.cache_clear()
+    probes = []
+    probe = pde._probe_axes
+    monkeypatch.setattr(pde, "_probe_axes", lambda *args: probes.append(
+        args[0].n) or time.sleep(0.02) or probe(*args))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -940,3 +975,5 @@ def test_threads_share_one_measurement_per_operator():
     for k, eigen in enumerate(got):
         assert eigen.eigenvalues.tobytes() == serial[k % len(specs)]
     assert pde._operator_validation.cache_info().currsize == len(specs)
+    assert len(probes) == len(specs)
+    assert pde._measuring == {}  # each operator's lock is dropped

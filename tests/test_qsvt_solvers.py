@@ -274,6 +274,13 @@ def test_report_snaps_a_unit_probability(p, reported, repeats):
     assert (rep.repeats_no_aa, rep.repeats_aa) == repeats
 
 
+def test_report_rejects_a_nan_error():
+    from ffode.block_encoding import QueryLedger
+    with pytest.raises(ValueError, match="solver error nan exceeds"):
+        qsvt_solvers.SolveReport(np.ones(1), 1.0, QueryLedger(), math.nan,
+                                 1e-9)
+
+
 def test_solve_negdef_scales_to_n16_with_source():
     # the calculus holds N×N blocks, so 9 ancillas cost no 2^9·N matrices
     rng = np.random.default_rng(16)
