@@ -4,11 +4,9 @@ A numpy library that constructs and verifies block-encodings, simulates
 fast-forwarded linear-ODE solvers at the amplitude level with exact query
 accounting, certifies query-complexity lower-bound witness instances, and
 benchmarks spectrally discretized PDE problems against an exact Duhamel
-reference.  numpy is the numerical backend; ``matrix_exponential`` is a
-numpy scaling-and-squaring Padé exponential.  scipy.linalg is imported on
-first use, and only by one routine: the Schur form (``schur``) that
-``EigenSystem.from_matrix`` takes of a normal matrix that is neither
-Hermitian nor skew-Hermitian.
+reference.  numpy is the one runtime dependency: ``matrix_exponential`` is a
+numpy scaling-and-squaring Padé exponential, and ``EigenSystem.from_matrix``
+diagonalizes a normal matrix with ``eigh`` or with ``eig`` and QR.
 """
 
 from .config import TOL, Tolerances

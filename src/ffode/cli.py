@@ -141,6 +141,28 @@ SWEEP_AXES = {
     "M": (_is_positive_int, "positive integers"),
 }
 
+#: numbers a problem sets, by problem type, and numbers a named sampler
+#: sets (a spatial source's profile included): (predicate, what they must be)
+PROBLEM_NUMBERS = {
+    "ode": {"N": SWEEP_AXES["n"],
+            "delta": (lambda x: _is_number(x) and 0 < x <= 1,
+                      "numbers in (0, 1]")},
+    "pde": {"n": SWEEP_AXES["n"], "d": SWEEP_AXES["d"]},
+}
+SAMPLER_NUMBERS = {
+    "k": (_is_number, "finite numbers"),
+    "value": (_is_number, "finite numbers"),
+    "omega": (_is_number, "finite numbers"),
+    "width": SWEEP_AXES["T"],
+}
+
+
+def _check_numbers(where: str, obj: dict, table: dict) -> None:
+    for key, (admissible, kind) in table.items():
+        if key in obj:
+            _require(admissible(obj[key]),
+                     f"{where}: {key!r} takes {kind}, got {obj[key]!r}")
+
 
 def load_config(path: str) -> dict:
     try:
@@ -172,12 +194,26 @@ def load_config(path: str) -> dict:
                  "each problem needs a string id")
         _require(prob.get("type") in ("pde", "ode"),
                  "problem type must be 'pde' or 'ode'")
+        where = f"problem {prob['id']}"
         if prob["type"] == "pde":
             _require(prob.get("kind") in KINDS, f"unknown PDE kind")
+            for key in ("u0", "w0", "b"):
+                sampler = prob.get(key, {})
+                if sampler is None and key != "u0":
+                    continue  # no w0, or no source
+                while True:
+                    _require(isinstance(sampler, dict),
+                             f"{where}: sampler {key} must be an object")
+                    _check_numbers(f"{where}, sampler {key}", sampler,
+                                   SAMPLER_NUMBERS)
+                    if "profile" not in sampler:
+                        break
+                    sampler = sampler["profile"]
         else:
             _require(prob.get("family") in (
                 "random-negdef", "random-normal", "random-sqrt", "nonnormal"),
                 "unknown ode family")
+        _check_numbers(where, prob, PROBLEM_NUMBERS[prob["type"]])
     cfg.setdefault("seed", 0)
     cfg.setdefault("sweep", {})
     return cfg
@@ -426,7 +462,12 @@ def _lb_amplifier(args, rng) -> float:
 LB_RANGES = {
     "eps": (lambda x: 0 < x < 1, "eps must lie in (0,1)"),
     "delta": (lambda x: 0 < x < 1, "delta must lie in (0,1)"),
-    "kappa": (lambda x: x > 1, "kappa must exceed 1"),
+    "kappa": (lambda x: 1 < x < math.inf,
+              "kappa must be finite and exceed 1"),
+    "dim": (lambda x: x >= 2, "dim must be at least 2"),
+    "T": (lambda x: 0 < x < math.inf, "T must be positive and finite"),
+    "shift": (math.isfinite, "shift must be finite"),
+    "trials": (lambda x: x >= 1, "trials must be at least 1"),
 }
 
 
@@ -441,7 +482,7 @@ class LbFamily(NamedTuple):
 
 def _gap_family(witness) -> LbFamily:
     """A real-part-gap family: identity basis, real parts 1 down to -1."""
-    return LbFamily(("eps",), lambda args, rng: witness(
+    return LbFamily(("eps", "dim"), lambda args, rng: witness(
         np.eye(args.dim, dtype=complex), np.linspace(1.0, -1.0, args.dim) + 0j,
         args.eps))
 
@@ -453,17 +494,21 @@ LB_TABLE = {
     "realpart-gap-inhomo": _gap_family(witness_realpart_gap_inhomogeneous),
     "nonnormal-inhomo": LbFamily(("delta",), lambda args, rng:
                                  witness_nonnormal_inhomogeneous(args.delta)),
-    "imaginary-time": LbFamily((), lambda args, rng: witness_imaginary_time(
-        np.diag(np.linspace(0.0, 1.0, args.dim)).astype(complex), args.T)),
-    "linear-system": LbFamily(("kappa",), lambda args, rng: witness_linear_system(
-        args.kappa, _random_unitary(rng, args.dim),
-        _random_unitary(rng, args.dim))),
-    "amplifier": LbFamily(("eps",), _lb_amplifier, lambda worst: _print_check(
-        "amplifier.ratio_max", worst <= 1.0,
-        f": measured {worst:.8g} <= bound 1")),
-    "shifting": LbFamily((), lambda args, rng: shifting_equivalence_check(
-        _complex_normal(rng, (args.dim, args.dim)), args.shift,
-        _complex_normal(rng, args.dim), args.T),
+    "imaginary-time": LbFamily(
+        ("dim", "T"), lambda args, rng: witness_imaginary_time(
+            np.diag(np.linspace(0.0, 1.0, args.dim)).astype(complex), args.T)),
+    "linear-system": LbFamily(
+        ("kappa", "dim"), lambda args, rng: witness_linear_system(
+            args.kappa, _random_unitary(rng, args.dim),
+            _random_unitary(rng, args.dim))),
+    "amplifier": LbFamily(
+        ("eps", "dim", "trials"), _lb_amplifier, lambda worst: _print_check(
+            "amplifier.ratio_max", worst <= 1.0,
+            f": measured {worst:.8g} <= bound 1")),
+    "shifting": LbFamily(
+        ("dim", "shift", "T"), lambda args, rng: shifting_equivalence_check(
+            _complex_normal(rng, (args.dim, args.dim)), args.shift,
+            _complex_normal(rng, args.dim), args.T),
         lambda ok: _print_check("shifting.normalized_invariance", ok)),
 }
 

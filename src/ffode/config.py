@@ -29,9 +29,8 @@ class Tolerances:
     verify_slack: float = 1e-12
     #: relative threshold of the Hermitian/skew-Hermitian test
     #: (``linalg.hermitian_eigh``, on ‖A ∓ A†‖_F) and of the normality test
-    #: on the off-diagonal of the Schur form (``scipy.linalg.schur``, the
-    #: package's one scipy routine) that ``EigenSystem.from_matrix`` takes
-    #: of a normal matrix that is neither Hermitian nor skew-Hermitian
+    #: of ``EigenSystem.from_matrix``, on the off-diagonal of Q†AQ (Q the
+    #: QR factor of A's ``eig`` eigenvectors)
     normality: float = 1e-10
     #: |λt| below which (e^{λt}-1)/(λt) switches to its Taylor series
     kernel_series_switch: float = 1e-6

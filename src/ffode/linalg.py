@@ -138,10 +138,7 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     A Hermitian or skew-Hermitian matrix goes through ``hermitian_eigh``.
     Any other matrix, and every matrix of a stack, goes through
     ``_pade_exponential``, numpy scaling and squaring with the [13/13] Padé
-    approximant and a number of squarings chosen per matrix.  Neither
-    calls scipy: the library's one scipy routine is the Schur form that
-    ``EigenSystem.from_matrix`` takes of a normal matrix that is neither
-    Hermitian nor skew-Hermitian.
+    approximant and a number of squarings chosen per matrix.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim == 3 and m.shape[1] == m.shape[2]:
@@ -381,19 +378,19 @@ class EigenSystem:
 
         A Hermitian or skew-Hermitian matrix is diagonalized by
         ``hermitian_eigh`` (eigenvalues in ascending order of their real or
-        imaginary part).  Any other matrix takes a complex Schur form from
-        ``scipy.linalg.schur``, imported on first use, whose off-diagonal
-        must vanish to ``TOL.normality``.  Both keep the
-        ``TOL.reconstruction`` check on ‖UΛU† − A‖.
+        imaginary part).  Any other matrix takes U from the QR factorization
+        of its ``numpy.linalg.eig`` eigenvectors and Λ = diag(U†AU), in the
+        order ``eig`` returns; the off-diagonal of U†AU must vanish to
+        ``TOL.normality``.  Both keep the ``TOL.reconstruction`` check on
+        ‖UΛU† − A‖.
         """
         m = as_square(a)
         pair = hermitian_eigh(m)
         if pair is None:
-            norm = spectral_norm(m)
-            import scipy.linalg as sla
-            tmat, q = sla.schur(m, output="complex")
+            q = np.linalg.qr(np.linalg.eig(m)[1])[0]
+            tmat = q.conj().T @ m @ q
             off = tmat - np.diag(np.diag(tmat))
-            if spectral_norm(off) > TOL.normality * max(1.0, norm):
+            if spectral_norm(off) > TOL.normality * max(1.0, spectral_norm(m)):
                 raise ValueError(
                     "matrix is not normal; no unitary eigenbasis exists")
             pair = np.diag(tmat), q

@@ -178,7 +178,7 @@ class PdeSpec:
     the solvers take the constant-source route; any other result, even one
     whose rows agree, is sampled on the Riemann path.  ``b_dt`` is the time
     derivative of ``b``, needed for quadrature error bounds on that path.
-    T, a, a′, c and the mass must be finite.
+    T, a, a′, c and the square of the mass must be finite.
     """
 
     kind: str
@@ -233,6 +233,9 @@ class PdeSpec:
         if self.kind == "klein-gordon":
             if self.mass <= 0:
                 raise ValueError("klein-gordon needs a positive mass")
+            if not math.isfinite(self.mass * self.mass):
+                raise ValueError(f"mass must have a finite square, got "
+                                 f"{self.mass}")
             self.c = -self.mass ** 2
         if self.kind in HYPERBOLIC_KINDS:
             if self.w0 is None:

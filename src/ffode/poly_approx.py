@@ -225,6 +225,8 @@ def certified_degree_scan(target: str, parameters, eps: float) -> DegreeScan:
     params = np.asarray(sorted(float(p) for p in parameters))
     if params.size < 4:
         raise ValueError("degree scan needs at least 4 parameter values")
+    if not np.all(np.isfinite(params)):
+        raise ValueError("degree scan grid values must be finite")
     # "about two decades": the canonical grid {16, 64, 256, 1024} spans 64x
     if params[0] <= 0 or params[-1] / params[0] < 50.0:
         raise ValueError("degree scan grid must span roughly two decades")

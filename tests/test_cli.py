@@ -10,7 +10,7 @@ import ffode.cli
 from ffode import PdeSpec, WitnessPair
 from ffode.cli import (
     CSV_COLUMNS, EXIT_FAIL, EXIT_MISMATCH, EXIT_OK, EXIT_SCHEMA, LB_FAMILIES,
-    SELFTEST_CONFIG, _print_certified, _sampler_b, _sampler_u, main,
+    LB_TABLE, SELFTEST_CONFIG, _print_certified, _sampler_b, _sampler_u, main,
     run_campaign,
 )
 
@@ -100,6 +100,56 @@ def test_bad_pde_problem_is_a_schema_error(tmp_path, capsys, problem):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "demo-heat.csv").exists()
+
+
+NAN = float("nan")
+KG = {"id": "kg", "type": "pde", "kind": "klein-gordon", "w0": {"name": "sin"}}
+
+#: case -> (solver, problem with one bad number); json.load reads NaN and
+#: Infinity, so each must be rejected on loading, or by PdeSpec
+BAD_PROBLEM_NUMBERS = {
+    "delta-nan": ("negdef", {"family": "random-negdef", "delta": NAN}),
+    "delta-above-one": ("negdef", {"family": "random-negdef", "delta": 1.5}),
+    "delta-zero": ("negdef", {"family": "random-negdef", "delta": 0}),
+    "N-zero": ("eigen", {"family": "random-normal", "N": 0}),
+    "N-fraction": ("eigen", {"family": "random-normal", "N": 2.5}),
+    "N-string": ("eigen", {"family": "random-normal", "N": "4"}),
+    "n-nan": ("eigen", {"kind": "heat", "n": NAN}),
+    "n-string": ("eigen", {"kind": "heat", "n": "8"}),
+    "d-fraction": ("eigen", {"kind": "heat", "d": 1.9}),
+    "width-nan": ("eigen", {"kind": "heat",
+                            "u0": {"name": "gaussian-bump", "width": NAN}}),
+    "width-zero": ("eigen", {"kind": "heat",
+                             "u0": {"name": "gaussian-bump", "width": 0}}),
+    "value-nan": ("eigen", {"kind": "heat",
+                            "b": {"name": "constant", "value": NAN}}),
+    "omega-nan": ("eigen-td", {"kind": "heat",
+                               "b": {"name": "cos-drive", "omega": NAN}}),
+    "k-infinite": ("eigen", {"kind": "wave", "u0": {"name": "sin"},
+                             "w0": {"name": "sin", "k": float("inf")}}),
+    "profile-k-nan": ("eigen", {"kind": "heat", "b": {
+        "name": "spatial", "profile": {"name": "cos", "k": NAN}}}),
+    "sampler-not-an-object": ("eigen", {"kind": "heat", "u0": "sin"}),
+    "u0-null": ("eigen", {"kind": "heat", "u0": None}),
+    "profile-null": ("eigen", {"kind": "heat", "b": {
+        "name": "spatial", "profile": None}}),
+    "mass-square-overflows": ("eigen", dict(KG, m=1e200)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PROBLEM_NUMBERS))
+def test_bad_problem_number_is_a_schema_error(tmp_path, capsys, case):
+    solver, problem = BAD_PROBLEM_NUMBERS[case]
+    kind = "pde" if "kind" in problem else "ode"
+    cfg_obj = {"version": 1, "campaign": "bad", "solver": solver,
+               "sweep": {"T": [0.5], "eps": [1e-3]},
+               "problems": [dict({"id": "p", "type": kind}, **problem)]}
+    cfg = write_config(tmp_path, cfg_obj)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bad.csv").exists()
 
 
 HEAT = {"id": "heat", "type": "pde", "kind": "heat", "n": 8}
@@ -378,6 +428,16 @@ def test_lb_bad_params(capsys):
       for value in ("0", "1")),
     (["linear-system", "--kappa", "1"], EXIT_SCHEMA),
     (["imaginary-time", "--eps", "1", "--kappa", "1"], EXIT_OK),  # unread
+    (["linear-system", "--kappa", "inf"], EXIT_SCHEMA),
+    *(([family, "--dim", dim], EXIT_SCHEMA)
+      for family in LB_FAMILIES if "dim" in LB_TABLE[family].checked
+      for dim in ("0", "1")),
+    *(([family, "--T", T], EXIT_SCHEMA)
+      for family in ("imaginary-time", "shifting")
+      for T in ("-1", "0", "inf", "nan")),
+    (["shifting", "--shift", "nan"], EXIT_SCHEMA),
+    (["amplifier", "--trials", "0"], EXIT_SCHEMA),
+    (["nonnormal-homo", "--dim", "0", "--T", "-1"], EXIT_OK),  # unread
 ])
 def test_lb_every_family_at_defaults_and_out_of_range(args, code, capsys):
     assert main(["lb", "--family", *args]) == code
@@ -413,6 +473,8 @@ def test_degree_scan_needs_four_points(capsys):
 @pytest.mark.parametrize("target, grid", [
     ("gaussian", "16,64,abc,256"),
     ("cosine", "16,64,256,1024"),
+    ("gaussian", "16,256,4096,inf"),
+    ("gaussian", "16,256,4096,nan"),
 ])
 def test_degree_scan_bad_input_is_a_schema_error(capsys, target, grid):
     assert main(["degree-scan", "--target", target, "--grid", grid]) \

@@ -1,10 +1,9 @@
-"""numpy is the only numerical backend on the import and solve paths.
+"""numpy is the only runtime dependency.
 
-scipy.linalg is imported on first use by one routine, the Schur branch of
-``EigenSystem.from_matrix``, taken by a normal matrix that is neither
-Hermitian nor skew-Hermitian; these tests pin that no other path loads it,
-the matrix exponential of any matrix and the ill-conditioned fallback of
-``solve_reference`` included.
+The subprocess below makes scipy unimportable before it imports ffode, so
+any scipy import on the paths it runs raises: the solvers, the witnesses,
+the matrix exponential of any matrix, the ill-conditioned fallback of
+``solve_reference`` and ``EigenSystem.from_matrix`` of every normal matrix.
 """
 
 import subprocess
@@ -17,8 +16,10 @@ import scipy.linalg as sla
 
 from ffode import build_dh, build_dh3, build_dh4, build_vh
 
-NO_SCIPY_LINALG = textwrap.dedent("""
+NO_SCIPY = textwrap.dedent("""
     import sys
+    sys.modules['scipy'] = None  # every scipy import now raises ImportError
+
     import warnings
 
     import numpy as np
@@ -29,10 +30,6 @@ NO_SCIPY_LINALG = textwrap.dedent("""
         witness_linear_system, witness_nonnormal_homogeneous,
         witness_nonnormal_inhomogeneous, witness_realpart_gap,
         witness_realpart_gap_inhomogeneous, worst_case_oracle_pair)
-
-
-    def loaded():
-        return 'scipy.linalg' in sys.modules
 
 
     def unitary(rng, n):
@@ -48,7 +45,6 @@ NO_SCIPY_LINALG = textwrap.dedent("""
         return np.cos(2 * np.pi * x[0])
 
 
-    assert not loaded(), 'import ffode'
     rng = np.random.default_rng(5)
 
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -56,10 +52,8 @@ NO_SCIPY_LINALG = textwrap.dedent("""
     a = -(h @ h) - 0.5 * np.eye(16)
     v = rng.standard_normal(16)
     ffode.solve_negdef(ffode.OdeProblem(a, v, 4.0, v), 0.5, 1e-6)
-    assert not loaded(), 'solve_negdef'
     ffode.solve_sqrt_access(ffode.OdeProblem(-(h @ h), v, 4.0, v),
                             ffode.exact_dilation(h, 1.0), 1e-6)
-    assert not loaded(), 'solve_sqrt_access'
 
     specs = {
         'heat-constant': ffode.PdeSpec('heat', 2, 4, 0.1, u0=u0,
@@ -76,7 +70,6 @@ NO_SCIPY_LINALG = textwrap.dedent("""
     }
     for name, spec in specs.items():
         ffode.solve_pde(spec, 1e-2 if name == 'heat-riemann' else 1e-6)
-        assert not loaded(), name
 
     n = 4
     gap = np.linspace(1.0, -1.0, n) + 0j
@@ -90,7 +83,6 @@ NO_SCIPY_LINALG = textwrap.dedent("""
     witness_linear_system(10.0, unitary(rng, n), unitary(rng, n))
     equilibrium_reduction_check(-np.eye(3).astype(complex), [1.0, 0.0, 0.0],
                                 [0.0, 1.0, 0.0], [0.5, 1.0, 2.0])
-    assert not loaded(), 'witnesses'
 
     psi = np.eye(n, dtype=complex)[0]
     phi = 0.99 * psi
@@ -99,15 +91,12 @@ NO_SCIPY_LINALG = textwrap.dedent("""
                                ['oracle', 'controlled-inverse'],
                                ancilla_qubits=1)
     amplifier_bound_check(worst_case_oracle_pair(psi, phi), circuit)
-    assert not loaded(), 'amplifier'
 
     ffode.certified_degree_scan('exp-shifted', [16, 64, 256, 1024], 1e-6)
-    assert not loaded(), 'certified_degree_scan'
 
     # the shifting check takes e^{At} of a generic complex A
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     shifting_equivalence_check(g, 0.7, rng.standard_normal(n) + 0j, 1.0)
-    assert not loaded(), 'shifting'
 
     # a Jordan block has no usable eigenbasis: one propagator per node
     jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -117,22 +106,19 @@ NO_SCIPY_LINALG = textwrap.dedent("""
             warnings.simplefilter('always')
             ffode.solve_reference(ffode.OdeProblem(jordan, [1.0, 0.0], 1.0, b))
         assert any('ill-conditioned' in str(w.message) for w in caught)
-    assert not loaded(), 'solve_reference fallback'
 
     ffode.EigenSystem.from_matrix(h)
     ffode.EigenSystem.from_matrix(1j * h)
-    assert not loaded(), 'from_matrix of a Hermitian or skew-Hermitian matrix'
 
-    # a normal matrix that is neither takes the Schur branch
+    # a normal matrix that is neither: eig and QR
     q = unitary(rng, n)
     ffode.EigenSystem.from_matrix((q * np.array([1.0, 1j, -1.0, 2.0]))
                                   @ q.conj().T)
-    assert loaded(), 'a non-Hermitian normal matrix must load scipy.linalg'
 """)
 
 
 def test_solve_paths_do_not_import_scipy_linalg():
-    subprocess.run([sys.executable, "-c", NO_SCIPY_LINALG], check=True)
+    subprocess.run([sys.executable, "-c", NO_SCIPY], check=True)
 
 
 #: each stencil's taps {offset: weight} and derivative order, from its docstring

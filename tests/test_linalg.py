@@ -8,9 +8,10 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ffode import (
-    EigenSystem, FourierBasis, fidelity_perturbation_bound,
+    TOL, EigenSystem, FourierBasis, fidelity_perturbation_bound,
     global_phase_distance, logarithmic_norm, matrix_exponential,
     non_normality, pure_state_trace_distance, renormalization_error_bounds,
     schatten1_distance, spectral_norm,
@@ -413,6 +414,46 @@ def test_eigensystem_from_hermitian_or_skew_matrix_by_eigh():
         # eigh order: ascending real part, or imaginary part for skew input
         assert np.allclose(es.eigenvalues / phase, np.linalg.eigvalsh(herm),
                            rtol=0.0, atol=1e-12)
+
+
+#: a spectrum in the square |Re λ|, |Im λ| ≤ 0.7 (so ‖A‖ < 1): drawn
+#: continuously, or from the lattice {(j + ik)/2 : j, k ∈ {-1, 0, 1}}, whose
+#: nine values repeat at every N > 9
+SPECTRA = {
+    "continuous": lambda rng, n: (rng.uniform(-0.7, 0.7, n)
+                                  + 1j * rng.uniform(-0.7, 0.7, n)),
+    "lattice": lambda rng, n: (rng.integers(-1, 2, n)
+                               + 1j * rng.integers(-1, 2, n)) / 2.0,
+}
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-12, 3e-11, 3e-10, 1e-9])
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+@pytest.mark.parametrize("spectrum", list(SPECTRA))
+def test_eigensystem_from_normal_matrix_agrees_with_schur(spectrum, n, t):
+    # A = QΛQ† + tE with ‖E‖₂ = 1: scipy's complex Schur form is the oracle
+    # of the normality verdict, ‖T − diag T‖₂ ≤ TOL.normality·max(1, ‖A‖)
+    rng = np.random.default_rng([n, int(t * 1e12),
+                                 list(SPECTRA).index(spectrum)])
+    lam = SPECTRA[spectrum](rng, n)
+    lam[0] = 0.5 + 0.5j  # neither Hermitian nor skew-Hermitian
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = random_unitary(rng, n)
+    a = (q * lam) @ q.conj().T + t * e / spectral_norm(e)
+    norm = spectral_norm(a)
+    tmat = sla.schur(a, output="complex")[0]
+    schur_normal = (spectral_norm(np.triu(tmat, 1))
+                    <= TOL.normality * max(1.0, norm))
+    assert schur_normal == (t < 1e-10)
+    if not schur_normal:
+        with pytest.raises(ValueError, match="not normal"):
+            EigenSystem.from_matrix(a)
+        return
+    es = EigenSystem.from_matrix(a)
+    assert spectral_norm(es.matrix - a) <= TOL.reconstruction
+    cost = np.abs(es.eigenvalues[:, None] - np.diag(tmat)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12 * norm
 
 
 def test_global_phase_distance():
