@@ -128,6 +128,12 @@ def _is_number(x) -> bool:
         and math.isfinite(x)
 
 
+def _is_coefficients(x) -> bool:
+    """A finite number, or a nonempty list of finite numbers."""
+    return _is_number(x) or (isinstance(x, list) and len(x) > 0
+                             and all(map(_is_number, x)))
+
+
 def _is_positive_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x > 0
 
@@ -147,7 +153,12 @@ PROBLEM_NUMBERS = {
     "ode": {"N": SWEEP_AXES["n"],
             "delta": (lambda x: _is_number(x) and 0 < x <= 1,
                       "numbers in (0, 1]")},
-    "pde": {"n": SWEEP_AXES["n"], "d": SWEEP_AXES["d"]},
+    "pde": {"n": SWEEP_AXES["n"], "d": SWEEP_AXES["d"],
+            "c": (_is_number, "finite numbers"),
+            "m": (_is_number, "finite numbers"),
+            "a": (_is_coefficients, "a finite number or a list of d of them"),
+            "a_prime": (_is_coefficients,
+                        "a finite number or a list of d of them")},
 }
 SAMPLER_NUMBERS = {
     "k": (_is_number, "finite numbers"),
@@ -214,6 +225,12 @@ def load_config(path: str) -> dict:
                 "random-negdef", "random-normal", "random-sqrt", "nonnormal"),
                 "unknown ode family")
         _check_numbers(where, prob, PROBLEM_NUMBERS[prob["type"]])
+        if prob["type"] == "pde" and "d" not in sweep:
+            for key in ("a", "a_prime"):
+                if isinstance(prob.get(key), list):
+                    _require(len(prob[key]) == prob.get("d", 1),
+                             f"{where}: {key!r} takes a list of d = "
+                             f"{prob.get('d', 1)} numbers, got {prob[key]!r}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("sweep", {})
     return cfg

@@ -38,8 +38,8 @@ T, ε or the samplers.  ``_operator_validation`` builds it, with the stencils
 of ``_axis_stencils``, and measures its axis probe and residual once per
 operator and process: an ``lru_cache`` keyed on those values as read from the
 spec at call time, which holds measurements, not verdicts.  Threads that
-miss one entry together wait on one lock per operator (``_validation_of``),
-so they measure it once.
+miss one entry together wait on one lock per operator (``_validation_of``,
+through ``memo.exclusive``), so they measure it once.
 ``eigensystem_of`` and ``lift_hyperbolic`` compare them with
 TOL.reconstruction on every call, so a T×ε sweep over one operator builds and
 probes its stencils once, and a tightened tolerance fails the next solve.
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -61,6 +60,7 @@ import numpy as np
 from .config import TOL
 from .linalg import EigenSystem, FourierBasis, as_vector
 from .eigen_solvers import solve_eigen
+from .memo import exclusive
 from .qsvt_solvers import SolveReport, post_selected_report
 from .reference import (OdeProblem, SampledSource, second_order_problem,
                         solve_reference)
@@ -534,25 +534,13 @@ def _operator_validation(key: tuple) -> _Validation:
     return validation
 
 
-#: the lock of each operator being measured, so that threads which miss its
-#: entry together measure it once while other operators are measured apart
-_measuring: dict = {}
-_measuring_guard = threading.Lock()
-
-
 def _validation_of(spec: PdeSpec) -> _Validation:
-    """``_operator_validation`` of the spec's operator.  A thread that misses
-    the entry while another measures it waits and then reads the entry; the
-    lock is dropped once the entry is cached."""
+    """``_operator_validation`` of the spec's operator under the operator's
+    lock (``memo.exclusive``): a thread that misses the entry while another
+    measures it waits and then reads the entry."""
     key = _operator_key(spec)
-    with _measuring_guard:
-        lock = _measuring.setdefault(key, threading.Lock())
-    try:
-        with lock:
-            return _operator_validation(key)
-    finally:
-        with _measuring_guard:
-            _measuring.pop(key, None)
+    with exclusive(key):
+        return _operator_validation(key)
 
 
 def eigensystem_of(spec: PdeSpec) -> EigenSystem:

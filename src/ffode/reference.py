@@ -19,13 +19,30 @@ with the solver: ``pde``'s stencil table, the FFT, the closed-form spectra,
 the lift's mixer, ``FourierBasis`` and the fast inversion of the initial
 velocity; u0, w0 and b are read from the ``PdeSpec``.  A wrong root eigenvalue that passes the
 lifted cross-validation therefore shows up in ``error_vs_reference``.
+
+The reference factorizes each coefficient once per process: ``_modes`` of a
+stencil and ``_diagonalize`` of a dense coefficient are kept in ``_FACTORS``,
+a ``memo.Memo`` keyed on the array's shape, dtype and the SHA-256 digest of
+its bytes (``_diagonalize`` also on ``TOL.normality``, which picks ``eigh``
+or ``eig``).  An entry holds read-only measurements: the eigenpairs, cond
+and vinv or None.  The ill-conditioned warning and every check of
+``solve_reference`` run on every call.  At most 256 MiB of arrays are kept,
+least recently used evicted first; an entry larger than that (a dense
+N = 4096 coefficient holds 512 MiB) is computed and not kept.  Threads that
+miss one key together factorize it once.  So the repeats within a solve (the
+equal axes of a wave or Klein-Gordon stencil, u0 and w0 of a witness pair),
+and every point of a CLI sweep, which redraws the same A and rebuilds the
+same stencils, factorize once.  The 12-node Gauss-Legendre rule is computed
+on its first use.  Only the reference's own calls fill the cache, and they
+share nothing with the solvers' eigensystems (``exact_dilation`` calls
+``hermitian_eigh`` itself, uncached), so the reference stays independent.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -33,11 +50,16 @@ import numpy as np
 from .config import TOL
 from .linalg import (EigenSystem, as_square, as_vector, hermitian_eigh,
                      matrix_exponential)
+from .memo import Memo, array_key
 
 if TYPE_CHECKING:
     from .pde import PdeSpec
 
 _GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the reference quadrature
+
+#: the reference's own factorizations, ``_modes`` and ``_diagonalize``, by
+#: the values factorized; at most 256 MiB of arrays are kept
+_FACTORS = Memo(256 * 2 ** 20)
 
 
 #: entries (rows × row width) of one batch of source rows: a batched source
@@ -152,8 +174,10 @@ def kernel_C(alpha: float, beta: float, T: float) -> float:
     return float(exp_integral(alpha, T))
 
 
+@_FACTORS.cached(key=lambda a: (array_key(a), TOL.normality))
 def _diagonalize(a: np.ndarray):
-    """(w, v, vinv, cond) with a = v diag(w) vinv.
+    """(w, v, vinv, cond) with a = v diag(w) vinv, read-only and measured
+    once per value of a (and of ``TOL.normality``, which picks the route).
 
     A Hermitian or skew-Hermitian a is diagonalized by ``eigh``
     (``linalg.hermitian_eigh``), whose v is unitary, so vinv = v† and
@@ -169,6 +193,16 @@ def _diagonalize(a: np.ndarray):
     return w, v, (None if cond > 1e8 else np.linalg.inv(v)), cond
 
 
+@lru_cache(maxsize=None)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _GAUSS_ORDER Gauss-Legendre nodes and weights on [-1, 1],
+    computed on first use and read-only."""
+    rule = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    for part in rule:
+        part.setflags(write=False)
+    return rule
+
+
 def _gauss_panels(g, T: float, width: int):
     """Composite Gauss-Legendre quadrature of a vector-valued g over [0, T],
     with panel doubling until the refinement stalls below TOL.quadrature.
@@ -179,7 +213,7 @@ def _gauss_panels(g, T: float, width: int):
     where ``width`` counts the entries g holds per node.  The weighted rows
     are summed panel by panel, then over the panels.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    nodes, weights = _gauss_rule()
     per_batch = max(1, batch_rows(width) // _GAUSS_ORDER)
     prev = None
     panels = 1
@@ -270,12 +304,14 @@ def _along_axes(mats, x: np.ndarray) -> np.ndarray:
     return x
 
 
+@_FACTORS.cached(key=array_key)
 def _modes(stencil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(λ, V): the eigenbasis V of the real symmetric S by ``eigh`` and each
     λ = vᵀSv = Σ_i r_i v_i² − ½ Σ_ik S_ik (v_i − v_k)², r the row sums of S.
     A periodic difference has r = 0, so S = −a·D2 = a·n²ΔᵀΔ gives the sum of
     squares a·n²‖Δv‖², accurate relative to λ, where ``eigh``'s eigenvalues
-    carry an absolute error ~1e-16·‖S‖ onto the low modes."""
+    carry an absolute error ~1e-16·‖S‖ onto the low modes.  Both are
+    read-only and measured once per value of S."""
     _, v = np.linalg.eigh(stencil)
     i, k = np.nonzero(stencil)
     return (stencil.sum(axis=1) @ v ** 2

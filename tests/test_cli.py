@@ -134,6 +134,14 @@ BAD_PROBLEM_NUMBERS = {
     "profile-null": ("eigen", {"kind": "heat", "b": {
         "name": "spatial", "profile": None}}),
     "mass-square-overflows": ("eigen", dict(KG, m=1e200)),
+    "c-string": ("eigen", {"kind": "heat", "c": "abc"}),
+    "c-numeric-string": ("eigen", {"kind": "heat", "c": "-1"}),
+    "mass-string": ("eigen", dict(KG, m="2")),
+    "a-string": ("eigen", {"kind": "heat", "a": "1.0"}),
+    "a-list-of-strings": ("eigen", {"kind": "heat", "a": ["1"]}),
+    "a-list-too-long": ("eigen", {"kind": "heat", "d": 1, "a": [1.0, 2.0]}),
+    "a_prime-infinite": ("eigen", {"kind": "transport",
+                                   "a_prime": [float("inf")]}),
 }
 
 

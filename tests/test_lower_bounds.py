@@ -389,6 +389,39 @@ def test_linear_system_witness_large_kappa_limit():
         witness_linear_system(0.5, u, v)
 
 
+def test_thresholds_take_an_svd_only_past_the_frobenius_bound(monkeypatch):
+    # ‖X‖₂ ≤ ‖X‖_F: inputs that pass are decided without an SVD, and inputs
+    # that fail still raise; the shifting check's μ noise floor takes its
+    # SVD only when the μ values differ
+    import ffode.lower_bounds as lb
+    svds = []
+    monkeypatch.setattr(lb, "spectral_norm",
+                        lambda m: svds.append(m.shape) or spectral_norm(m))
+    rng = np.random.default_rng(53)
+    u, v = random_unitary(rng, 6), random_unitary(rng, 6)
+    h = np.diag(np.linspace(0.0, 1.0, 6)).astype(complex)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    u0 = random_unit(rng, 6)
+    witness_linear_system(10.0, u, v)
+    witness_imaginary_time(h, 1.0)
+    assert shifting_equivalence_check(a, 0.7, u0, 1.0)
+    assert svds == []
+    lam = rng.uniform(-3.0, 3.0, 6) + 1j * rng.uniform(-3.0, 3.0, 6)
+    normal = (u * lam) @ u.conj().T  # μ is roundoff noise, unequal after
+    assert shifting_equivalence_check(normal, 5.0, u0, 1.0)  # the shift
+    assert svds == [(6, 6)]
+    svds.clear()
+    with pytest.raises(ValueError, match="U must be unitary"):
+        witness_linear_system(10.0, (1.0 + 1e-9) * u, v)
+    with pytest.raises(ValueError, match="V must be unitary"):
+        witness_linear_system(10.0, u, v + 1e-9 * np.eye(6))
+    skewed = h.copy()
+    skewed[0, 1] = 1e-9
+    with pytest.raises(ValueError, match="Hermitian"):
+        witness_imaginary_time(skewed, 1.0)
+    assert len(svds) == 3  # one per failing input
+
+
 def test_equality_entries_are_checked_both_ways():
     assert inequality_holds(1.0, 1.0 + 5e-11, "==")
     assert not inequality_holds(1.0 + 1e-6, 1.0, "==")  # passed as >= before

@@ -976,4 +976,5 @@ def test_threads_share_one_measurement_per_operator(monkeypatch):
         assert eigen.eigenvalues.tobytes() == serial[k % len(specs)]
     assert pde._operator_validation.cache_info().currsize == len(specs)
     assert len(probes) == len(specs)
-    assert pde._measuring == {}  # each operator's lock is dropped
+    from ffode import memo
+    assert memo._held == {}  # each operator's lock is dropped
