@@ -17,6 +17,19 @@ spectrum fixed by the circuit that runs: e^{αT} and C(α,β,T) for the
 constant-source circuit (``_shift``, ``_beta_floor``), e^{α̃T} with
 α̃ = max(0, max Re λ) for the Riemann sum (``_alpha_tilde``).
 
+The Riemann sum takes M = min(M_paper, M_Φ) nodes for its quadrature budget
+ε′ = ε‖u(T)‖/2.  With g(s) = e^{A(T−s)}b(s) and h = T/M, the left-Riemann
+error is ‖Σ_k ∫_{t_k}^{t_k+h} (g(s) − g(t_k)) ds‖ ≤ h∫₀ᵀ‖g′‖, and
+g′(s) = −Ae^{A(T−s)}b(s) + e^{A(T−s)}b′(s).  Two bounds on that follow:
+
+- the paper's, T²e^{α̃T}/(2M)·sup(‖A‖‖b‖ + ‖b′‖), whose M grows linearly
+  in ‖A‖ (``quadrature_error_bound`` and ``quadrature_nodes_for`` keep it);
+- for normal A, where ‖Ae^{Aτ}‖ = φ(τ) = max_k |λ_k|e^{Re λ_k τ} and
+  ‖e^{Aτ}‖ ≤ e^{α̃τ}, the bound (T/M)·[sup‖b‖·Φ + T·e^{α̃T}·sup‖b′‖], with
+  Φ ≥ ∫₀ᵀφ from ``phi_bound``.  For heat Φ grows like log(T‖A‖).
+
+The reported ``quadrature_bound`` is the smaller of the two at the M used.
+
 Register-level binary encodings of eigenvalue data are simulated as exact
 real-valued tags attached to each eigenindex: the compute / controlled
 rotation / uncompute sandwich nets to exact per-index amplitude and phase
@@ -26,6 +39,7 @@ factors, which is how the block matrices below are assembled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +58,7 @@ from .reference import (
 )
 
 _DRIVE_SAMPLES = 4097  # grid points of the sup drive term
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x with e^x finite
 
 
 def _eigensystem(p: OdeProblem) -> EigenSystem:
@@ -194,22 +209,32 @@ def riemann_plan(b, T: float, M: int, eigen: EigenSystem) -> RiemannPlan:
     return RiemannPlan(M, eigen.apply(eigen_sum) * (T / M), square_sum / M)
 
 
-def _sup_drive_term(p: OdeProblem, lam: np.ndarray) -> float:
-    """sup over [0,T] of ‖A‖·‖b(t)‖ + ‖db/dt‖ on a grid of _DRIVE_SAMPLES,
-    sampled in batches of ``reference.time_batches`` rows."""
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """‖row‖ of each row of a complex (m, dim) array; on narrow rows a third
+    of the time of ``np.linalg.norm(rows, axis=1)``."""
+    return np.sqrt(np.einsum("ij,ij->i", rows.real, rows.real)
+                   + np.einsum("ij,ij->i", rows.imag, rows.imag))
+
+
+def _drive_sweep(p: OdeProblem, lam: np.ndarray) -> tuple[float, float,
+                                                            float]:
+    """sup over [0,T] of ‖A‖·‖b(t)‖ + ‖db/dt‖, of ‖b(t)‖ and of ‖db/dt‖, on
+    one grid of _DRIVE_SAMPLES times sampled in batches of
+    ``reference.time_batches`` rows."""
     src = p.inhomogeneous
     if not isinstance(src, SampledSource):
         raise ValueError("quadrature bounds need a sampled source")
     if src.derivative is None:
         raise ValueError("quadrature bounds need the source's derivative")
     norm_a = float(np.max(np.abs(lam)))
-    best = 0.0
+    drive = source = slope = 0.0
     for t in time_batches(np.linspace(0.0, p.horizon, _DRIVE_SAMPLES), p.dim):
-        terms = (norm_a * np.linalg.norm(source_rows(src, t, p.dim), axis=1)
-                 + np.linalg.norm(source_rows(src.derivative, t, p.dim),
-                                  axis=1))
-        best = max(best, float(np.max(terms)))
-    return best
+        b = _row_norms(source_rows(src, t, p.dim))
+        db = _row_norms(source_rows(src.derivative, t, p.dim))
+        drive = max(drive, float(np.max(norm_a * b + db)))
+        source = max(source, float(np.max(b)))
+        slope = max(slope, float(np.max(db)))
+    return drive, source, slope
 
 
 def _bound_from_sup(T: float, alpha_t: float, M: int, sup: float) -> float:
@@ -219,25 +244,105 @@ def _bound_from_sup(T: float, alpha_t: float, M: int, sup: float) -> float:
 
 
 def _nodes_from_sup(T: float, alpha_t: float, eps_prime: float,
-                    sup: float) -> int:
+                    sup: float) -> int | float:
     if eps_prime <= 0:
         raise ValueError("eps_prime must be positive")
-    return max(1, math.ceil(
-        (T ** 2) * math.exp(alpha_t * T) * sup / (2.0 * eps_prime)))
+    return _node_count(
+        (T ** 2) * math.exp(alpha_t * T) * sup / (2.0 * eps_prime))
+
+
+def _node_count(need: float) -> int | float:
+    """The least M ≥ 1 with M ≥ need; inf when need is not finite."""
+    return max(1, math.ceil(need)) if math.isfinite(need) else math.inf
 
 
 def quadrature_error_bound(p: OdeProblem, M: int) -> float:
     """Riemann-sum error bound T²e^{α̃T}/(2M) · sup(‖A‖‖b‖ + ‖db/dt‖)."""
     lam = _eigensystem(p).eigenvalues
     return _bound_from_sup(p.horizon, _alpha_tilde(lam), M,
-                           _sup_drive_term(p, lam))
+                           _drive_sweep(p, lam)[0])
 
 
-def quadrature_nodes_for(p: OdeProblem, eps_prime: float) -> int:
-    """Node count M making the Riemann error bound at most eps_prime."""
+def quadrature_nodes_for(p: OdeProblem, eps_prime: float) -> int | float:
+    """Node count M making the Riemann error bound at most eps_prime (inf
+    when that count overflows a float)."""
     lam = _eigensystem(p).eigenvalues
     return _nodes_from_sup(p.horizon, _alpha_tilde(lam), eps_prime,
-                           _sup_drive_term(p, lam))
+                           _drive_sweep(p, lam)[0])
+
+
+def _decay_integral(rate: float, s: float, t: float) -> float:
+    """∫_s^t rate·e^{−rate·τ} dτ, without cancellation."""
+    return math.exp(-rate * s) * -math.expm1(-rate * (t - s))
+
+
+def _decaying_phi(mags: np.ndarray, rates: np.ndarray, T: float) -> float:
+    """An upper bound on ∫₀ᵀ max_k mags_k·e^{−rates_k τ} dτ, rates > 0.
+
+    With L = max mags and ρ = max mags_k/rates_k, every term is at most
+    min(L, ρ·m(τ)), where m(τ) = max over a in [min rates, max rates] of
+    a·e^{−aτ}: the top rate's a_hi·e^{−a_hi τ} up to τ = 1/a_hi, then
+    1/(eτ) up to 1/a_lo, then a_lo·e^{−a_lo τ}.  m decreases, so the
+    integral is L up to the crossing τ_c of ρ·m with L, then ρ·∫m in
+    closed form.  For a real spectrum (ρ = 1, L = a_hi) that is
+    1 + ln(min(T, 1/a_lo)·a_hi)/e at most: logarithmic in ‖A‖.
+    """
+    top = float(np.max(mags))
+    a_lo, a_hi = float(np.min(rates)), float(np.max(rates))
+    with np.errstate(over="ignore"):  # an infinite ρ gives L·T below
+        rho = float(np.max(mags / rates))
+    if not math.isfinite(rho * a_hi):
+        return top * T
+    # ρ·m(τ) = L: in the first piece, the second or the third
+    if rho * a_hi <= top * math.e:
+        cross = max(0.0, math.log(rho * a_hi / top)) / a_hi
+    elif rho / (math.e * top) <= 1.0 / a_lo:
+        cross = rho / (math.e * top)
+    else:
+        cross = math.log(rho * a_lo / top) / a_lo
+    if cross >= T:
+        return top * T
+    tail = 0.0
+    first, second = 1.0 / a_hi, 1.0 / a_lo
+    if cross < first:
+        tail += _decay_integral(a_hi, cross, min(T, first))
+    lo, hi = max(cross, first), min(T, second)
+    if lo < hi:
+        tail += math.log1p((hi - lo) / lo) / math.e
+    if T > second:
+        tail += _decay_integral(a_lo, max(cross, second), T)
+    return top * cross + rho * tail
+
+
+def phi_bound(lam: np.ndarray, T: float) -> float:
+    """An upper bound on Φ = ∫₀ᵀ φ(τ) dτ, φ(τ) = max_k |λ_k|e^{Re λ_k τ},
+    in O(N) closed forms: the sum of one bound per group of modes.
+
+    - Re λ > 0: max|λ|·expm1(aT)/a with a = max Re λ (at least max|λ|·T).
+    - Re λ < 0: ``_decaying_phi``; a tiny rate such as Re λ = −1e-17 makes
+      ρ huge and the group's bound max|λ|·T.
+    - Re λ = 0: T·max|λ|.
+    """
+    lam = np.asarray(lam)
+    mags, rates = np.abs(lam), -lam.real
+    total = 0.0
+    growing = rates < 0.0
+    if np.any(growing):
+        a = float(np.max(-rates[growing]))
+        total += float(np.max(mags[growing])) * max(T, math.expm1(a * T) / a)
+    decaying = rates > 0.0
+    if np.any(decaying):
+        total += _decaying_phi(mags[decaying], rates[decaying], T)
+    flat = rates == 0.0
+    if np.any(flat):
+        total += float(np.max(mags[flat])) * T
+    return total
+
+
+def _phi_quadrature_bound(T: float, alpha_t: float, M: int, phi: float,
+                          source: float, slope: float) -> float:
+    """(T/M)·[sup‖b‖·Φ + T·e^{α̃T}·sup‖b′‖]."""
+    return T / M * (source * phi + T * math.exp(alpha_t * T) * slope)
 
 
 def _timedep_ledger(M: int) -> QueryLedger:
@@ -262,8 +367,17 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     Hadamard.  The success probability is exactly
     (‖ũ(T)‖ / (e^{α̃T} sqrt(2(‖u0‖² + T²‖b‖²_avg))))², α̃ = max(0, max Re λ).
 
-    M defaults to the quadrature bound's choice for ε′ = ε‖u(T)‖/2 and is
-    capped at MAX_RIEMANN_NODES (the required M is reported on failure).
+    M defaults to the smaller of two node counts for ε′ = ε‖u(T)‖/2, both
+    from one sweep of the drive: the paper's (``quadrature_nodes_for``),
+    T²e^{α̃T}·sup(‖A‖‖b‖ + ‖b′‖)/(2ε′), and the spectral one,
+    T·[sup‖b‖·Φ + T·e^{α̃T}·sup‖b′‖]/ε′ with Φ = ``phi_bound`` (see the
+    module docstring for the derivation).  It is capped at
+    MAX_RIEMANN_NODES; the error names both counts.  A given M is used as
+    is.  ``extras`` reports M as ``nodes``, the paper's count as
+    ``nodes_paper`` (None for a given M), both bounds at M, their minimum as
+    ``quadrature_bound`` (which sets the claimed ε), and Φ as
+    ``phi_bound``.  An α̃T whose e^{α̃T} overflows raises before the
+    reference runs.
     """
     if not isinstance(p.inhomogeneous, SampledSource):
         raise ValueError("needs a sampled (callable) inhomogeneous term")
@@ -272,23 +386,34 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     eigen = _eigensystem(p)
     lam = eigen.eigenvalues
     alpha_t = _alpha_tilde(lam)
+    if alpha_t * T > _LOG_MAX:
+        raise ValueError(f"e^(α̃T) overflows: α̃T = {alpha_t * T:.6g} "
+                         f"exceeds {_LOG_MAX:.6g}")
     reference = solve_reference(p)
     norm_uT = float(np.linalg.norm(reference))
     if norm_uT <= TOL.zero:
         raise ValueError("u(T) vanishes; nothing to post-select")
 
-    # one drive sweep serves node count and bound; a given M with no
+    # one drive sweep serves both node counts and bounds; a given M with no
     # derivative skips it and reports no bound
-    sup = None
+    phi = phi_bound(lam, T)
+    bound = bound_paper = nodes_paper = None
     if M is None or p.inhomogeneous.derivative is not None:
-        sup = _sup_drive_term(p, lam)
-    if M is None:
-        M = _nodes_from_sup(T, alpha_t, eps * norm_uT / 2.0, sup)
-        if M > MAX_RIEMANN_NODES:
-            raise ValueError(
-                f"required Riemann node count M = {M} exceeds the configured "
-                f"cap {MAX_RIEMANN_NODES}")
-    bound = None if sup is None else _bound_from_sup(T, alpha_t, M, sup)
+        drive, source, slope = _drive_sweep(p, lam)
+        if M is None:
+            eps_prime = eps * norm_uT / 2.0
+            nodes_paper = _nodes_from_sup(T, alpha_t, eps_prime, drive)
+            nodes_phi = _node_count(_phi_quadrature_bound(
+                T, alpha_t, 1, phi, source, slope) / eps_prime)
+            M = min(nodes_paper, nodes_phi)
+            if M > MAX_RIEMANN_NODES:
+                raise ValueError(
+                    f"required Riemann node count M = {M} (paper bound "
+                    f"{nodes_paper}, Φ bound {nodes_phi}) exceeds the "
+                    f"configured cap {MAX_RIEMANN_NODES}")
+        bound_paper = _bound_from_sup(T, alpha_t, M, drive)
+        bound = min(bound_paper, _phi_quadrature_bound(T, alpha_t, M, phi,
+                                                       source, slope))
 
     plan = riemann_plan(p.inhomogeneous, T, M, eigen)
     hom = eigen.apply(np.exp(lam * T) * eigen.apply_adjoint(p.u0))
@@ -305,9 +430,10 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
                                   _timedep_ledger(M).charge(O_U, 1),
                                   min(1.0, claimed))
     report.extras.update({
-        "nodes": M, "avg_square_norm": plan.avg_square_norm,
-        "alpha_tilde": alpha_t, "quadrature_bound": bound, "theta": theta,
-        "branch_weight": weight,
+        "nodes": M, "nodes_paper": nodes_paper,
+        "avg_square_norm": plan.avg_square_norm, "alpha_tilde": alpha_t,
+        "quadrature_bound": bound, "quadrature_bound_paper": bound_paper,
+        "phi_bound": phi, "theta": theta, "branch_weight": weight,
     })
     return report
 

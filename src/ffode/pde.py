@@ -259,14 +259,18 @@ class PdeSpec:
 
     def _sample(self, f, *t) -> np.ndarray:
         """f(x, *t) in one call on the read-only (d, N) grid array x, as a
-        complex array of the shape f returns."""
-        return np.asarray(f(self.grid().T, *t), dtype=complex)
+        new complex array of the shape f returns."""
+        return np.array(f(self.grid().T, *t), dtype=complex)
 
     def _sampled(self, f, *t) -> np.ndarray:
-        """``_sample`` broadcast to a new array: (N,) without t, (M, N) for
-        an (M, 1) column t of times."""
+        """``_sample``, broadcast to a new array when f's result has
+        another shape: (N,) without t, (M, N) for an (M, 1) column t of
+        times."""
         shape = (t[0].shape[0], self.N) if t else (self.N,)
-        return np.array(np.broadcast_to(self._sample(f, *t), shape))
+        sample = self._sample(f, *t)
+        if sample.shape == shape:
+            return sample
+        return np.array(np.broadcast_to(sample, shape))
 
     def u0_vector(self) -> np.ndarray:
         if self.u0 is None:
@@ -313,6 +317,9 @@ class PdeSpec:
                                    np.broadcast_to(first, (self.N,))])
 
         def after_lead(sample):
+            if not lead:
+                return sample
+
             def rows(t):
                 return np.concatenate(
                     [np.zeros((t.shape[0], lead), dtype=complex), sample(t)],
