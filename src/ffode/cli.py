@@ -134,8 +134,12 @@ def _is_coefficients(x) -> bool:
                              and all(map(_is_number, x)))
 
 
+def _is_natural(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _is_positive_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+    return _is_natural(x) and x > 0
 
 
 #: sweep axes: (predicate on each value, what the values must be)
@@ -146,6 +150,9 @@ SWEEP_AXES = {
     "d": (_is_positive_int, "positive integers"),
     "M": (_is_positive_int, "positive integers"),
 }
+
+#: numbers the config sets at its top level
+CONFIG_NUMBERS = {"seed": (_is_natural, "a non-negative integer")}
 
 #: numbers a problem sets, by problem type, and numbers a named sampler
 #: sets (a spatial source's profile included): (predicate, what they must be)
@@ -187,6 +194,7 @@ def load_config(path: str) -> dict:
              "campaign name required")
     _require(cfg.get("solver") in SOLVERS,
              f"solver must be one of {SOLVERS}")
+    _check_numbers("config", cfg, CONFIG_NUMBERS)
     sweep = cfg.get("sweep", {})
     _require(isinstance(sweep, dict), "sweep must be an object")
     for axis, values in sweep.items():
@@ -650,6 +658,23 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _integer_from(least: int, kind: str) -> Callable[[str], int]:
+    """An argparse type: an integer ≥ ``least``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"takes {kind}, got {text!r}")
+        return value
+    return parse
+
+
+_SEED = _integer_from(0, "a non-negative integer")
+_JOBS = _integer_from(1, "a positive integer")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ffode",
@@ -659,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run a campaign from a JSON config")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--jobs", type=int, default=1)
-    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--jobs", type=_JOBS, default=1)
+    p_solve.add_argument("--seed", type=_SEED, default=None)
     p_solve.add_argument("--tolerance", type=float, default=None)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -673,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--T", type=float, default=1.0)
     p_lb.add_argument("--shift", type=float, default=0.7)
     p_lb.add_argument("--trials", type=int, default=25)
-    p_lb.add_argument("--seed", type=int, default=0)
+    p_lb.add_argument("--seed", type=_SEED, default=0)
     p_lb.set_defaults(func=cmd_lb)
 
     p_scan = sub.add_parser("degree-scan",
@@ -687,8 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="deterministic built-in campaign")
     p_self.add_argument("--out", default=None)
-    p_self.add_argument("--jobs", type=int, default=1)
-    p_self.add_argument("--seed", type=int, default=None)
+    p_self.add_argument("--jobs", type=_JOBS, default=1)
+    p_self.add_argument("--seed", type=_SEED, default=None)
     p_self.add_argument("--tolerance", type=float, default=1e-9)
     p_self.set_defaults(func=cmd_selftest)
     return parser

@@ -1,15 +1,15 @@
-"""Process-wide caches of measurements, shared by threads.
+"""The library's one kind of process-wide cache of measurements, shared by
+threads: ``reference``'s factorizations and ``pde``'s operator measurements
+and sampling grids are each a ``Memo``, and the cache policy (keys, bytes,
+eviction, locks, read-only arrays) lives here alone.
 
-``exclusive(key)`` holds the one lock of a key while its value is computed,
-so threads that miss one entry together compute it once, while other keys
-are computed apart; the lock is dropped when its last holder leaves.
-``pde`` measures each operator under it, and every ``Memo`` computes its
-entries under it.
-
-A ``Memo`` holds tuples of read-only arrays and other values in
+A ``Memo`` holds arrays, or tuples of arrays and other values, in
 least-recently-used order within a fixed byte budget: the bytes of the
-arrays each entry holds.  A result larger than the whole budget is
-computed, returned and not kept.  Keys are values, never object
+arrays each entry holds, whatever the number of entries.  A result larger
+than the whole budget is computed, returned and not kept.  Only ``Memo``
+takes the per-key lock (``_exclusive``): threads that miss one entry
+together compute it once, while other keys are computed apart, and the lock
+is dropped when its last holder leaves.  Keys are values, never object
 identities: ``array_key`` reads an array's shape, dtype and the SHA-256
 digest of its bytes, hashed from its own buffer when it is contiguous, so
 an array mutated in place is another key.
@@ -31,7 +31,7 @@ _held_guard = threading.Lock()
 
 
 @contextmanager
-def exclusive(key):
+def _exclusive(key):
     """Hold the lock of ``key``: one thread at a time runs the block for a
     key, and threads holding other keys run apart."""
     with _held_guard:
@@ -56,8 +56,8 @@ def array_key(a: np.ndarray) -> tuple:
 
 
 class Memo:
-    """Tuples of values by key, their arrays read-only, least recently used
-    evicted first, within ``budget`` bytes."""
+    """Arrays, or tuples of values, by key, their arrays read-only, least
+    recently used evicted first, within ``budget`` bytes."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -82,17 +82,18 @@ class Memo:
 
     def get(self, key, compute: Callable[[], object]):
         """The entry of ``key``, computed by ``compute()`` on a miss under
-        ``exclusive(key)``, its arrays then made read-only; threads that miss
+        ``_exclusive(key)``, its arrays then made read-only; threads that miss
         together wait for the first."""
         entry = self._lookup(key)
         if entry is not None:
             return entry[0]
-        with exclusive(key):
+        with _exclusive(key):
             entry = self._lookup(key)
             if entry is not None:
                 return entry[0]
             result = compute()
-            arrays = [part for part in result if isinstance(part, np.ndarray)]
+            parts = (result,) if isinstance(result, np.ndarray) else result
+            arrays = [part for part in parts if isinstance(part, np.ndarray)]
             for part in arrays:
                 part.setflags(write=False)
             size = sum(part.nbytes for part in arrays)

@@ -36,13 +36,15 @@ its closed forms.
 The eigensystem depends only on the operator, (kind, d, n, a, a′, c), not on
 T, ε or the samplers.  ``_operator_validation`` builds it, with the stencils
 of ``_axis_stencils``, and measures its axis probe and residual once per
-operator and process: an ``lru_cache`` keyed on those values as read from the
-spec at call time, which holds measurements, not verdicts.  Threads that
-miss one entry together wait on one lock per operator (``_validation_of``,
-through ``memo.exclusive``), so they measure it once.
-``eigensystem_of`` and ``lift_hyperbolic`` compare them with
-TOL.reconstruction on every call, so a T×ε sweep over one operator builds and
-probes its stencils once, and a tightened tolerance fails the next solve.
+operator and process, kept in ``_MEMO`` under those values as read from the
+spec at call time: measurements, not verdicts.  ``eigensystem_of`` and
+``lift_hyperbolic`` compare them with TOL.reconstruction on every call, so a
+T×ε sweep over one operator builds and probes its stencils once, and a
+tightened tolerance fails the next solve.  ``_MEMO``, a ``memo.Memo``, also
+keeps each (n, d) grid.  It is bounded by bytes, not entries: 256 MiB, least
+recently used evicted first; an entry over that (a lifted operator holds 40 B
+per grid point, so from N ≈ 6.7M on) is measured, checked and not kept.
+Threads that miss one entry together wait on the lock ``Memo`` takes per key.
 ``PdeSpec`` calls each sampler on the whole grid: once per field, and for the
 source once at t = 0, whose result's shape declares whether b depends on
 time, then once per batch of times if it does.
@@ -50,7 +52,6 @@ time, then once per batch of times if it does.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -60,7 +61,7 @@ import numpy as np
 from .config import TOL
 from .linalg import EigenSystem, FourierBasis, as_vector
 from .eigen_solvers import solve_eigen
-from .memo import exclusive
+from .memo import Memo
 from .qsvt_solvers import SolveReport, post_selected_report
 from .reference import (OdeProblem, SampledSource, second_order_problem,
                         solve_reference)
@@ -153,13 +154,16 @@ def dft_tensor(n: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # benchmark problem description
 
-@functools.lru_cache(maxsize=16)
+#: the sampling grids and the operators' measured eigensystems, by value;
+#: at most 256 MiB of arrays are kept
+_MEMO = Memo(256 * 2 ** 20)
+
+
+@_MEMO.cached(key=lambda n, d: (n, d))
 def _grid(n: int, d: int) -> np.ndarray:
     axes = [np.arange(n) / n] * d
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts.setflags(write=False)
-    return pts
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass
@@ -254,7 +258,7 @@ class PdeSpec:
     def grid(self) -> np.ndarray:
         """All grid points j/n for j in [n]^d, row-major in j (k₀ major).
 
-        Built once per (n, d) and shared read-only."""
+        Built once per (n, d) and shared read-only, kept in ``_MEMO``."""
         return _grid(self.n, self.d)
 
     def _sample(self, f, *t) -> np.ndarray:
@@ -334,8 +338,7 @@ def _axis_operators(spec: PdeSpec, part: int) -> tuple[float, list]:
     """The one description of a kind's operator, shift·I + Σ_j S_j along axis
     j (A for parabolic kinds, B² for hyperbolic ones): the shift and each S_j
     as its n×n stencil (part 0) or its closed-form spectrum (part 1).  It and
-    the helpers below read only kind, d, n, a, a′ and c, so ``spec`` may be a
-    ``PdeSpec`` or the ``_Operator`` decoded from a cache key."""
+    the helpers below read only kind, d, n, a, a′ and c."""
     def one_d(stencil, spectrum) -> np.ndarray:
         return (stencil, spectrum)[part](spec.n)
     if spec.kind == "airy":
@@ -431,34 +434,37 @@ def _probe_axes(spec, stencils, basis: FourierBasis) -> tuple:
     return tuple(measured)
 
 
-@dataclass(frozen=True)
-class _Validation:
-    """An eigensystem and the measurements that validate it: each axis's
-    probe (residual, scale) and the residual max|λ − target|.  It stores no
-    verdict; ``checked`` compares them with TOL.reconstruction as it stands
-    at each call."""
+class _Validation(NamedTuple):
+    """The measurements that validate an operator's Fourier eigensystem: its
+    eigenvalues, each axis's probe (residual, scale), the residual
+    max|λ − target| and, for a lifted kind, the root spectrum s.  It stores
+    no verdict; ``checked`` compares them with TOL.reconstruction as it
+    stands at each call."""
 
-    eigen: EigenSystem
-    label: str                     # "closed-form" or "lifted"
+    eigenvalues: np.ndarray
     probe: tuple                   # ((residual_j, scale_j), ...) per axis
     residual: float
     root: np.ndarray | None = None  # the lift's root spectrum s
 
-    def checked(self) -> EigenSystem:
-        """The eigensystem, once every measurement is within tolerance."""
+    def checked(self, spec: PdeSpec) -> EigenSystem:
+        """The eigensystem on the spec's Fourier basis (lifted when there is
+        a root spectrum), once every measurement is within tolerance."""
         for j, (err, scale) in enumerate(self.probe):
             if not err <= TOL.reconstruction * scale:
                 raise ValueError(f"axis-{j} stencil probe fails against the "
                                  f"FFT apply: relative residual "
                                  f"{err / scale:.3e}")
+        lifted = self.root is not None
         if not self.residual <= TOL.reconstruction:
-            raise ValueError(f"{self.label} eigensystem fails cross-"
-                             f"validation: residual {self.residual:.3e}")
-        return self.eigen
+            raise ValueError(f"{'lifted' if lifted else 'closed-form'} "
+                             f"eigensystem fails cross-validation: residual "
+                             f"{self.residual:.3e}")
+        return EigenSystem(FourierBasis(spec.n, spec.d, lifted=lifted),
+                           self.eigenvalues)
 
 
 def _cross_validated(spec, lam, axes, root=None) -> _Validation:
-    """The Fourier eigensystem with eigenvalues ``lam`` and its measurements
+    """The eigenvalues ``lam`` on the Fourier basis U and their measurements
     against the stencil operator A: the axis probe and the residual
     ‖UΛU† − A‖₂, which is exact as max|λ − target|.  It caches nothing and
     judges nothing; ``_Validation.checked`` holds them to TOL.reconstruction.
@@ -480,33 +486,14 @@ def _cross_validated(spec, lam, axes, root=None) -> _Validation:
     """
     lam = as_vector(lam)
     shift, stencils = axes
-    fourier = FourierBasis(spec.n, spec.d)
-    probe = _probe_axes(spec, stencils, fourier)
+    probe = _probe_axes(spec, stencils, FourierBasis(spec.n, spec.d))
     if spec.kind in PARABOLIC_KINDS:
         target = _on_grid(spec, shift, [np.fft.fft(stencil[:, 0])
                                         for stencil, _ in stencils])
-        basis, label = fourier, "closed-form"
     else:
         target = np.concatenate([1j * root, -1j * root])
-        basis, label = FourierBasis(spec.n, spec.d, lifted=True), "lifted"
     residual = float(np.max(np.abs(lam - target)))
-    return _Validation(EigenSystem(basis, lam), label, probe, residual, root)
-
-
-class _Operator(NamedTuple):
-    """The values an operator's eigensystem depends on, decoded from a cache
-    key: not T, ε or the samplers."""
-
-    kind: str
-    d: int
-    n: int
-    a: np.ndarray
-    a_prime: np.ndarray
-    c: float
-
-    @property
-    def N(self) -> int:
-        return self.n ** self.d
+    return _Validation(lam, probe, residual, root)
 
 
 def _operator_key(spec: PdeSpec) -> tuple:
@@ -519,35 +506,19 @@ def _operator_key(spec: PdeSpec) -> tuple:
             np.float64(spec.c).tobytes())
 
 
-@functools.lru_cache(maxsize=16)
-def _operator_validation(key: tuple) -> _Validation:
-    """The measured eigensystem of the operator ``_operator_key`` describes,
-    built and probed once per process: the closed-form eigenvalues of a
-    parabolic kind, or the lifted ones (i·s, −i·s) with the root spectrum s of
-    a hyperbolic kind, both read-only.  Callers ``checked`` it on every use."""
-    kind, d, n, a, a_prime, c = key
-    op = _Operator(kind, d, n, np.frombuffer(a), np.frombuffer(a_prime),
-                   float(np.frombuffer(c)[0]))
-    shift, stencils = axes = _axis_stencils(op)
-    if kind in PARABOLIC_KINDS:
-        validation = _cross_validated(op, _on_grid(op, shift, [
+@_MEMO.cached(key=_operator_key)
+def _operator_validation(spec: PdeSpec) -> _Validation:
+    """The measured eigensystem of the spec's operator, built and probed
+    once per operator and process: the closed-form eigenvalues of a
+    parabolic kind, or the lifted ones (i·s, −i·s) with the root spectrum s
+    of a hyperbolic kind.  Kept in ``_MEMO`` under ``_operator_key``, its
+    arrays read-only; callers ``checked`` it on every use."""
+    shift, stencils = axes = _axis_stencils(spec)
+    if spec.kind in PARABOLIC_KINDS:
+        return _cross_validated(spec, _on_grid(spec, shift, [
             spectrum for _, spectrum in stencils]), axes)
-    else:
-        s = _root_spectrum(op)
-        s.setflags(write=False)
-        validation = _cross_validated(
-            op, np.concatenate([1j * s, -1j * s]), axes, s)
-    validation.eigen.eigenvalues.setflags(write=False)
-    return validation
-
-
-def _validation_of(spec: PdeSpec) -> _Validation:
-    """``_operator_validation`` of the spec's operator under the operator's
-    lock (``memo.exclusive``): a thread that misses the entry while another
-    measures it waits and then reads the entry."""
-    key = _operator_key(spec)
-    with exclusive(key):
-        return _operator_validation(key)
+    s = _root_spectrum(spec)
+    return _cross_validated(spec, np.concatenate([1j * s, -1j * s]), axes, s)
 
 
 def eigensystem_of(spec: PdeSpec) -> EigenSystem:
@@ -562,7 +533,7 @@ def eigensystem_of(spec: PdeSpec) -> EigenSystem:
     if spec.kind not in PARABOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not in the parabolic family; "
                          "use lift_hyperbolic")
-    return _validation_of(spec).checked()
+    return _operator_validation(spec).checked(spec)
 
 
 def fast_inversion(eigen: EigenSystem, w0) -> tuple[np.ndarray, float]:
@@ -609,13 +580,13 @@ def lift_hyperbolic(spec: PdeSpec) -> tuple[OdeProblem, float]:
     """
     if spec.kind not in HYPERBOLIC_KINDS:
         raise ValueError(f"{spec.kind} is not hyperbolic")
-    validation = _validation_of(spec)
+    validation = _operator_validation(spec)
     # eigen data of iB in the plain Fourier basis, for the initial data solve
     v0, cost = fast_inversion(
         EigenSystem(FourierBasis(spec.n, spec.d), 1j * validation.root),
         spec.w0_vector())
 
-    eigen = validation.checked()
+    eigen = validation.checked(spec)
     u_full = np.concatenate([spec.u0_vector(), v0])
     return OdeProblem(eigen, u_full, spec.T, spec._source(lead=spec.N)), cost
 

@@ -26,14 +26,16 @@ a ``memo.Memo`` keyed on the array's shape, dtype and the SHA-256 digest of
 its bytes (``_diagonalize`` also on ``TOL.normality``, which picks ``eigh``
 or ``eig``).  An entry holds read-only measurements: the eigenpairs, cond
 and vinv or None.  The ill-conditioned warning and every check of
-``solve_reference`` run on every call.  At most 256 MiB of arrays are kept,
-least recently used evicted first; an entry larger than that (a dense
-N = 4096 coefficient holds 512 MiB) is computed and not kept.  Threads that
-miss one key together factorize it once.  So the repeats within a solve (the
-equal axes of a wave or Klein-Gordon stencil, u0 and w0 of a witness pair),
-and every point of a CLI sweep, which redraws the same A and rebuilds the
-same stencils, factorize once.  The 12-node Gauss-Legendre rule is computed
-on its first use.  Only the reference's own calls fill the cache, and they
+``solve_reference`` run on every call.  Entries are bounded by their bytes,
+not their count: at most 256 MiB of arrays are kept, least recently used
+evicted first, and an entry larger than that (a dense N = 4096 coefficient
+holds 512 MiB) is computed and not kept.  Threads that miss one key
+together wait on the one lock ``Memo`` takes per key, so they factorize it
+once.  So the repeats within a solve (the equal axes of a wave or
+Klein-Gordon stencil, u0 and w0 of a witness pair), and every point of a CLI
+sweep, which redraws the same A and rebuilds the same stencils, factorize
+once.  The 12-node Gauss-Legendre rule is computed on its first use and kept
+in ``_FACTORS`` too.  Only the reference's own calls fill the cache, and they
 share nothing with the solvers' eigensystems (``exact_dilation`` calls
 ``hermitian_eigh`` itself, uncached), so the reference stays independent.
 """
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -58,7 +60,8 @@ if TYPE_CHECKING:
 _GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the reference quadrature
 
 #: the reference's own factorizations, ``_modes`` and ``_diagonalize``, by
-#: the values factorized; at most 256 MiB of arrays are kept
+#: the values factorized, and the Gauss-Legendre rule; at most 256 MiB of
+#: arrays are kept
 _FACTORS = Memo(256 * 2 ** 20)
 
 
@@ -193,14 +196,11 @@ def _diagonalize(a: np.ndarray):
     return w, v, (None if cond > 1e8 else np.linalg.inv(v)), cond
 
 
-@lru_cache(maxsize=None)
+@_FACTORS.cached(key=lambda: _GAUSS_ORDER)
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     """The _GAUSS_ORDER Gauss-Legendre nodes and weights on [-1, 1],
     computed on first use and read-only."""
-    rule = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    for part in rule:
-        part.setflags(write=False)
-    return rule
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
 def _gauss_panels(g, T: float, width: int):

@@ -3,14 +3,15 @@
 import pytest
 
 
-@pytest.fixture
-def fresh_reference_factors():
-    # the reference's factorizations are cached per process: a module that
-    # patches numpy.linalg or reference internals must factorize afresh, and
-    # leave no entry behind that was measured under its patch
-    from ffode import reference
-    reference._FACTORS.clear()
-    reference._gauss_rule.cache_clear()
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    # the library's caches (each a ``memo.Memo``) are per process: a test that
+    # patches numpy.linalg, a stencil, a spectrum or a probe must measure
+    # afresh, and leave no entry behind that was measured under its patch
+    from ffode import pde, reference
+    memos = (pde._MEMO, reference._FACTORS)
+    for memo in memos:
+        memo.clear()
     yield
-    reference._FACTORS.clear()
-    reference._gauss_rule.cache_clear()
+    for memo in memos:
+        memo.clear()

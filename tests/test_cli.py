@@ -196,6 +196,42 @@ def test_bad_sweep_value_is_a_schema_error(tmp_path, capsys, case):
     assert not (tmp_path / "bad.csv").exists()
 
 
+#: case -> a config seed that is not a non-negative integer; json.load
+#: reads NaN, and a fraction or a boolean must not run as seed 1
+BAD_SEEDS = {"negative": -1, "string": "abc", "nan": NAN, "fraction": 1.5,
+             "boolean": True}
+
+
+@pytest.mark.parametrize("case", list(BAD_SEEDS))
+def test_bad_config_seed_is_a_schema_error(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, dict(HEAT_CAMPAIGN, seed=BAD_SEEDS[case]))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: 'seed' takes a non-negative "
+                          "integer") and err.count("\n") == 1
+    assert not (tmp_path / "demo-heat.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--config", "unread.json", "--seed", "-3"],
+    ["solve", "--config", "unread.json", "--jobs", "0"],
+    ["solve", "--config", "unread.json", "--jobs", "-1"],
+    ["selftest", "--seed", "-3"],
+    ["selftest", "--jobs", "0"],
+    ["lb", "--family", "realpart-gap", "--seed", "-1"],
+    ["lb", "--family", "realpart-gap", "--seed", "1.5"],
+])
+def test_bad_seed_or_jobs_argument_is_a_usage_error(capsys, args):
+    # rejected while the arguments are parsed, before any config is read
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {args[-2]}: takes a" in err
+
+
 def test_solver_problem_mismatch(tmp_path):
     bad = {
         "version": 1, "campaign": "bad", "solver": "eigen", "seed": 0,
@@ -384,7 +420,7 @@ def test_sweep_validates_each_pde_operator_once(monkeypatch):
                         or time.sleep(0.05) or probe(*args))
 
     def rows(jobs):
-        pde._operator_validation.cache_clear()
+        pde._MEMO.clear()
         probes.clear()
         return [{k: v for k, v in row.items() if k != "wall_time_ms"}
                 for row in run_campaign(cfg, jobs=jobs)]
@@ -396,11 +432,10 @@ def test_sweep_validates_each_pde_operator_once(monkeypatch):
     run_point = ffode.cli._run_point
 
     def measured_afresh(*args):
-        pde._operator_validation.cache_clear()
+        pde._MEMO.clear()
         return run_point(*args)
     monkeypatch.setattr(ffode.cli, "_run_point", measured_afresh)
     assert rows(1) == serial
-    pde._operator_validation.cache_clear()
 
 
 def test_lb_families(capsys):

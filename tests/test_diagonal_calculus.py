@@ -38,9 +38,6 @@ from ffode.qsvt_solvers import _half_shift, be_duhamel_negdef, be_exp_negdef
 
 import dense_calculus as oracle
 
-# the module patches numpy.linalg or reference internals
-pytestmark = pytest.mark.usefixtures("fresh_reference_factors")
-
 DELTA = 0.25
 
 

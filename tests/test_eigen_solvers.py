@@ -16,9 +16,6 @@ from ffode import eigen_solvers, reference
 from ffode.block_encoding import U_EIG
 from ffode.config import MAX_RIEMANN_NODES
 
-# the module patches numpy.linalg or reference internals
-pytestmark = pytest.mark.usefixtures("fresh_reference_factors")
-
 
 def random_eigensystem(rng, n, re_range=(-1.0, 0.0), im_range=(-2.0, 2.0)):
     q = np.linalg.qr(rng.standard_normal((n, n))

@@ -23,17 +23,6 @@ from ffode.pde import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_operator_cache():
-    # the eigensystem cache is process-wide: a test that patches a stencil,
-    # a spectrum or the probe must measure afresh, and leave no entry behind
-    # that was measured under its patch
-    import ffode.pde as pde
-    pde._operator_validation.cache_clear()
-    yield
-    pde._operator_validation.cache_clear()
-
-
 def spectra_match(computed, closed_form, tol=1e-8):
     """Match two multisets of eigenvalues by optimal assignment."""
     a = np.asarray(computed).ravel()
@@ -440,11 +429,9 @@ def test_pde_spec_rejects_non_finite_values(bad):
 ], ids=["probe", "residual"])
 def test_nan_measurement_fails_validation(probe, residual, message):
     import ffode.pde as pde
-    from ffode.linalg import EigenSystem, FourierBasis
-    validation = pde._Validation(EigenSystem(FourierBasis(4, 1), np.zeros(4)),
-                                 "closed-form", probe, residual)
+    validation = pde._Validation(np.zeros(4, dtype=complex), probe, residual)
     with pytest.raises(ValueError, match=message):
-        validation.checked()
+        validation.checked(PdeSpec("heat", 1, 4, 1.0))
 
 
 def test_grid_is_built_once_per_shape():
@@ -512,19 +499,19 @@ def test_cross_validation_rejects_wrong_parabolic_eigenvalues():
     spec = _advdiff_spec([1.0, -0.5])
     axes = _axis_stencils(spec)
     lam = _spectrum(spec)
-    _cross_validated(spec, lam, axes).checked()
+    _cross_validated(spec, lam, axes).checked(spec)
     bumped = lam.copy()
     bumped[11] += 1e-6
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(spec, bumped, axes).checked()
+        _cross_validated(spec, bumped, axes).checked(spec)
     swapped = _spectrum(_advdiff_spec([-0.5, 1.0]))
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(spec, swapped, axes).checked()
+        _cross_validated(spec, swapped, axes).checked(spec)
     airy = PdeSpec("airy", 1, 16, 1.0, u0=smooth_u0)
     lam = -dh3_eigenvalues(16)
     lam[3] += 1e-6
     with pytest.raises(ValueError, match="residual"):
-        _cross_validated(airy, lam, _axis_stencils(airy)).checked()
+        _cross_validated(airy, lam, _axis_stencils(airy)).checked(airy)
 
 
 def test_cross_validation_probe_catches_swapped_symbol_axes(monkeypatch):
@@ -546,15 +533,15 @@ def test_cross_validation_rejects_wrong_lifted_eigenvalues():
         s = _root_spectrum(spec)
         axes = _axis_stencils(spec)
         lam = np.concatenate([1j * s, -1j * s])
-        eigen = _cross_validated(spec, lam, axes, s).checked()
+        eigen = _cross_validated(spec, lam, axes, s).checked(spec)
         assert np.allclose(eigen.matrix, dense_operator(spec), atol=1e-8)
         with pytest.raises(ValueError, match="residual"):
             _cross_validated(spec, np.concatenate([-1j * s, 1j * s]), axes,
-                             s).checked()
+                             s).checked(spec)
         bumped = lam.copy()
         bumped[spec.N + 2] += 1e-6
         with pytest.raises(ValueError, match="residual"):
-            _cross_validated(spec, bumped, axes, s).checked()
+            _cross_validated(spec, bumped, axes, s).checked(spec)
 
 
 def test_cross_validation_takes_one_grid_fft_pair(monkeypatch):
@@ -595,7 +582,7 @@ def test_probe_names_the_axis_of_a_wrong_stencil_tap(monkeypatch, kind, d):
             stencils[axis] = (stencil, spectrum)
             return shift, stencils
         monkeypatch.setattr(pde, "_axis_stencils", bumped)
-        pde._operator_validation.cache_clear()  # measure the bumped stencil
+        pde._MEMO.clear()  # measure the bumped stencil
         with pytest.raises(ValueError, match=f"axis-{axis} stencil probe"):
             check(spec)
 
@@ -635,10 +622,10 @@ def test_lifted_residual_is_the_largest_block_norm(seed, n, log_scale):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pde, "_probe_axes", lambda *args: ())  # no axis probed
         mp.setattr(pde.TOL, "reconstruction", oracle + slack)
-        pde._cross_validated(spec, lam, axes, s).checked()
+        pde._cross_validated(spec, lam, axes, s).checked(spec)
         mp.setattr(pde.TOL, "reconstruction", oracle - slack)
         with pytest.raises(ValueError, match="lifted .* residual"):
-            pde._cross_validated(spec, lam, axes, s).checked()
+            pde._cross_validated(spec, lam, axes, s).checked(spec)
 
 
 @pytest.mark.parametrize("spec", [spec for spec, calls in SOLVE_CASES
@@ -848,11 +835,8 @@ def _fresh_validation(spec):
 
 
 def _same_bits(cached, fresh):
-    assert (cached.eigen.eigenvalues.tobytes()
-            == fresh.eigen.eigenvalues.tobytes())
-    assert vars(cached.eigen._fourier) == vars(fresh.eigen._fourier)
-    assert (cached.label, cached.probe, cached.residual) == (
-        fresh.label, fresh.probe, fresh.residual)
+    assert cached.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+    assert (cached.probe, cached.residual) == (fresh.probe, fresh.residual)
     if fresh.root is None:
         assert cached.root is None
     else:
@@ -863,23 +847,26 @@ def _same_bits(cached, fresh):
 @given(spec=_operators(), data=st.data())
 def test_operator_cache_holds_a_fresh_validation(spec, data):
     import ffode.pde as pde
-    pde._operator_validation.cache_clear()
+    pde._MEMO.clear()
     probes = []
     with pytest.MonkeyPatch.context() as mp:
         probe = pde._probe_axes
         mp.setattr(pde, "_probe_axes",
                    lambda *args: probes.append(1) or probe(*args))
-        cached = pde._operator_validation(pde._operator_key(spec))
+        cached = pde._operator_validation(spec)
         assert len(probes) == 1
-        # one measurement per operator, and the public entry point returns it
-        if spec.kind in pde.PARABOLIC_KINDS:
-            assert eigensystem_of(spec) is cached.eigen
-        else:
-            assert pde._operator_validation(pde._operator_key(spec)) is cached
+        # one measurement per operator, its eigenvalues wrapped, uncopied,
+        # in the spec's Fourier basis (by the public entry point, if parabolic)
+        assert pde._operator_validation(spec) is cached
+        eigen = (eigensystem_of(spec) if spec.kind in pde.PARABOLIC_KINDS
+                 else cached.checked(spec))
+        assert np.shares_memory(eigen.eigenvalues, cached.eigenvalues)
+        assert vars(eigen._fourier) == {
+            "n": spec.n, "d": spec.d, "lifted": cached.root is not None}
         assert len(probes) == 1
     _same_bits(cached, _fresh_validation(spec))
     with pytest.raises(ValueError, match="read-only"):
-        cached.eigen.eigenvalues[0] = 0.0
+        cached.eigenvalues[0] = 0.0
     if cached.root is not None:
         with pytest.raises(ValueError, match="read-only"):
             cached.root[0] = 0.0
@@ -894,9 +881,9 @@ def test_operator_cache_holds_a_fresh_validation(spec, data):
         spec.c = float(np.nextafter(spec.c, -np.inf))
     else:
         getattr(spec, name)[j] = np.nextafter(getattr(spec, name)[j], np.inf)
-    misses = pde._operator_validation.cache_info().misses
-    bumped = pde._operator_validation(pde._operator_key(spec))
-    assert pde._operator_validation.cache_info().misses == misses + 1
+    entries = len(pde._MEMO)
+    bumped = pde._operator_validation(spec)
+    assert len(pde._MEMO) == entries + 1
     assert bumped is not cached
     _same_bits(bumped, _fresh_validation(spec))
 
@@ -911,7 +898,7 @@ def test_tightened_tolerance_fails_the_next_solve(monkeypatch):
                         lambda *args: probes.append(1) or probe(*args))
     spec = PdeSpec("heat", 1, 8, 0.05, u0=smooth_u0)
     solve_pde(spec, 1e-9)
-    stored = pde._operator_validation(pde._operator_key(spec))
+    stored = pde._operator_validation(spec)
     (err, scale), = stored.probe
     assert 0.0 < err / scale < stored.residual
     monkeypatch.setattr(pde.TOL, "reconstruction", stored.residual / 2)
@@ -961,7 +948,7 @@ def test_threads_share_one_measurement_per_operator(monkeypatch):
     specs = [PdeSpec("heat", 2, n, 1.0, a=[1.0, a], u0=smooth_u0)
              for n in (6, 8) for a in (0.5, 1.0)]
     serial = [eigensystem_of(spec).eigenvalues.tobytes() for spec in specs]
-    pde._operator_validation.cache_clear()
+    pde._MEMO.clear()
     probes = []
     probe = pde._probe_axes
     monkeypatch.setattr(pde, "_probe_axes", lambda *args: probes.append(
@@ -977,7 +964,56 @@ def test_threads_share_one_measurement_per_operator(monkeypatch):
         sys.setswitchinterval(interval)
     for k, eigen in enumerate(got):
         assert eigen.eigenvalues.tobytes() == serial[k % len(specs)]
-    assert pde._operator_validation.cache_info().currsize == len(specs)
+    assert len(pde._MEMO) == len(specs)
     assert len(probes) == len(specs)
     from ffode import memo
     assert memo._held == {}  # each operator's lock is dropped
+
+
+def test_operator_larger_than_the_budget_is_measured_and_not_kept(
+        monkeypatch):
+    # a lifted entry holds 40 B per grid point: 2N complex eigenvalues and
+    # the N real root spectrum
+    import ffode.pde as pde
+    spec = PdeSpec("wave", 1, 16, 1.0, u0=smooth_u0, w0=mean_zero_w0)
+    fresh = _fresh_validation(spec)
+    assert fresh.eigenvalues.nbytes + fresh.root.nbytes == 40 * spec.N
+    monkeypatch.setattr(pde._MEMO, "budget", 40 * spec.N - 1)
+    probes = []
+    probe = pde._probe_axes
+    monkeypatch.setattr(pde, "_probe_axes",
+                        lambda *args: probes.append(1) or probe(*args))
+    for calls in (1, 2):
+        problem, _ = lift_hyperbolic(spec)
+        assert len(probes) == calls  # measured again on every call
+        eigenvalues = problem.coefficient.eigenvalues
+        assert eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert not eigenvalues.flags.writeable
+    # only the grid, 8 B per point, is kept
+    assert len(pde._MEMO) == 1 and pde._MEMO.nbytes == 8 * spec.N
+    (err, scale), = fresh.probe
+    monkeypatch.setattr(pde.TOL, "reconstruction", err / scale / 2)
+    with pytest.raises(ValueError, match="axis-0 stencil probe"):
+        lift_hyperbolic(spec)  # and checked on every call
+
+
+def test_operator_and_grid_entries_share_one_byte_budget(monkeypatch):
+    # heat d=2 holds 16 B per grid point in either entry: N complex
+    # eigenvalues, or N points of 2 coordinates
+    import ffode.pde as pde
+    small, large = (PdeSpec("heat", 2, n, 1.0, u0=smooth_u0) for n in (6, 8))
+    budget = 16 * (2 * large.N + small.N)
+    monkeypatch.setattr(pde._MEMO, "budget", budget)
+    probes = []
+    probe = pde._probe_axes
+    monkeypatch.setattr(pde, "_probe_axes", lambda *args: probes.append(
+        args[0].n) or probe(*args))
+    first = eigensystem_of(small).eigenvalues
+    for call in (small.grid, lambda: eigensystem_of(large),
+                 large.grid):  # evicts small's operator, the least recent
+        call()
+        assert pde._MEMO.nbytes <= budget
+    remeasured = eigensystem_of(small).eigenvalues  # evicts small's grid
+    assert probes == [6, 8, 6]
+    assert len(pde._MEMO) == 3 and pde._MEMO.nbytes == budget
+    assert remeasured.tobytes() == first.tobytes()

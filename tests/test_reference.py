@@ -16,9 +16,6 @@ from ffode import eigen_solvers, reference
 from ffode.block_encoding import O_G
 from ffode.reference import exp_integral
 
-# the module patches numpy.linalg or reference internals
-pytestmark = pytest.mark.usefixtures("fresh_reference_factors")
-
 
 def _duhamel(lam, t):
     """``be_duhamel_eigen`` of the spectrum lam in the standard basis."""

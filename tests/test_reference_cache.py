@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from ffode import OdeProblem, PdeSpec, SampledSource, memo, reference
 from ffode import solve_pde, solve_reference
 
-pytestmark = pytest.mark.usefixtures("fresh_reference_factors")
-
 
 def _d2(n):
     return reference._periodic_difference(n, reference._SECOND_DIFFERENCE, 2)

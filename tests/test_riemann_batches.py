@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 
 from ffode import EigenSystem, SampledSource, reference, riemann_plan
 
-# the module patches numpy.linalg or reference internals
-pytestmark = pytest.mark.usefixtures("fresh_reference_factors")
-
 ROWS = 7
 
 
