@@ -135,7 +135,7 @@ class QueryLedger:
         return f"QueryLedger({self.counts})"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BlockEncoding:
     """An (alpha, ancilla_qubits, epsilon_claim)-block-encoding.
 
@@ -146,6 +146,7 @@ class BlockEncoding:
     there are no ancillas.  ``target`` is the analytic matrix the encoding
     claims to represent; when present it is re-verified at construction time.
     No calculus rule accepts this dense form (see the module docstring).
+    Encodings compare by identity; repr reads the scalars and the ledger.
     """
 
     block: np.ndarray
@@ -186,6 +187,11 @@ class BlockEncoding:
                     f"block is not a contraction: ‖block‖ = {norm:.6g}")
         if self.target is not None:
             verify_block_encoding(self, self.target)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(system_dim={self.system_dim}, "
+                f"alpha={self.alpha!r}, epsilon_claim={self.epsilon_claim!r}, "
+                f"ancilla_qubits={self.ancilla_qubits}, ledger={self.ledger!r})")
 
     def apply(self, v) -> np.ndarray:
         """block · v."""

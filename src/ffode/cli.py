@@ -490,7 +490,8 @@ LB_RANGES = {
     "kappa": (lambda x: 1 < x < math.inf,
               "kappa must be finite and exceed 1"),
     "dim": (lambda x: x >= 2, "dim must be at least 2"),
-    "T": (lambda x: 0 < x < math.inf, "T must be positive and finite"),
+    "T": (lambda x: 0 < x <= math.log(sys.float_info.max),
+          "T must be positive with e^T a finite float"),
     "shift": (math.isfinite, "shift must be finite"),
     "trials": (lambda x: x >= 1, "trials must be at least 1"),
 }
@@ -658,21 +659,22 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _integer_from(least: int, kind: str) -> Callable[[str], int]:
-    """An argparse type: an integer ≥ ``least``, else a usage error."""
-    def parse(text: str) -> int:
+def _number_from(least, kind: str, cast=int) -> Callable[[str], float]:
+    """An argparse type: ``cast(text)`` ≥ ``least``, else a usage error."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
             value = None
-        if value is None or value < least:
+        if value is None or not value >= least:
             raise argparse.ArgumentTypeError(f"takes {kind}, got {text!r}")
         return value
     return parse
 
 
-_SEED = _integer_from(0, "a non-negative integer")
-_JOBS = _integer_from(1, "a positive integer")
+_SEED = _number_from(0, "a non-negative integer")
+_JOBS = _number_from(1, "a positive integer")
+_TOLERANCE = _number_from(0.0, "a non-negative number", cast=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -686,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--jobs", type=_JOBS, default=1)
     p_solve.add_argument("--seed", type=_SEED, default=None)
-    p_solve.add_argument("--tolerance", type=float, default=None)
+    p_solve.add_argument("--tolerance", type=_TOLERANCE, default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_lb = sub.add_parser("lb", help="certify a lower-bound witness family")
@@ -714,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--out", default=None)
     p_self.add_argument("--jobs", type=_JOBS, default=1)
     p_self.add_argument("--seed", type=_SEED, default=None)
-    p_self.add_argument("--tolerance", type=float, default=1e-9)
+    p_self.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

@@ -17,18 +17,19 @@ spectrum fixed by the circuit that runs: e^{αT} and C(α,β,T) for the
 constant-source circuit (``_shift``, ``_beta_floor``), e^{α̃T} with
 α̃ = max(0, max Re λ) for the Riemann sum (``_alpha_tilde``).
 
-The Riemann sum takes M = min(M_paper, M_Φ) nodes for its quadrature budget
-ε′ = ε‖u(T)‖/2.  With g(s) = e^{A(T−s)}b(s) and h = T/M, the left-Riemann
-error is ‖Σ_k ∫_{t_k}^{t_k+h} (g(s) − g(t_k)) ds‖ ≤ h∫₀ᵀ‖g′‖, and
-g′(s) = −Ae^{A(T−s)}b(s) + e^{A(T−s)}b′(s).  Two bounds on that follow:
+The Riemann accounting is two constants from one sweep of the drive.  With
+g(s) = e^{A(T−s)}b(s) and h = T/M, the left-Riemann error is
+‖Σ_k ∫_{t_k}^{t_k+h} (g(s) − g(t_k)) ds‖ ≤ h∫₀ᵀ‖g′‖, and
+g′(s) = −Ae^{A(T−s)}b(s) + e^{A(T−s)}b′(s).  Each bound at M nodes is K/M:
 
-- the paper's, T²e^{α̃T}/(2M)·sup(‖A‖‖b‖ + ‖b′‖), whose M grows linearly
-  in ‖A‖ (``quadrature_error_bound`` and ``quadrature_nodes_for`` keep it);
+- the paper's, K_paper = T²e^{α̃T}·sup(‖A‖‖b‖ + ‖b′‖)/2, linear in ‖A‖
+  (``quadrature_error_bound`` and ``quadrature_nodes_for`` keep it);
 - for normal A, where ‖Ae^{Aτ}‖ = φ(τ) = max_k |λ_k|e^{Re λ_k τ} and
-  ‖e^{Aτ}‖ ≤ e^{α̃τ}, the bound (T/M)·[sup‖b‖·Φ + T·e^{α̃T}·sup‖b′‖], with
+  ‖e^{Aτ}‖ ≤ e^{α̃τ}, K_Φ = T·[sup‖b‖·Φ + T·e^{α̃T}·sup‖b′‖], with
   Φ ≥ ∫₀ᵀφ from ``phi_bound``.  For heat Φ grows like log(T‖A‖).
 
-The reported ``quadrature_bound`` is the smaller of the two at the M used.
+The Riemann sum takes M = ⌈min(K_paper, K_Φ)/ε′⌉ nodes for ε′ = ε‖u(T)‖/2,
+and its ``quadrature_bound`` min(K_paper, K_Φ)/M backs the claimed ε.
 
 Register-level binary encodings of eigenvalue data are simulated as exact
 real-valued tags attached to each eigenindex: the compute / controlled
@@ -237,38 +238,37 @@ def _drive_sweep(p: OdeProblem, lam: np.ndarray) -> tuple[float, float,
     return drive, source, slope
 
 
-def _bound_from_sup(T: float, alpha_t: float, M: int, sup: float) -> float:
-    if M < 1:
-        raise ValueError("need at least one node")
-    return (T ** 2) * math.exp(alpha_t * T) / (2.0 * M) * sup
-
-
-def _nodes_from_sup(T: float, alpha_t: float, eps_prime: float,
-                    sup: float) -> int | float:
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
-    return _node_count(
-        (T ** 2) * math.exp(alpha_t * T) * sup / (2.0 * eps_prime))
-
-
 def _node_count(need: float) -> int | float:
     """The least M ≥ 1 with M ≥ need; inf when need is not finite."""
     return max(1, math.ceil(need)) if math.isfinite(need) else math.inf
 
 
+def _riemann_constants(p: OdeProblem, lam: np.ndarray,
+                       phi: float) -> tuple[float, float]:
+    """K_paper and K_Φ (see the module docstring), from one drive sweep."""
+    drive, source, slope = _drive_sweep(p, lam)
+    T = p.horizon
+    growth = math.exp(_alpha_tilde(lam) * T)
+    return (T ** 2 * growth * drive / 2.0,
+            T * (source * phi + T * growth * slope))
+
+
 def quadrature_error_bound(p: OdeProblem, M: int) -> float:
     """Riemann-sum error bound T²e^{α̃T}/(2M) · sup(‖A‖‖b‖ + ‖db/dt‖)."""
+    if M < 1:
+        raise ValueError("need at least one node")
     lam = _eigensystem(p).eigenvalues
-    return _bound_from_sup(p.horizon, _alpha_tilde(lam), M,
-                           _drive_sweep(p, lam)[0])
+    return _riemann_constants(p, lam, phi_bound(lam, p.horizon))[0] / M
 
 
 def quadrature_nodes_for(p: OdeProblem, eps_prime: float) -> int | float:
     """Node count M making the Riemann error bound at most eps_prime (inf
     when that count overflows a float)."""
+    if eps_prime <= 0:
+        raise ValueError("eps_prime must be positive")
     lam = _eigensystem(p).eigenvalues
-    return _nodes_from_sup(p.horizon, _alpha_tilde(lam), eps_prime,
-                           _drive_sweep(p, lam)[0])
+    return _node_count(
+        _riemann_constants(p, lam, phi_bound(lam, p.horizon))[0] / eps_prime)
 
 
 def _decay_integral(rate: float, s: float, t: float) -> float:
@@ -339,12 +339,6 @@ def phi_bound(lam: np.ndarray, T: float) -> float:
     return total
 
 
-def _phi_quadrature_bound(T: float, alpha_t: float, M: int, phi: float,
-                          source: float, slope: float) -> float:
-    """(T/M)·[sup‖b‖·Φ + T·e^{α̃T}·sup‖b′‖]."""
-    return T / M * (source * phi + T * math.exp(alpha_t * T) * slope)
-
-
 def _timedep_ledger(M: int) -> QueryLedger:
     # one controlled run of the proof circuit: homogeneous branch (10 oracle
     # queries + 2 U), b branch (8 factor queries + 2 U, no O_T), the two b
@@ -367,21 +361,17 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     Hadamard.  The success probability is exactly
     (‖ũ(T)‖ / (e^{α̃T} sqrt(2(‖u0‖² + T²‖b‖²_avg))))², α̃ = max(0, max Re λ).
 
-    M defaults to the smaller of two node counts for ε′ = ε‖u(T)‖/2, both
-    from one sweep of the drive: the paper's (``quadrature_nodes_for``),
-    T²e^{α̃T}·sup(‖A‖‖b‖ + ‖b′‖)/(2ε′), and the spectral one,
-    T·[sup‖b‖·Φ + T·e^{α̃T}·sup‖b′‖]/ε′ with Φ = ``phi_bound`` (see the
-    module docstring for the derivation).  It is capped at
-    MAX_RIEMANN_NODES; the error names both counts.  A given M is used as
-    is.  ``extras`` reports M as ``nodes``, the paper's count as
-    ``nodes_paper`` (None for a given M), both bounds at M, their minimum as
-    ``quadrature_bound`` (which sets the claimed ε), and Φ as
-    ``phi_bound``.  An α̃T whose e^{α̃T} overflows raises before the
-    reference runs.
+    One drive sweep gives the constants K_paper and K_Φ of the module
+    docstring.  M defaults to ⌈min(K_paper, K_Φ)/ε′⌉ for ε′ = ε‖u(T)‖/2,
+    capped at MAX_RIEMANN_NODES (the error names both counts); a given M is
+    used as is.  Either way bound = min(K_paper, K_Φ)/M backs the claim
+    max(ε, 2·bound/‖u(T)‖ + ``TOL.exact_solver``), so the source needs its
+    derivative.  ``extras`` reports ``nodes`` (M), ``nodes_paper``
+    (⌈K_paper/ε′⌉, None for a given M), ``quadrature_bound`` (bound),
+    ``quadrature_bound_paper`` (K_paper/M) and ``phi_bound`` (Φ).  An α̃T
+    whose e^{α̃T} overflows, or a source without a derivative, raises before
+    the reference runs.
     """
-    if not isinstance(p.inhomogeneous, SampledSource):
-        raise ValueError("needs a sampled (callable) inhomogeneous term")
-
     T = p.horizon
     eigen = _eigensystem(p)
     lam = eigen.eigenvalues
@@ -389,33 +379,27 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     if alpha_t * T > _LOG_MAX:
         raise ValueError(f"e^(α̃T) overflows: α̃T = {alpha_t * T:.6g} "
                          f"exceeds {_LOG_MAX:.6g}")
+    phi = phi_bound(lam, T)
+    k_paper, k_phi = _riemann_constants(p, lam, phi)
     reference = solve_reference(p)
     norm_uT = float(np.linalg.norm(reference))
     if norm_uT <= TOL.zero:
         raise ValueError("u(T) vanishes; nothing to post-select")
 
-    # one drive sweep serves both node counts and bounds; a given M with no
-    # derivative skips it and reports no bound
-    phi = phi_bound(lam, T)
-    bound = bound_paper = nodes_paper = None
-    if M is None or p.inhomogeneous.derivative is not None:
-        drive, source, slope = _drive_sweep(p, lam)
-        if M is None:
-            eps_prime = eps * norm_uT / 2.0
-            nodes_paper = _nodes_from_sup(T, alpha_t, eps_prime, drive)
-            nodes_phi = _node_count(_phi_quadrature_bound(
-                T, alpha_t, 1, phi, source, slope) / eps_prime)
-            M = min(nodes_paper, nodes_phi)
-            if M > MAX_RIEMANN_NODES:
-                raise ValueError(
-                    f"required Riemann node count M = {M} (paper bound "
-                    f"{nodes_paper}, Φ bound {nodes_phi}) exceeds the "
-                    f"configured cap {MAX_RIEMANN_NODES}")
-        bound_paper = _bound_from_sup(T, alpha_t, M, drive)
-        bound = min(bound_paper, _phi_quadrature_bound(T, alpha_t, M, phi,
-                                                       source, slope))
+    nodes_paper = None
+    if M is None:
+        eps_prime = eps * norm_uT / 2.0
+        nodes_paper = _node_count(k_paper / eps_prime)
+        nodes_phi = _node_count(k_phi / eps_prime)
+        M = min(nodes_paper, nodes_phi)
+        if M > MAX_RIEMANN_NODES:
+            raise ValueError(
+                f"required Riemann node count M = {M} (paper bound "
+                f"{nodes_paper}, Φ bound {nodes_phi}) exceeds the "
+                f"configured cap {MAX_RIEMANN_NODES}")
 
     plan = riemann_plan(p.inhomogeneous, T, M, eigen)
+    bound_paper, bound = k_paper / M, min(k_paper, k_phi) / M
     hom = eigen.apply(np.exp(lam * T) * eigen.apply_adjoint(p.u0))
     u_tilde = hom + plan.integral
 
@@ -423,9 +407,7 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     success, theta, weight = lcs_branches(
         scale * float(np.linalg.norm(p.u0)),
         scale * T * math.sqrt(plan.avg_square_norm), u_tilde)
-    claimed = eps
-    if bound is not None:
-        claimed = max(eps, 2.0 * bound / norm_uT + TOL.exact_solver)
+    claimed = max(eps, 2.0 * bound / norm_uT + TOL.exact_solver)
     report = post_selected_report(success, 1.0, reference,
                                   _timedep_ledger(M).charge(O_U, 1),
                                   min(1.0, claimed))

@@ -488,15 +488,15 @@ def witness_linear_system(kappa: float, u_basis: np.ndarray,
     d = np.linspace(1.0, 1.0 / kappa, n)
     a = (u * d) @ v.conj().T
     b1 = u[:, 0]
-    b2 = math.sqrt(1.0 - 1.0 / kappa ** 2) * u[:, 0] + (1.0 / kappa) * u[:, -1]
+    b2 = math.sqrt(1.0 - kappa ** -2.0) * u[:, 0] + (1.0 / kappa) * u[:, -1]
     pair = WitnessPair("linear-system", a, b1, b2, 1.0,
                        params={"kappa": kappa})
     pair.check("input_overlap_closed_form",
-               abs(_fidelity(b1, b2) - math.sqrt(1.0 - 1.0 / kappa ** 2)), 1e-12)
+               abs(_fidelity(b1, b2) - math.sqrt(1.0 - kappa ** -2.0)), 1e-12)
     x1 = np.linalg.solve(a, b1)
     x2 = np.linalg.solve(a, b2)
     overlap = _fidelity(x1, x2)
-    closed = math.sqrt(1.0 - 1.0 / kappa ** 2) / math.sqrt(2.0 - 1.0 / kappa ** 2)
+    closed = math.sqrt(1.0 - kappa ** -2.0) / math.sqrt(2.0 - kappa ** -2.0)
     pair.check("solution_overlap_ceiling", overlap, 1.0 / math.sqrt(2.0))
     pair.params["implied_queries"] = kappa
     pair.check("solution_overlap", overlap, closed, "==")

@@ -596,7 +596,10 @@ def _gate_model(spec: PdeSpec, eps: float) -> dict:
     oracle-arithmetic polylog term (analytic model numbers, not simulated)."""
     logn = max(1, math.ceil(math.log2(spec.n)))
     qft = spec.d * logn ** 2
-    oracle = spec.d * max(1, math.ceil(math.log2(max(spec.T, 2.0) / eps)))
+    top = max(spec.T, 2.0)
+    bits = math.log2(top / eps) if top / eps < math.inf \
+        else math.log2(top) - math.log2(eps)  # T/ε past the float range
+    oracle = spec.d * max(1, math.ceil(bits))
     return {"qft_gates": qft, "oracle_arithmetic_gates": oracle}
 
 

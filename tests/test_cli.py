@@ -232,6 +232,59 @@ def test_bad_seed_or_jobs_argument_is_a_usage_error(capsys, args):
     assert f"error: argument {args[-2]}: takes a" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--config", "unread.json"], ["selftest"]])
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_bad_tolerance_is_a_usage_error(capsys, command, tolerance):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--tolerance", tolerance])
+    assert exit_.value.code == EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"error: argument --tolerance: takes a non-negative number, "
+            f"got '{tolerance}'") in err
+
+
+def test_zero_and_infinite_tolerances_parse():
+    parser = ffode.cli.build_parser()
+    for command in (["solve", "--config", "unread.json"], ["selftest"]):
+        for text, value in (("0", 0.0), ("inf", float("inf"))):
+            args = parser.parse_args([*command, "--tolerance", text])
+            assert args.tolerance == value
+
+
+def test_sweep_horizon_past_the_float_range_of_T_over_eps(tmp_path, capsys):
+    # T/ε overflows: the gate model counts log2 T − log2 ε instead
+    spec = PdeSpec("heat", 1, 4, 1e308, u0=lambda x: np.ones_like(x[0]))
+    assert ffode.pde._gate_model(spec, 1e-6) == {
+        "qft_gates": 4, "oracle_arithmetic_gates": 1044}
+    cfg = write_config(tmp_path, dict(HEAT_CAMPAIGN, sweep={"T": [1e308]}))
+    with np.errstate(over="ignore"):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) \
+            == EXIT_OK
+
+
+def test_imaginary_time_horizon_past_the_float_range_is_a_range_error(capsys):
+    # ξ = e^{−T} of the CLI's ‖H‖ = 1 family is not a float past T = 709.78
+    assert main(["lb", "--family", "imaginary-time", "--T", "709"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["lb", "--family", "imaginary-time", "--T", "800"]) \
+        == EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: T must be positive with e^T a finite float\n"
+
+
+def test_linear_system_kappa_past_a_finite_square_fails_its_check(capsys):
+    # κ² overflows at κ = 1e160; 1/κ² does not, and the dense solve at
+    # singular value 1e-160 fails the overlap ceiling: a FAIL line, exit 1
+    assert main(["lb", "--family", "linear-system", "--kappa", "1e160"]) \
+        == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("FAIL linear-system: ") and err.count("\n") == 1
+
+
 def test_solver_problem_mismatch(tmp_path):
     bad = {
         "version": 1, "campaign": "bad", "solver": "eigen", "seed": 0,

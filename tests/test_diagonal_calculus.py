@@ -380,3 +380,25 @@ def test_nan_is_rejected(bad, message):
     with pytest.raises(ValueError, match=message):
         DiagonalEncoding(es, args["factors"], args["alpha"], args["claim"], 1,
                          QueryLedger(), args["target"])
+
+
+def test_encodings_compare_by_identity_and_repr_reads_no_block():
+    # equal diagonals make two encodings, not one: == and hash are identity,
+    # and repr reads the scalars and the ledger, not the dense N×N block
+    n = 1024
+    es = EigenSystem(FourierBasis(n, 1), -np.arange(n) / n)
+    f = np.exp(es.eigenvalues)
+    be, twin = (DiagonalEncoding(es, f, 1.0, 0.0, 1,
+                                 QueryLedger({bem.O_T: 2}), f)
+                for _ in range(2))
+    assert be == be and be != twin and len({be, twin}) == 2
+    tracemalloc.start()
+    try:
+        text = repr(be)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert text == ("DiagonalEncoding(system_dim=1024, alpha=1.0, "
+                    "epsilon_claim=0.0, ancilla_qubits=1, "
+                    "ledger=QueryLedger({'O_T': 2}))")

@@ -14,7 +14,7 @@ from ffode import (
 )
 from ffode import eigen_solvers, reference
 from ffode.block_encoding import U_EIG
-from ffode.config import MAX_RIEMANN_NODES
+from ffode.config import MAX_RIEMANN_NODES, TOL
 
 
 def random_eigensystem(rng, n, re_range=(-1.0, 0.0), im_range=(-2.0, 2.0)):
@@ -229,6 +229,29 @@ def test_quadrature_bound_requires_derivative():
         quadrature_error_bound(p, 100)
 
 
+def test_timedep_without_a_derivative_raises_with_M_given():
+    # no derivative, no bound: a given M no longer claims ε unbacked
+    es = EigenSystem(np.eye(2), [-1.0, -2.0])
+
+    def b(t):
+        return np.cos(5 * t) * [1.0, 1.0]
+
+    p = OdeProblem(es, [1.0, 1.0], 1.0, SampledSource(b))
+    for M in (None, 3):
+        with pytest.raises(ValueError, match="source's derivative"):
+            solve_eigen_timedep(p, 0.5, M=M)
+    # with it, M = 3 claims what its bound backs, at any ε
+    p = OdeProblem(es, [1.0, 1.0], 1.0, SampledSource(
+        b, derivative=lambda t: -5 * np.sin(5 * t) * [1.0, 1.0]))
+    norm_uT = np.linalg.norm(solve_reference(p))
+    for eps in (0.5, 0.1):
+        rep = solve_eigen_timedep(p, eps, M=3)
+        bound = rep.extras["quadrature_bound"]
+        assert bound <= quadrature_error_bound(p, 3)
+        assert rep.claimed_eps == min(1.0, max(
+            eps, 2.0 * bound / norm_uT + TOL.exact_solver))
+
+
 def test_timedep_matches_constant_solver():
     es = EigenSystem(np.eye(2), [0.0, -1.0])
     u0 = np.array([1.0, 1.0]) / math.sqrt(2)
@@ -389,10 +412,11 @@ def test_timedep_samples_each_node_once():
 @pytest.mark.parametrize("M", [49, 50])
 def test_timedep_streams_the_nodes_in_batches(monkeypatch, M):
     # batches of 7 rows: the Riemann sum calls b ⌈M/7⌉ times, each on a
-    # read-only (m, 1) column with m ≤ 7, covering every node once
+    # read-only (m, 1) column with m ≤ 7, covering every node once; only
+    # the plan's calls are recorded, not the drive sweep's or the reference's
     monkeypatch.setattr(reference, "_BATCH_ENTRIES", 7 * 2)
     es = EigenSystem(np.eye(2), [0.0, -1.0])
-    recording, columns = [True], []
+    recording, columns = [False], []
 
     def b(t):
         if recording[0]:
@@ -400,17 +424,17 @@ def test_timedep_streams_the_nodes_in_batches(monkeypatch, M):
             columns.append(t.copy())
         return np.cos(t) * [1.0, 0.0]
 
-    def unrecorded_reference(p):
-        recording[0] = False
+    def recorded_plan(*args):
+        recording[0] = True
         try:
-            return solve_reference(p)
+            return riemann_plan(*args)
         finally:
-            recording[0] = True
+            recording[0] = False
 
-    monkeypatch.setattr(eigen_solvers, "solve_reference", unrecorded_reference)
-    # no derivative: with M given there is no drive sweep
+    monkeypatch.setattr(eigen_solvers, "riemann_plan", recorded_plan)
     p = OdeProblem(es, np.array([1.0, 1.0]) / math.sqrt(2), 1.0,
-                   SampledSource(b))
+                   SampledSource(b, derivative=lambda t: -np.sin(t)
+                                 * [1.0, 0.0]))
     solve_eigen_timedep(p, 1.0, M=M)
     assert len(columns) == math.ceil(M / 7)
     assert all(t.shape[1] == 1 and t.shape[0] <= 7 for t in columns)
@@ -504,8 +528,8 @@ def test_clamped_factor_widens_the_claim(monkeypatch):
 
 
 def test_timedep_raises_on_a_broken_derivative_with_M_given():
-    # the drive sweep is skipped only for a source without a derivative; one
-    # whose rows do not broadcast to (M, N) raises, with or without M
+    # the drive sweep runs with or without M: a derivative whose rows do not
+    # broadcast to (M, N) raises either way
     es = EigenSystem(np.eye(2), [-1.0, -2.0])
     src = SampledSource(lambda t: np.cos(t) * [1.0, 0.0],
                         derivative=lambda t: np.zeros((t.shape[0], 3)))

@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffode import (
-    EigenSystem, OdeProblem, PdeSpec, SampledSource, quadrature_nodes_for,
-    solve_eigen_timedep, solve_pde, solve_reference,
+    EigenSystem, OdeProblem, PdeSpec, SampledSource, quadrature_error_bound,
+    quadrature_nodes_for, solve_eigen_timedep, solve_pde, solve_reference,
 )
 from ffode.config import MAX_RIEMANN_NODES
 from ffode.eigen_solvers import phi_bound
@@ -101,12 +101,9 @@ def _random_unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-@settings(max_examples=40, deadline=None)
-@given(modes=_spectra(30.0, (2, 6)), seed=st.integers(0, 2 ** 32 - 1),
-       T=st.floats(0.1, 1.5), eps=_log_floats(1e-2, 1e-1),
-       omega=st.floats(0.5, 2.0))
-def test_chosen_nodes_meet_both_bounds(modes, seed, T, eps, omega):
-    # a random normal problem on a dense unitary basis, as in criterion 6
+def _random_problem(modes, seed, T, omega):
+    """A random normal problem on a dense unitary basis, as in criterion 6,
+    driven by a rotating source b(t) with its derivative."""
     rng = np.random.default_rng(seed)
     n = len(modes)
     es = EigenSystem(_random_unitary(rng, n), np.array(modes))
@@ -115,7 +112,24 @@ def test_chosen_nodes_meet_both_bounds(modes, seed, T, eps, omega):
         lambda t: np.cos(omega * t) * g1 + np.sin(omega * t) * g2,
         derivative=lambda t: omega * (np.cos(omega * t) * g2
                                       - np.sin(omega * t) * g1))
-    p = OdeProblem(es, u0, T, src)
+    return OdeProblem(es, u0, T, src)
+
+
+def _unnormalized_error(rep, p):
+    """‖ũ(T) − u(T)‖ of the Riemann sum, rebuilt from the report."""
+    scale = math.exp(rep.extras["alpha_tilde"] * p.horizon) * math.sqrt(
+        2 * (np.linalg.norm(p.u0) ** 2
+             + p.horizon ** 2 * rep.extras["avg_square_norm"]))
+    u_tilde = rep.output_state * math.sqrt(rep.success_probability) * scale
+    return float(np.linalg.norm(u_tilde - solve_reference(p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(modes=_spectra(30.0, (2, 6)), seed=st.integers(0, 2 ** 32 - 1),
+       T=st.floats(0.1, 1.5), eps=_log_floats(1e-2, 1e-1),
+       omega=st.floats(0.5, 2.0))
+def test_chosen_nodes_meet_both_bounds(modes, seed, T, eps, omega):
+    p = _random_problem(modes, seed, T, omega)
     try:
         rep = solve_eigen_timedep(p, eps)
     except ValueError as err:
@@ -129,11 +143,29 @@ def test_chosen_nodes_meet_both_bounds(modes, seed, T, eps, omega):
     assert rep.extras["quadrature_bound"] <= eps_prime
     assert rep.extras["quadrature_bound"] <= rep.extras[
         "quadrature_bound_paper"]
-    # the unnormalized Riemann error, rebuilt from the report
-    scale = math.exp(rep.extras["alpha_tilde"] * T) * math.sqrt(
-        2 * (np.linalg.norm(u0) ** 2 + T ** 2 * rep.extras["avg_square_norm"]))
-    u_tilde = rep.output_state * math.sqrt(rep.success_probability) * scale
-    assert np.linalg.norm(u_tilde - ref) <= rep.extras["quadrature_bound"]
+    assert _unnormalized_error(rep, p) <= rep.extras["quadrature_bound"]
+
+
+_IMAGINARY = _log_floats(1e-3, 30.0).flatmap(
+    lambda b: st.sampled_from([complex(0.0, b), complex(0.0, -b)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(modes=st.one_of(st.lists(_modes(30.0), min_size=1, max_size=6),
+                       st.lists(_IMAGINARY, min_size=1, max_size=6)),
+       seed=st.integers(0, 2 ** 32 - 1), T=st.floats(0.1, 1.5),
+       M=st.integers(1, 5000), eps=_log_floats(1e-6, 1e-1),
+       omega=st.floats(0.5, 4.0))
+def test_a_given_node_count_claims_what_its_bound_backs(modes, seed, T, M,
+                                                        eps, omega):
+    # with M given, the measured Riemann error stays under the reported
+    # bound and the paper's bound is the public one at M; the report checks
+    # its measured error against the claim the bound backs, at any ε
+    p = _random_problem(modes, seed, T, omega)
+    rep = solve_eigen_timedep(p, eps, M=M)
+    assert rep.extras["nodes"] == M and rep.extras["nodes_paper"] is None
+    assert _unnormalized_error(rep, p) <= rep.extras["quadrature_bound"]
+    assert rep.extras["quadrature_bound_paper"] == quadrature_error_bound(p, M)
 
 
 def test_phi_count_and_bound_on_one_fast_mode():
