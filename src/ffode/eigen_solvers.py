@@ -50,7 +50,7 @@ from .block_encoding import (
     GATES, O_BNORM, O_BT, O_EXP, O_F, O_G, O_LAMBDA, O_LAMBDA_I, O_LAMBDA_R,
     O_PROD, O_T, O_U, U_EIG, BlockEncoding, DiagonalEncoding, QueryLedger,
 )
-from .linalg import EigenSystem
+from .linalg import MAX_PHASE_DISTANCE, EigenSystem
 from .qsvt_solvers import SolveReport, _solve_lcs, lcs_branches, \
     post_selected_report
 from .reference import (
@@ -365,8 +365,8 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     docstring.  M defaults to ⌈min(K_paper, K_Φ)/ε′⌉ for ε′ = ε‖u(T)‖/2,
     capped at MAX_RIEMANN_NODES (the error names both counts); a given M is
     used as is.  Either way bound = min(K_paper, K_Φ)/M backs the claim
-    max(ε, 2·bound/‖u(T)‖ + ``TOL.exact_solver``), so the source needs its
-    derivative.  ``extras`` reports ``nodes`` (M), ``nodes_paper``
+    max(ε, 2·bound/‖u(T)‖ + ``TOL.exact_solver``), capped at
+    ``MAX_PHASE_DISTANCE`` = √2, so the source needs its derivative.  ``extras`` reports ``nodes`` (M), ``nodes_paper``
     (⌈K_paper/ε′⌉, None for a given M), ``quadrature_bound`` (bound),
     ``quadrature_bound_paper`` (K_paper/M) and ``phi_bound`` (Φ).  An α̃T
     whose e^{α̃T} overflows, or a source without a derivative, raises before
@@ -410,7 +410,7 @@ def solve_eigen_timedep(p: OdeProblem, eps: float,
     claimed = max(eps, 2.0 * bound / norm_uT + TOL.exact_solver)
     report = post_selected_report(success, 1.0, reference,
                                   _timedep_ledger(M).charge(O_U, 1),
-                                  min(1.0, claimed))
+                                  min(MAX_PHASE_DISTANCE, claimed))
     report.extras.update({
         "nodes": M, "nodes_paper": nodes_paper,
         "avg_square_norm": plan.avg_square_norm, "alpha_tilde": alpha_t,

@@ -90,13 +90,18 @@ def pure_state_trace_distance(psi, phi) -> tuple[float, float]:
     return dist, bound
 
 
+# the largest global_phase_distance of two unit vectors (orthogonal ones): a
+# claimed error capped here is vacuous but still true, while a cap of 1 is not
+MAX_PHASE_DISTANCE = math.sqrt(2.0)
+
+
 def global_phase_distance(psi, phi) -> float:
     """2-norm distance between unit vectors minimized over a global phase."""
     a = as_state(psi)
     b = as_state(phi)
     ov = np.vdot(a, b)
     if abs(ov) < 1e-14:
-        return float(np.sqrt(2.0))
+        return MAX_PHASE_DISTANCE
     # the minimizing phase aligns b with a; the difference is formed directly
     # so exactly-equal states measure ~1e-16 instead of the sqrt(eps) floor
     return float(np.linalg.norm(a - (np.conj(ov) / abs(ov)) * b))

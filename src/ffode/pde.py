@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import TOL
-from .linalg import EigenSystem, FourierBasis, as_vector
+from .linalg import MAX_PHASE_DISTANCE, EigenSystem, FourierBasis, as_vector
 from .eigen_solvers import solve_eigen
 from .memo import Memo
 from .qsvt_solvers import SolveReport, post_selected_report
@@ -620,7 +620,8 @@ def _post_select_u_block(spec: PdeSpec, eps: float) -> SolveReport:
     ref_u = solve_reference(second_order_problem(spec))
     # renormalizing the u block inflates the full-state error by at most
     # 2/‖u block‖
-    claimed = min(1.0, 2.0 * max(full.claimed_eps, eps) * post_factor
+    claimed = min(MAX_PHASE_DISTANCE,
+                  2.0 * max(full.claimed_eps, eps) * post_factor
                   + TOL.exact_solver)
     report = post_selected_report(u_part, full.success_probability, ref_u,
                                   full.ledger, claimed)

@@ -248,7 +248,7 @@ def test_timedep_without_a_derivative_raises_with_M_given():
         rep = solve_eigen_timedep(p, eps, M=3)
         bound = rep.extras["quadrature_bound"]
         assert bound <= quadrature_error_bound(p, 3)
-        assert rep.claimed_eps == min(1.0, max(
+        assert rep.claimed_eps == min(math.sqrt(2.0), max(
             eps, 2.0 * bound / norm_uT + TOL.exact_solver))
 
 
