@@ -46,12 +46,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from .config import INVERSE_QUERY_CONSTANT, TOL
 from .linalg import (
     EigenSystem, as_square, as_vector, hermitian_eigh, spectral_norm,
     unitary_with_first_column,
 )
+from .poly_approx import ApproxPolynomial, clenshaw
 
 # Canonical ledger keys.
 U_A = "U_A"
@@ -555,10 +557,24 @@ def invert(u_a: DiagonalEncoding, delta: float,
                             inv)
 
 
-def _assert_poly_bounded(p, degree: int, bound: float = 0.5) -> None:
+def _chebyshev_coefficients(p) -> np.ndarray:
+    """p's coefficients on T_0(x), T_1(x), ….
+
+    An ApproxPolynomial gives its own, and so does a Chebyshev series whose
+    domain maps to its window by the identity; any other numpy series is
+    converted, which rounds.
+    """
+    if isinstance(p, ApproxPolynomial):
+        p = p.cheb
+    if not isinstance(p, Chebyshev) or p.mapparms() != (0, 1):
+        p = p.convert(kind=Chebyshev)
+    return p.coef
+
+
+def _assert_poly_bounded(coef, degree: int, bound: float = 0.5) -> None:
     grid = max(4 * degree, 8)
     x = np.cos(np.pi * (np.arange(grid) + 0.5) / grid)
-    vals = p(x)
+    vals = clenshaw(coef, x)
     if np.max(np.abs(np.imag(vals))) > 1e-12:
         raise ValueError("polynomial transform requires a real polynomial")
     worst = float(np.max(np.abs(np.real(vals))))
@@ -570,22 +586,26 @@ def _assert_poly_bounded(p, degree: int, bound: float = 0.5) -> None:
 def polynomial_transform(u_a: DiagonalEncoding, p) -> DiagonalEncoding:
     """(1, n_A+2, 4d·sqrt(ε/α))-encoding of P(A/α) for |P| ≤ 1/2 on [-1,1].
 
-    ``p`` may be any callable polynomial exposing ``degree()`` (numpy
-    polynomial classes and ApproxPolynomial both do).  The sup-norm
-    requirement is certified on a Chebyshev grid of 4·deg points; the
-    transform is applied by exact spectral calculus on the factor and target
-    diagonals (whose Hermitian parts are their real parts), and the ledger
-    charges deg applications of the encoding plus one controlled use and
-    O((n_A+1)·d) one/two-qubit gates.
+    ``p`` is a numpy polynomial series or an ApproxPolynomial, and it is
+    evaluated on its Chebyshev coefficients by ``poly_approx.clenshaw``: a
+    Chebyshev series or an ApproxPolynomial gives its own, bit for bit as
+    ``p(x)``, and any other series is converted to one (for a power series
+    the values move by rounding, ≤ 1e-15).  The sup-norm requirement is
+    certified on a Chebyshev grid of 4·deg points; the transform is applied
+    by exact spectral calculus on the factor and target diagonals (whose
+    Hermitian parts are their real parts), and the ledger charges deg
+    applications of the encoding plus one controlled use and O((n_A+1)·d)
+    one/two-qubit gates.
     """
     _shared_eigen("polynomial_transform", [u_a])
     require_hermitian_target(u_a,
                              "polynomial transform target must be Hermitian")
     d = int(p.degree())
-    _assert_poly_bounded(p, d)
+    coef = _chebyshev_coefficients(p)
+    _assert_poly_bounded(coef, d)
 
     def apply_poly(w):
-        return np.real(p(np.clip(w, -1.0, 1.0))).astype(complex)
+        return np.real(clenshaw(coef, np.clip(w, -1.0, 1.0))).astype(complex)
 
     claim = 4.0 * d * math.sqrt(u_a.epsilon_claim / u_a.alpha)
     gates = (u_a.ancilla_qubits + 1) * d

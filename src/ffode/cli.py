@@ -33,7 +33,7 @@ from .block_encoding import LEDGER_KEYS
 from .linalg import EigenSystem
 from .eigen_solvers import solve_eigen
 from .lower_bounds import (
-    AmplifierCircuit, amplifier_bound_check, inequality_holds,
+    LOG_FLOAT_MAX, AmplifierCircuit, amplifier_bound_check, inequality_holds,
     shifting_equivalence_check, witness_imaginary_time, witness_linear_system,
     witness_nonnormal_homogeneous, witness_nonnormal_inhomogeneous,
     witness_realpart_gap, witness_realpart_gap_inhomogeneous,
@@ -490,7 +490,7 @@ LB_RANGES = {
     "kappa": (lambda x: 1 < x < math.inf,
               "kappa must be finite and exceed 1"),
     "dim": (lambda x: x >= 2, "dim must be at least 2"),
-    "T": (lambda x: 0 < x <= math.log(sys.float_info.max),
+    "T": (lambda x: 0 < x <= LOG_FLOAT_MAX,
           "T must be positive with e^T a finite float"),
     "shift": (math.isfinite, "shift must be finite"),
     "trials": (lambda x: x >= 1, "trials must be at least 1"),

@@ -19,6 +19,7 @@ not "tested"; what is checked is every concrete inequality they rest on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,15 @@ from .linalg import (
     matrix_exponential, non_normality, spectral_norm, unitary_with_first_column,
 )
 from .reference import OdeProblem, solve_reference
+
+# ln of the largest float: e^x is a finite float for x up to this
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# the largest κ whose linear-system pair the dense solve certifies.  Its
+# overlap moves by rounding of about κ·1e-16 (κ·7e-17 at dim 2, κ·2.4e-16 at
+# dim 512, seeds 1-10), so past ~4e5 it can miss the 1e-10 comparison; 1e5
+# leaves a factor 4 at dim 512
+MAX_KAPPA = 1e5
 
 
 def inequality_holds(measured: float, bound: float, direction: str) -> bool:
@@ -272,7 +282,8 @@ def witness_imaginary_time(h: np.ndarray, T: float) -> WitnessPair:
     """Imaginary-time decay witness for PSD Hermitian H with λ_min = 0.
 
     u(0) is the top eigenstate, so ξ = ‖e^{-HT}|u(0)>‖ = e^{-‖H‖T} and the
-    gap identity e^{T·gap}·ξ = 1 holds exactly.
+    gap identity e^{T·gap}·ξ = 1 holds exactly.  T·‖H‖ may not exceed
+    LOG_FLOAT_MAX, where e^{T‖H‖} stops being a finite float.
     """
     hm = as_square(h)
     if _norm_exceeds(hm - hm.conj().T, 1e-10):
@@ -282,6 +293,10 @@ def witness_imaginary_time(h: np.ndarray, T: float) -> WitnessPair:
         raise ValueError("H must be PSD with smallest eigenvalue 0")
     if T <= 0:
         raise ValueError("T must be positive")
+    if not float(w[-1]) * T <= LOG_FLOAT_MAX:
+        raise ValueError(f"T·‖H‖ = {float(w[-1]) * T:g} exceeds ln(float max) "
+                         f"= {LOG_FLOAT_MAX:.2f}: e^{{T‖H‖}} is not a finite "
+                         "float")
     top = v[:, -1]
     xi = math.exp(-float(w[-1]) * T)
     pair = WitnessPair("imaginary-time", -hm, top, top, T,
@@ -299,14 +314,20 @@ def shifting_equivalence_check(a: np.ndarray, shift: float, u0,
     """A and A + cI (real c) give the same normalized solution.
 
     Also checks that the real-part gap and μ are invariant under the shift.
-    Returns True when all three hold to 1e-10.
+    Returns True when all three hold to 1e-10.  Raises ValueError when
+    ‖e^{AT}u0‖ or ‖e^{(A+cI)T}u0‖ overflows a float.
     """
     am = as_square(a)
     u0 = as_vector(u0)
     shifted = am + shift * np.eye(am.shape[0])
-    out_a = matrix_exponential(am, T) @ u0
-    out_b = matrix_exponential(shifted, T) @ u0
-    na, nb = np.linalg.norm(out_a), np.linalg.norm(out_b)
+    # an overflow is reported below, by name, instead of as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_a = matrix_exponential(am, T) @ u0
+        out_b = matrix_exponential(shifted, T) @ u0
+        na, nb = np.linalg.norm(out_a), np.linalg.norm(out_b)
+    for name, norm in (("e^{AT}u0", na), ("e^{(A+cI)T}u0", nb)):
+        if not np.isfinite(norm):
+            raise ValueError(f"‖{name}‖ overflows a float at T = {T:g}")
     if na <= TOL.zero or nb <= TOL.zero:
         raise ValueError("u(T) vanishes; states are undefined")
     state_ok = global_phase_distance(out_a / na, out_b / nb) <= 1e-10
@@ -475,10 +496,15 @@ def witness_linear_system(kappa: float, u_basis: np.ndarray,
 
     A = U D V† with singular values from 1 down to 1/κ; certifies the input
     overlap sqrt(1-1/κ²) and the solution overlap
-    sqrt(1-1/κ²)/sqrt(2-1/κ²) ≤ 1/sqrt(2), both against a dense solve.
+    sqrt(1-1/κ²)/sqrt(2-1/κ²) ≤ 1/sqrt(2), both against a dense solve, for
+    1 < κ ≤ MAX_KAPPA.
     """
     if kappa <= 1:
         raise ValueError("kappa must exceed 1")
+    if not kappa <= MAX_KAPPA:
+        raise ValueError(f"kappa = {kappa:g} exceeds {MAX_KAPPA:.0e}, the "
+                         "largest κ whose dense solve certifies the overlaps "
+                         "to 1e-10")
     u = as_square(u_basis)
     v = as_square(v_basis)
     n = u.shape[0]

@@ -22,6 +22,13 @@ Every coefficient takes the sign of T_k at one point x* (x* = 1 for
 has Σ|a_k| = 1, and the sup error of the degree-K cut, attained at x*, is
 exactly its tail 1 - Σ_{k≤K}|a_k|.  That tail is the certificate; the
 gaussian variants are even by construction.
+
+Every Chebyshev series in the package is evaluated by ``clenshaw``: numpy's
+``chebval`` recurrence (Clenshaw, 1955) in the same operations, so the values
+are the same bit for bit, run over chunks of ``CLENSHAW_CHUNK`` points with
+three reused work arrays.  Its memory beyond the result is bounded by the
+chunk, where ``chebval`` holds a mapped copy of x and allocates three new
+full-length arrays per degree.
 """
 
 from __future__ import annotations
@@ -36,6 +43,53 @@ from .reference import exp_integral
 
 TARGETS = ("exp-shifted", "gaussian", "gaussian-integral", "constant")
 
+# points per chunk of ``clenshaw``: its three work arrays take 384 KiB of
+# float64 and stay in cache, while the Python loop runs once per degree
+# and chunk
+CLENSHAW_CHUNK = 16384
+
+
+def clenshaw(coef, x):
+    """Σ_k coef[k]·T_k(x), by numpy's ``chebval`` recurrence.
+
+    The same operations in the same order as ``chebval(x, coef)`` for a 1-D
+    ``coef``, so the values, dtype and shape are the same bit for bit (a
+    scalar x gives a numpy scalar).  x is taken in chunks of
+    ``CLENSHAW_CHUNK`` points; each chunk runs the recurrence in three work
+    arrays and the chunk of the result, rotated instead of copied, and is
+    written straight into the result.
+    """
+    c = np.asarray(coef)
+    x = np.asarray(x)
+    flat = np.ravel(x)
+    out = np.empty(flat.shape, np.result_type(c, flat))
+    size = min(flat.size, CLENSHAW_CHUNK)
+    x2, c0, c1 = (np.empty(size, out.dtype) for _ in range(3))
+    for start in range(0, flat.size, CLENSHAW_CHUNK):
+        xs = flat[start:start + CLENSHAW_CHUNK]
+        res = out[start:start + xs.size]
+        if c.size == 1:
+            # chebval: c[0] + 0*x
+            np.multiply(0, xs, out=res)
+            np.add(c[0], res, out=res)
+            continue
+        a, b = c0[:xs.size], c1[:xs.size]
+        a[...] = c[-2]
+        b[...] = c[-1]
+        if c.size > 2:
+            x2s = x2[:xs.size]
+            np.multiply(2, xs, out=x2s)
+            spare = res
+            for i in range(3, c.size + 1):
+                # (c0, c1) <- (c[-i] - c1, c0 + c1*x2)
+                np.subtract(c[-i], b, out=spare)
+                np.multiply(b, x2s, out=b)
+                np.add(a, b, out=b)
+                a, spare = spare, a
+        np.multiply(b, xs, out=b)
+        np.add(a, b, out=res)
+    return out.reshape(x.shape)[()]
+
 
 @dataclass
 class ApproxPolynomial:
@@ -48,7 +102,7 @@ class ApproxPolynomial:
     achieved_error: float
 
     def __call__(self, x):
-        return self.cheb(x)
+        return clenshaw(self.cheb.coef, x)
 
     def degree(self) -> int:
         return int(self.cheb.degree())

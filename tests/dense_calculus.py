@@ -15,7 +15,7 @@ import numpy as np
 
 from ffode import BlockEncoding, spectral_norm
 from ffode.block_encoding import GATES, PREP_PAIR, QueryLedger
-from ffode.block_encoding import _assert_poly_bounded
+from ffode.block_encoding import _assert_poly_bounded, _chebyshev_coefficients
 from ffode.config import INVERSE_QUERY_CONSTANT
 
 
@@ -91,7 +91,7 @@ def invert(u_a, delta, epsilon):
 def polynomial_transform(u_a, p):
     target = _hermitian_target(u_a, "polynomial transform")
     d = int(p.degree())
-    _assert_poly_bounded(p, d)
+    _assert_poly_bounded(_chebyshev_coefficients(p), d)
 
     def apply_poly(mat):
         w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)

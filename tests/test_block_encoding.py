@@ -211,6 +211,40 @@ def test_polynomial_transform_exp_approx():
     assert spectral_norm(out.encoded - target) < 1e-8
 
 
+def _hermitian_dilation(rng, n):
+    """exact_dilation of a random Hermitian matrix with spectrum in [-1, 1]."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(g)[0]
+    return exact_dilation((q * rng.uniform(-1.0, 1.0, n)) @ q.conj().T, 1.0)
+
+
+def test_polynomial_transform_is_numpy_evaluation_on_chebyshev_input():
+    # a Chebyshev series or an approximant is evaluated on its own
+    # coefficients: both diagonals equal numpy's p(w) bit for bit
+    be = _hermitian_dilation(np.random.default_rng(61), 6)
+    approx = approx_exp_shifted(7.0, 1e-8)
+    for p in (Chebyshev([0.0, 0.25, 0.0, 0.125]), approx.scaled(1.0 / 3.0),
+              Chebyshev(0.5 * approx.coefficients)):
+        out = polynomial_transform(be, p)
+        for got, w in ((out.factors, be.factors.real),
+                       (out.target_diagonal, be.target_diagonal.real)):
+            want = np.real(p(np.clip(w, -1.0, 1.0))).astype(complex)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_polynomial_transform_of_a_power_series_moves_by_rounding():
+    # a power series is converted to Chebyshev coefficients first; its
+    # values move from numpy's Horner evaluation by at most 1e-15
+    be = _hermitian_dilation(np.random.default_rng(67), 8)
+    for p in (Polynomial([0.0, 0.5]), Polynomial([0.25, 0.0, 0.25]),
+              Polynomial([0.1, -0.2, 0.05, 0.1])):
+        out = polynomial_transform(be, p)
+        for got, w in ((out.factors, be.factors.real),
+                       (out.target_diagonal, be.target_diagonal.real)):
+            want = p(np.clip(w, -1.0, 1.0))
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_polynomial_transform_rejects_unbounded():
     be = exact_dilation(np.diag([0.9, -0.9]).astype(complex), 1.0)
     with pytest.raises(ValueError):

@@ -276,13 +276,27 @@ def test_imaginary_time_horizon_past_the_float_range_is_a_range_error(capsys):
 
 
 def test_linear_system_kappa_past_a_finite_square_fails_its_check(capsys):
-    # κ² overflows at κ = 1e160; 1/κ² does not, and the dense solve at
-    # singular value 1e-160 fails the overlap ceiling: a FAIL line, exit 1
+    # κ² overflows at κ = 1e160; the witness refuses every κ past what its
+    # dense solve certifies: a FAIL line, exit 1
     assert main(["lb", "--family", "linear-system", "--kappa", "1e160"]) \
         == EXIT_FAIL
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("FAIL linear-system: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, line", [
+    (["linear-system", "--kappa", "1e8"],
+     "FAIL linear-system: kappa = 1e+08 exceeds 1e+05, the largest κ whose "
+     "dense solve certifies the overlaps to 1e-10\n"),
+    (["shifting", "--T", "300"],
+     "FAIL shifting: ‖e^{(A+cI)T}u0‖ overflows a float at T = 300\n")],
+    ids=["linear-system-kappa-1e8", "shifting-T-300"])
+def test_lb_outside_what_a_witness_certifies_names_the_limit(args, line,
+                                                             capsys):
+    assert main(["lb", "--family", *args]) == EXIT_FAIL
+    assert capsys.readouterr() == ("", line)
 
 
 def test_solver_problem_mismatch(tmp_path):

@@ -14,7 +14,7 @@ from ffode import (
     witness_realpart_gap, witness_realpart_gap_inhomogeneous,
     worst_case_oracle_pair,
 )
-from ffode.lower_bounds import inequality_holds
+from ffode.lower_bounds import LOG_FLOAT_MAX, MAX_KAPPA, inequality_holds
 
 
 def random_unitary(rng, n):
@@ -170,6 +170,29 @@ def test_imaginary_time_witness():
     assert gap_err <= 1e-12
     with pytest.raises(ValueError):
         witness_imaginary_time(np.diag([0.5, 1.0]).astype(complex), 1.0)
+
+
+def test_imaginary_time_past_the_float_range_is_a_value_error():
+    # e^{T‖H‖} is a finite float up to T‖H‖ = ln(float max), the bound the
+    # CLI's T range states for its ‖H‖ = 1 family
+    h = np.diag([0.0, 2.0]).astype(complex)
+    witness_imaginary_time(h, 354.0)
+    for T in (LOG_FLOAT_MAX / 2.0 * (1.0 + 1e-12), 400.0, math.inf):
+        with pytest.raises(ValueError, match=r"exceeds ln\(float max\) = "
+                                             r"709\.78"):
+            witness_imaginary_time(h, T)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, shift, name", [
+    (np.diag([3.0, -1.0]), 0.7, r"e\^\{AT\}u0"),
+    (np.diag([0.5, -1.0]), 2.0, r"e\^\{\(A\+cI\)T\}u0")],
+    ids=["unshifted", "shifted"])
+def test_shifting_overflow_is_a_value_error_without_warnings(a, shift, name):
+    u0 = np.array([0.6, 0.8j])
+    with pytest.raises(ValueError, match=f"‖{name}‖ overflows a float at "
+                                         r"T = 300$"):
+        shifting_equivalence_check(a.astype(complex), shift, u0, 300.0)
 
 
 def test_shifting_equivalence_trivial_and_antihermitian():
@@ -387,6 +410,21 @@ def test_linear_system_witness_large_kappa_limit():
     assert overlap == pytest.approx(1 / math.sqrt(2), abs=1e-6)
     with pytest.raises(ValueError):
         witness_linear_system(0.5, u, v)
+
+
+def test_linear_system_witness_refuses_kappa_past_its_dense_solve():
+    # the dense solve moves the overlaps by about κ·1e-16: MAX_KAPPA passes
+    # the 1e-10 comparisons at every dim and seed here, and a larger κ is
+    # refused up front, with the limit in the message
+    for n in (2, 8, 64):
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng([n, seed])
+            u, v = random_unitary(rng, n), random_unitary(rng, n)
+            witness_linear_system(MAX_KAPPA, u, v)
+    for kappa in (MAX_KAPPA * (1.0 + 1e-12), 1e8, 1e160, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"exceeds 1e\+05, the largest "
+                                             "κ whose dense solve"):
+            witness_linear_system(kappa, u, v)
 
 
 def test_thresholds_take_an_svd_only_past_the_frobenius_bound(monkeypatch):
